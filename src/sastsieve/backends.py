@@ -12,7 +12,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -21,7 +20,7 @@ from typing import Mapping
 
 import requests
 
-from .filter_agent import FINDING_HEADER, LlmRequest
+from .filter_agent import LlmRequest
 from .model import Classification
 
 log = logging.getLogger(__name__)
@@ -32,8 +31,6 @@ ENV_MODEL = "QSC_MODEL"
 
 MAX_RETRIES = 2
 BACKOFF_SECONDS = (1.0, 4.0)
-
-_FINDING_ID_LINE = re.compile(rf"^{re.escape(FINDING_HEADER)}(\S+)\s*$", re.MULTILINE)
 
 
 class BackendError(Exception):
@@ -64,11 +61,6 @@ class LlmBackend(ABC):
         """Return the model's raw text; raise BackendError on failure."""
 
 
-def extract_finding_ids(user_text: str) -> list[str]:
-    """Finding ids as enumerated by the prompt's findings block."""
-    return _FINDING_ID_LINE.findall(user_text)
-
-
 def request_digest(request: LlmRequest) -> str:
     """Cryptographic hash of the normalized request (timeout excluded)."""
     payload = json.dumps(
@@ -88,7 +80,8 @@ class LiveBackend(LlmBackend):
     """OpenAI-compatible chat-completion client.
 
     Credentials come from the environment (QSC_API_KEY bearer token,
-    QSC_API_BASE endpoint, QSC_MODEL default model). Transient transport
+    QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
+    any of the three is missing. Transient transport
     failures (connection errors, 429, 5xx) are retried at most twice with
     1s/4s backoff; timeouts and malformed output are never retried.
     """
@@ -110,6 +103,8 @@ class LiveBackend(LlmBackend):
             raise BackendConfigError(f"{ENV_API_KEY} is not set (bearer token required)")
         if not self.api_base:
             raise BackendConfigError(f"{ENV_API_BASE} is not set (endpoint URL required)")
+        if not self.model_id:
+            raise BackendConfigError(f"{ENV_MODEL} is not set and no model was given")
 
     def _url(self) -> str:
         if self.api_base.endswith("/chat/completions"):
@@ -117,11 +112,8 @@ class LiveBackend(LlmBackend):
         return self.api_base + "/chat/completions"
 
     def complete(self, request: LlmRequest) -> str:
-        model = request.model_id or self.model_id
-        if not model:
-            raise BackendConfigError(f"{ENV_MODEL} is not set and the request names no model")
         body = {
-            "model": model,
+            "model": request.model_id or self.model_id,
             "messages": [
                 {"role": "system", "content": request.system_text},
                 {"role": "user", "content": request.user_text},
@@ -165,7 +157,8 @@ class LiveBackend(LlmBackend):
 class ScriptedBackend(LlmBackend):
     """Returns canned verdicts keyed by finding id.
 
-    Finding ids are read from the request's findings block. Ids without a
+    Finding ids are taken from the request, never from its text, so source
+    code quoted in the prompt cannot add ids. Ids without a
     scripted verdict fall back to ``default`` when given, and are omitted
     from the response otherwise (the filter then retains them fail-open).
     Read-only after construction, hence safe under concurrent calls.
@@ -188,7 +181,7 @@ class ScriptedBackend(LlmBackend):
 
     def complete(self, request: LlmRequest) -> str:
         results = []
-        for fid in extract_finding_ids(request.user_text):
+        for fid in request.finding_ids:
             entry = self._verdicts.get(fid)
             if entry is None:
                 if self._default is None:

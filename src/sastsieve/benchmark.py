@@ -9,7 +9,7 @@ endings are accepted and fields are trimmed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import CweCategory, TestCaseId
 
@@ -129,8 +129,3 @@ def summarize_distribution(gt: GroundTruth) -> DistributionSummary:
     vulnerable = sum(v for v, _ in frozen.values())
     safe = sum(s for _, s in frozen.values())
     return DistributionSummary(per_cwe=frozen, totals=(vulnerable, safe, vulnerable + safe))
-
-
-def detections_from_entries(entries: Iterable[GroundTruthEntry]) -> set[tuple[TestCaseId, int]]:
-    """Convenience: the (test id, CWE code) pairs for a set of entries."""
-    return {(e.test_id, e.cwe.code) for e in entries}

@@ -25,9 +25,18 @@ from .backends import (
 from .benchmark import GroundTruthError, load_ground_truth
 from .filter_agent import FilterError
 from .ingest import ScannerOutputError
-from .pipeline import ConfigError, ScannerError, parse_config_file, plan_mission, run_mission, run_scanner
+from .pipeline import (
+    ConfigError,
+    MissionPlan,
+    ScannerError,
+    parse_config_file,
+    plan_mission,
+    run_mission,
+    run_scanner,
+)
 from .report import (
     build_report,
+    detections_of,
     format_comparison_text,
     format_scorecard_text,
     load_report,
@@ -104,10 +113,12 @@ def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     return config
 
 
-def _build_backend(args: argparse.Namespace) -> tuple[LlmBackend, CassetteRecorder | None]:
+def _build_backend(
+    args: argparse.Namespace, plan: MissionPlan
+) -> tuple[LlmBackend, CassetteRecorder | None]:
     name = getattr(args, "backend", "replay")
     if name == "live":
-        backend: LlmBackend = LiveBackend(model_id=args.model)
+        backend: LlmBackend = LiveBackend(model_id=plan.model_id)
         if args.cassette:
             recorder = CassetteRecorder(backend, args.cassette)
             return recorder, recorder
@@ -130,7 +141,7 @@ def _build_backend(args: argparse.Namespace) -> tuple[LlmBackend, CassetteRecord
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = plan_mission(_mission_config(args))
-        backend, recorder = _build_backend(args)
+        backend, recorder = _build_backend(args, plan)
     except (ConfigError, BackendConfigError, CassetteError, json.JSONDecodeError, OSError) as exc:
         if args.parser is not None:
             args.parser.print_usage(sys.stderr)
@@ -174,15 +185,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan.out_text.parent.mkdir(parents=True, exist_ok=True)
     plan.out_text.write_text(render_text(report), encoding="utf-8")
     if args.detections_out:
-        Path(args.detections_out).write_bytes(
-            serialize_detections(
-                {
-                    (ff.finding.test_id, ff.finding.cwe.code)
-                    for ff in mission.kept
-                    if ff.finding.test_id is not None
-                }
-            )
-        )
+        Path(args.detections_out).write_bytes(serialize_detections(detections_of(mission.kept)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "

@@ -4,18 +4,24 @@ Unverified findings are batched, each batch is turned into a prompt with
 source context, sent to an LLM backend, and the structured response is
 validated. A finding is suppressed only when a well-formed response names
 its id as a false positive; every failure mode retains findings instead.
+
+Within a batch, findings that share a source file share one context block:
+the union of the windows each finding would get on its own, read from the
+file once.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     Classification,
@@ -36,6 +42,7 @@ DEFAULT_MAX_OUTPUT_TOKENS = 4096
 FINDINGS_PLACEHOLDER = "{{findings_block}}"
 FINDING_HEADER = "### Finding "
 _TRUNCATION_MARKER = "[... source truncated ...]\n"
+_BACKTICK_RUN = re.compile(r"`+")
 
 SYSTEM_TEXT = (
     "You review static-analysis security findings and decide, from the "
@@ -53,6 +60,9 @@ SYSTEM_TEXT = (
 )
 
 
+_PER_FINDING_CAUSES = (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE)
+
+
 class FilterError(RuntimeError):
     """Raised for batch failures only when fail-open is disabled."""
 
@@ -62,17 +72,13 @@ class Batch:
     """A slice of findings reviewed in one LLM call."""
 
     index: int
-    items: tuple[tuple[Finding, str], ...]
+    findings: tuple[Finding, ...]
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("batch index must be non-negative")
-        if not self.items:
+        if not self.findings:
             raise ValueError("a batch holds at least one finding")
-
-    @property
-    def findings(self) -> tuple[Finding, ...]:
-        return tuple(finding for finding, _ in self.items)
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,9 @@ class LlmRequest:
     user_text: str
     timeout: float = DEFAULT_TIMEOUT
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
+    # The ids of the findings the prompt lists, in batch order. Not part of
+    # the request digest: the user text already determines them.
+    finding_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -103,18 +112,23 @@ class FilterVerdictRecord:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """What one backend exchange produced: records, or a failure cause."""
+    """What one backend exchange produced: records, or a failure cause.
+
+    ``unavailable`` holds the ids of findings whose source could not be
+    read; they were left out of the prompt and are retained fail-open.
+    """
 
     records: tuple[FilterVerdictRecord, ...] | None
     cause: FailOpenCause | None
     raw_response: str | None
     latency: float
+    unavailable: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if (self.records is None) == (self.cause is None):
             raise ValueError("outcome carries either records or a failure cause")
-        if self.cause is FailOpenCause.MISSING_ENTRY:
-            raise ValueError("missing_entry is a per-finding cause, not a batch failure")
+        if self.cause in _PER_FINDING_CAUSES:
+            raise ValueError(f"{self.cause.value} is a per-finding cause, not a batch failure")
 
     @classmethod
     def parsed(
@@ -146,7 +160,8 @@ class FilterStats:
     batch_count: int
     llm_calls: int
     fail_open_events: tuple[tuple[int, str], ...]  # (batch_index, cause)
-    total_latency: float
+    total_latency: float  # summed backend call time over all batches
+    wall_time: float = 0.0  # wall-clock time of the whole filter stage
 
     @property
     def fail_open_counts(self) -> dict[str, int]:
@@ -193,28 +208,29 @@ def partition_batches(findings: Sequence[Finding], size: int) -> list[Batch]:
     batches = []
     for index, start in enumerate(range(0, len(findings), size)):
         chunk = findings[start : start + size]
-        batches.append(Batch(index=index, items=tuple((f, "") for f in chunk)))
+        batches.append(Batch(index=index, findings=tuple(chunk)))
     return batches
 
 
-def read_source_context(
-    finding: Finding,
-    root: Path | str,
-    budget: int = DEFAULT_CONTEXT_BUDGET,
-) -> str:
-    """Read the finding's source file, windowed around its lines when large.
+def _read_source(real_root: str, file_path: str) -> str:
+    """The text of ``file_path`` under an already resolved root.
 
-    Files within the budget are returned verbatim. Larger files yield a
-    window that always contains the finding's (clamped) line range, grown
-    outward at line boundaries until the budget is reached, with truncation
-    markers for omitted regions. Raises OSError when the file is missing.
+    Symlinks and ``..`` are resolved first; a path that lands outside the
+    root raises PermissionError, so only files inside the root are read.
     """
-    path = Path(root) / finding.file_path
-    text = path.read_text(encoding="utf-8", errors="replace")
-    if len(text) <= budget:
-        return text
+    path = os.path.realpath(os.path.join(real_root, file_path))
+    if path != real_root and not path.startswith(os.path.join(real_root, "")):
+        raise PermissionError(f"{file_path!r} resolves outside the source root {real_root}")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return fh.read()
 
-    lines = text.splitlines(keepends=True)
+
+def _line_window(lines: list[str], finding: Finding, budget: int) -> tuple[int, int]:
+    """The inclusive line range shown for a finding in a file over budget.
+
+    The range always holds the finding's (clamped) lines and grows outward
+    at line boundaries while it and two truncation markers fit the budget.
+    """
     last = len(lines) - 1
     lo = min(finding.start_line - 1, last)
     hi = min(finding.end_line - 1, last)
@@ -232,37 +248,86 @@ def read_source_context(
             grew = True
         if not grew:
             break
+    return lo, hi
+
+
+def _file_context(text: str, findings: Sequence[Finding], budget: int) -> str:
+    """The union of the findings' windows on one file, each line once.
+
+    A file within the budget is every finding's window and comes back
+    verbatim. Otherwise the windows' line ranges are merged, and a
+    truncation marker stands for each stretch of omitted lines.
+    """
+    if len(text) <= budget:
+        return text
+    lines = text.splitlines(keepends=True)
     parts = []
-    if lo > 0:
-        parts.append(_TRUNCATION_MARKER)
-    parts.extend(lines[lo : hi + 1])
-    if hi < last:
+    shown = 0  # index of the first line not yet shown
+    for lo, hi in sorted(_line_window(lines, f, budget) for f in findings):
+        if lo > shown:
+            parts.append(_TRUNCATION_MARKER)
+        parts.extend(lines[max(lo, shown) : hi + 1])
+        shown = max(shown, hi + 1)
+    if shown < len(lines):
         parts.append(_TRUNCATION_MARKER)
     return "".join(parts)
 
 
-def _findings_block(batch: Batch) -> str:
+def read_source_context(
+    finding: Finding,
+    root: Path | str,
+    budget: int = DEFAULT_CONTEXT_BUDGET,
+) -> str:
+    """Read the finding's source file, windowed around its lines when large.
+
+    Files within the budget are returned verbatim. Larger files yield a
+    window that always contains the finding's (clamped) line range, grown
+    outward at line boundaries until the budget is reached, with truncation
+    markers for omitted regions. Raises OSError when the file is missing or
+    resolves outside the root.
+    """
+    text = _read_source(os.path.realpath(root), finding.file_path)
+    return _file_context(text, [finding], budget)
+
+
+def _fence(context: str) -> str:
+    """A code fence longer than any backtick run in the context (CommonMark)."""
+    if "```" not in context:  # the common case, and much faster than the scan
+        return "```"
+    longest = max(len(run) for run in _BACKTICK_RUN.findall(context))
+    return "`" * max(3, longest + 1)
+
+
+def _findings_block(batch: Batch, sources: Mapping[str, str], budget: int) -> str:
+    """One metadata section per finding; one context block per source file.
+
+    Findings are grouped by file in order of first appearance. A file's
+    findings keep their batch order and are followed by the file's shared
+    context block. A file absent from ``sources`` gets an empty block.
+    """
+    by_file: dict[str, list[Finding]] = {}
+    for finding in batch.findings:
+        by_file.setdefault(finding.file_path, []).append(finding)
     sections = []
-    for finding, snippet in batch.items:
-        sections.append(
-            "\n".join(
-                [
-                    f"{FINDING_HEADER}{finding.id}",
-                    f"- type: {finding.cwe.name} ({finding.cwe.label})",
-                    f"- file: {finding.file_path}",
-                    f"- lines: {finding.start_line}-{finding.end_line}",
-                    f"- severity: {finding.severity.value}",
-                    f"- reported by: {finding.origin}",
-                    f"- scanner message: {finding.description}",
-                    "",
-                    "Source context:",
-                    "```",
-                    snippet.rstrip("\n"),
-                    "```",
-                    "",
-                ]
+    for file_path, findings in by_file.items():
+        for finding in findings:
+            sections.append(
+                "\n".join(
+                    [
+                        f"{FINDING_HEADER}{finding.id}",
+                        f"- type: {finding.cwe.name} ({finding.cwe.label})",
+                        f"- file: {finding.file_path}",
+                        f"- lines: {finding.start_line}-{finding.end_line}",
+                        f"- severity: {finding.severity.value}",
+                        f"- reported by: {finding.origin}",
+                        f"- scanner message: {finding.description}",
+                        "",
+                    ]
+                )
             )
-        )
+        context = _file_context(sources.get(file_path, ""), findings, budget).rstrip("\n")
+        fence = _fence(context)
+        sections.append("\n".join(["Source context:", fence, context, fence, ""]))
     return "\n".join(sections)
 
 
@@ -270,12 +335,18 @@ def build_prompt(
     batch: Batch,
     template: str,
     *,
+    sources: Mapping[str, str] | None = None,
+    context_budget: int = DEFAULT_CONTEXT_BUDGET,
     model_id: str = "",
     timeout: float = DEFAULT_TIMEOUT,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> LlmRequest:
-    """Render the batch into a request via the template's findings placeholder."""
-    block = _findings_block(batch)
+    """Render the batch into a request via the template's findings placeholder.
+
+    ``sources`` maps a finding's file path to the file's text; each file's
+    context is windowed from it with ``context_budget`` per finding.
+    """
+    block = _findings_block(batch, sources or {}, context_budget)
     if FINDINGS_PLACEHOLDER in template:
         user_text = template.replace(FINDINGS_PLACEHOLDER, block)
     else:
@@ -287,6 +358,7 @@ def build_prompt(
         user_text=user_text,
         timeout=timeout,
         max_output_tokens=max_output_tokens,
+        finding_ids=tuple(finding.id for finding in batch.findings),
     )
 
 
@@ -345,18 +417,21 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
 def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]:
     """Attach verdicts to every finding of the batch, exactly once each.
 
-    A failed outcome retains the whole batch fail-open. A parsed outcome
-    suppresses findings named false positive, retains findings named true
-    positive, and retains unnamed findings fail-open (missing_entry).
+    Findings whose source was unavailable are retained fail-open
+    (source_unavailable). Otherwise a failed outcome retains the finding
+    fail-open under the batch's cause, and a parsed outcome suppresses
+    findings named false positive, retains findings named true positive,
+    and retains unnamed findings fail-open (missing_entry).
     """
-    if not outcome.ok:
-        verdict = Verdict.fail_open(outcome.cause)
-        return [FilteredFinding(f, verdict, batch.index) for f in batch.findings]
-    by_id = {record.finding_id: record for record in outcome.records}
+    by_id = {record.finding_id: record for record in outcome.records or ()}
     result = []
     for finding in batch.findings:
         record = by_id.get(finding.id)
-        if record is None:
+        if finding.id in outcome.unavailable:
+            verdict = Verdict.fail_open(FailOpenCause.SOURCE_UNAVAILABLE)
+        elif not outcome.ok:
+            verdict = Verdict.fail_open(outcome.cause)
+        elif record is None:
             verdict = Verdict.fail_open(FailOpenCause.MISSING_ENTRY)
         else:
             verdict = Verdict.llm(record.classification, record.rationale)
@@ -364,31 +439,59 @@ def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]
     return result
 
 
-def _attach_snippets(batch: Batch, config: FilterConfig) -> Batch:
-    if config.source_root is None:
-        return batch
-    items = tuple(
-        (finding, read_source_context(finding, config.source_root, config.context_budget))
-        for finding, _ in batch.items
-    )
-    return Batch(index=batch.index, items=items)
+def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], frozenset[str]]:
+    """Each distinct source file of the batch, read once.
+
+    Returns the texts by file path and the ids of findings whose file is
+    missing, unreadable or outside the root.
+    """
+    if root is None:
+        return {}, frozenset()
+    real_root = os.path.realpath(root)
+    texts: dict[str, str] = {}
+    unreadable: set[str] = set()
+    for finding in batch.findings:
+        path = finding.file_path
+        if path in texts or path in unreadable:
+            continue
+        try:
+            texts[path] = _read_source(real_root, path)
+        except (OSError, ValueError) as exc:
+            log.warning("batch %d: source context unavailable: %s", batch.index, exc)
+            unreadable.add(path)
+    return texts, frozenset(f.id for f in batch.findings if f.file_path in unreadable)
 
 
 def _process_batch(
     batch: Batch, backend, template: str, config: FilterConfig
 ) -> tuple[BatchOutcome, bool]:
-    """Run one batch end to end; the flag records whether the backend was called."""
+    """Run one batch end to end; the flag records whether the backend was called.
+
+    Findings whose source is unavailable are left out of the prompt; when
+    that leaves none, the backend is not called.
+    """
+    sources, unavailable = _read_sources(batch, config.source_root)
+    if unavailable:
+        reviewable = tuple(f for f in batch.findings if f.id not in unavailable)
+        if not reviewable:
+            return replace(BatchOutcome.parsed(()), unavailable=unavailable), False
+        batch = Batch(index=batch.index, findings=reviewable)
+    outcome = _review(batch, sources, backend, template, config)
+    return replace(outcome, unavailable=unavailable), True
+
+
+def _review(
+    batch: Batch, sources: Mapping[str, str], backend, template: str, config: FilterConfig
+) -> BatchOutcome:
+    """Send one batch to the backend and parse what comes back."""
     # Local import: backends depends on this module for LlmRequest.
     from .backends import BackendError, BackendTimeoutError
 
-    try:
-        batch = _attach_snippets(batch, config)
-    except OSError as exc:
-        log.warning("batch %d: failed to read source context: %s", batch.index, exc)
-        return BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, 0.0), False
     request = build_prompt(
         batch,
         template,
+        sources=sources,
+        context_budget=config.context_budget,
         model_id=config.model_id,
         timeout=config.timeout,
         max_output_tokens=config.max_output_tokens,
@@ -398,20 +501,14 @@ def _process_batch(
         raw = backend.complete(request)
     except BackendTimeoutError as exc:
         log.warning("batch %d: backend timed out: %s", batch.index, exc)
-        return BatchOutcome.failed(FailOpenCause.TIMEOUT, None, time.perf_counter() - started), True
+        return BatchOutcome.failed(FailOpenCause.TIMEOUT, None, time.perf_counter() - started)
     except BackendError as exc:
         log.warning("batch %d: backend failed: %s", batch.index, exc)
-        return (
-            BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started),
-            True,
-        )
+        return BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started)
     except Exception as exc:  # backend contract violation; still fail open
         log.error("batch %d: unexpected backend error: %s", batch.index, exc)
-        return (
-            BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started),
-            True,
-        )
-    return parse_llm_response(raw, batch, time.perf_counter() - started), True
+        return BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started)
+    return parse_llm_response(raw, batch, time.perf_counter() - started)
 
 
 def filter_findings(
@@ -428,6 +525,7 @@ def filter_findings(
     FilterError.
     """
     config = config or FilterConfig()
+    started = time.perf_counter()
     batches = partition_batches(findings, config.batch_size)
     template = config.template_text if config.template_text is not None else default_template()
 
@@ -456,13 +554,14 @@ def filter_findings(
                 )
             events.append((batch.index, outcome.cause.value))
         for filtered in apply_verdicts(batch, outcome):
-            if filtered.verdict.cause is FailOpenCause.MISSING_ENTRY:
+            cause = filtered.verdict.cause
+            if cause in _PER_FINDING_CAUSES:
                 if not config.fail_open_enabled:
                     raise FilterError(
-                        f"batch {batch.index} response omitted finding {filtered.finding.id} "
-                        "with fail-open disabled"
+                        f"batch {batch.index}: finding {filtered.finding.id} failed "
+                        f"({cause.value}) with fail-open disabled"
                     )
-                events.append((batch.index, FailOpenCause.MISSING_ENTRY.value))
+                events.append((batch.index, cause.value))
             if filtered.verdict.retained:
                 retained.append(filtered)
             else:
@@ -473,5 +572,6 @@ def filter_findings(
         llm_calls=llm_calls,
         fail_open_events=tuple(events),
         total_latency=total_latency,
+        wall_time=time.perf_counter() - started,
     )
     return retained, suppressed, stats

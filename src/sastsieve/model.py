@@ -103,6 +103,7 @@ class FailOpenCause(str, Enum):
     TIMEOUT = "timeout"
     MALFORMED_RESPONSE = "malformed_response"
     MISSING_ENTRY = "missing_entry"
+    SOURCE_UNAVAILABLE = "source_unavailable"
 
 
 @dataclass(frozen=True)

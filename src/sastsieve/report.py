@@ -39,7 +39,7 @@ from .scoring import (
     score_per_cwe,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 DEFAULT_RETAINED_DISPLAY = 20
 DEFAULT_SUPPRESSED_DISPLAY = 10
@@ -232,6 +232,7 @@ def render_json(report: Report) -> bytes:
             "started_at": report.started_at,
             "finished_at": report.finished_at,
             "total_latency_seconds": report.stats.total_latency,
+            "filter_wall_seconds": report.stats.wall_time,
         },
     }
     return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -331,6 +332,7 @@ def load_report(payload: bytes | str) -> Report:
                 (e["batch_index"], e["cause"]) for e in doc["fail_open_events"]
             ),
             total_latency=timing["total_latency_seconds"],
+            wall_time=timing["filter_wall_seconds"],
         )
         return Report(
             run_id=doc["run_id"],
@@ -431,7 +433,8 @@ def render_text(
     lines.append(
         f"batches             : {report.stats.batch_count}"
         f"  llm calls: {report.stats.llm_calls}"
-        f"  filter latency: {report.stats.total_latency:.2f}s"
+        f"  summed call time: {report.stats.total_latency:.2f}s"
+        f"  filter wall time: {report.stats.wall_time:.2f}s"
     )
 
     if report.scorecard is not None:

@@ -238,7 +238,7 @@ def test_criterion_6_batch_properties():
             findings = pool[:n]
             batches = partition_batches(findings, size)
             assert len(batches) == math.ceil(n / size)
-            assert all(1 <= len(b.items) <= size for b in batches)
+            assert all(1 <= len(b.findings) <= size for b in batches)
             assert [f for b in batches for f in b.findings] == findings
 
 

@@ -2,6 +2,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -16,7 +17,6 @@ from sastsieve.backends import (
     LiveBackend,
     ReplayBackend,
     ScriptedBackend,
-    extract_finding_ids,
     request_digest,
 )
 from sastsieve.filter_agent import LlmRequest, build_prompt, default_template
@@ -171,15 +171,16 @@ def test_live_backend_rejects_bad_envelope(chat_server):
 
 def test_live_backend_requires_some_model_id(chat_server, monkeypatch):
     monkeypatch.delenv("QSC_MODEL", raising=False)
-    backend = live_backend(chat_server, model_id="")
     with pytest.raises(BackendConfigError, match="QSC_MODEL"):
-        backend.complete(request_for(model=""))
+        live_backend(chat_server, model_id="")
+    assert chat_server.hits == 0
 
 
-def test_extract_finding_ids_from_prompt():
+def test_request_carries_the_batch_finding_ids():
     findings = [make_finding(i) for i in range(4)]
     request = build_prompt(batch_of(findings), default_template())
-    assert extract_finding_ids(request.user_text) == [f.id for f in findings]
+    assert request.finding_ids == tuple(f.id for f in findings)
+    assert request_digest(replace(request, finding_ids=())) == request_digest(request)
 
 
 def test_scripted_backend_answers_only_known_ids():

@@ -55,7 +55,7 @@ def test_run_happy_path_with_replay(tmp_path, capsys):
     assert code == 0
     assert out_json.exists() and out_text.exists()
     doc = json.loads(out_json.read_bytes())
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert len(doc["retained"]) == 10
     assert "retained 10" in capsys.readouterr().out
 
@@ -323,3 +323,23 @@ def test_replay_is_idempotent(tmp_path):
         doc.pop("timing")
         outputs.append(json.dumps(doc, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def test_run_live_without_model_exits_before_any_batch(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
+    monkeypatch.delenv("QSC_MODEL", raising=False)
+    scan = saved_scan(tmp_path, benchmark_results(3))
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "run",
+            "--scan-json", scan,
+            "--backend", "live",
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 1
+    assert "QSC_MODEL" in capsys.readouterr().err
+    assert not out_json.exists()

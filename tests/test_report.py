@@ -57,7 +57,7 @@ def mission_report(tmp_path, gt=None, baseline=None, results=None, backend=None)
 def test_empty_run_renders_with_schema_version():
     payload = render_json(empty_report())
     doc = json.loads(payload)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["retained"] == [] and doc["suppressed"] == []
     assert doc["scorecard"] is None
 
@@ -115,6 +115,15 @@ def test_text_report_lists_fail_open_causes():
     text = render_text(empty_report(stats=stats, fail_open_events=events, retained=retained))
     assert "timeout x2" in text
     assert "malformed_response x1" in text
+
+
+def test_text_report_separates_summed_call_time_from_wall_time():
+    stats = FilterStats(
+        batch_count=123, llm_calls=123, fail_open_events=(), total_latency=6.21, wall_time=0.46
+    )
+    text = render_text(empty_report(stats=stats))
+    assert "summed call time: 6.21s  filter wall time: 0.46s" in text
+    assert load_report(render_json(empty_report(stats=stats))).stats == stats
 
 
 def test_text_report_caps_lists_with_more_marker():
