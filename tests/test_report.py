@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 from sastsieve.backends import ScriptedBackend
 from sastsieve.benchmark import load_ground_truth
@@ -6,9 +8,16 @@ from sastsieve.model import (
     Classification,
     FailOpenCause,
     FilteredFinding,
+    Severity,
     Verdict,
 )
-from sastsieve.pipeline import plan_mission, run_mission
+from sastsieve.pipeline import (
+    SCANNER_MODE_LOAD,
+    MissionPlan,
+    MissionResult,
+    plan_mission,
+    run_mission,
+)
 from sastsieve.report import (
     Report,
     build_report,
@@ -19,10 +28,73 @@ from sastsieve.report import (
     render_text,
 )
 from sastsieve.filter_agent import FilterStats
-from sastsieve.scoring import ConfusionMatrix, CweScorecard, compute_metrics
+from sastsieve.scoring import (
+    ConfusionMatrix,
+    CweScorecard,
+    Delta,
+    ScorecardComparison,
+    compute_metrics,
+)
 from tests.conftest import make_finding
 from tests.test_filter_agent import FailingBackend
 from tests.test_pipeline import benchmark_results, saved_scan
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_report() -> Report:
+    """A small fixed report that reaches every part of both layouts."""
+    verified = make_finding(1, cwe=89, test_num=7)
+    llm_kept = replace(
+        make_finding(2, cwe=0, severity=Severity.INFO), description="naïve → ünïcode message"
+    )
+    dropped = make_finding(3, cwe=79, test_num=8)
+    missing = make_finding(4, cwe=22, test_num=9, start_line=5, end_line=5)
+    mission = MissionResult(
+        plan=MissionPlan(
+            scanner_mode=SCANNER_MODE_LOAD, scan_json_path=Path("scan.json"), model_id="m-1"
+        ),
+        scanner_finding_count=5,
+        skipped_results=1,
+        verified=(FilteredFinding(verified, Verdict.evidence("trace:42")),),
+        retained=(
+            FilteredFinding(llm_kept, Verdict.llm("true_positive", "reaches the sink"), 0),
+            FilteredFinding(missing, Verdict.fail_open(FailOpenCause.MISSING_ENTRY), 1),
+        ),
+        suppressed=(
+            FilteredFinding(dropped, Verdict.llm("false_positive", "input is encoded"), 0),
+        ),
+        stats=FilterStats(
+            batch_count=2,
+            llm_calls=2,
+            fail_open_events=((1, "missing_entry"),),
+            total_latency=0.75,
+            wall_time=0.5,
+        ),
+        started_at="2026-01-01T00:00:00+00:00",
+        finished_at="2026-01-01T00:00:02+00:00",
+    )
+    cm_79 = ConfusionMatrix(tp=0, fp=0, tn=2, fn=0)  # precision, recall, f1 undefined
+    cm_89 = ConfusionMatrix(tp=2, fp=1, tn=3, fn=1)
+    overall = cm_79 + cm_89
+    card = CweScorecard(
+        per_cwe={79: (cm_79, compute_metrics(cm_79)), 89: (cm_89, compute_metrics(cm_89))},
+        overall=(overall, compute_metrics(overall)),
+    )
+    deltas = ScorecardComparison(
+        per_cwe={79: None, 89: Delta(f1_abs=0.25, f1_rel=None)},
+        overall=Delta(f1_abs=0.125, f1_rel=0.5),
+    )
+    return replace(build_report(mission), scorecard=card, baseline_deltas=deltas)
+
+
+def test_golden_report_bytes():
+    report = golden_report()
+    payload = render_json(report)
+    assert payload == (GOLDEN / "report.json").read_bytes()
+    assert render_text(report).encode("utf-8") == (GOLDEN / "report.txt").read_bytes()
+    assert load_report(payload) == report
 
 
 def empty_report(**overrides) -> Report:
@@ -136,8 +208,6 @@ def test_text_report_caps_lists_with_more_marker():
 
 
 def test_text_report_orders_retained_by_severity():
-    from sastsieve.model import Severity
-
     low = FilteredFinding(
         make_finding(1, severity=Severity.INFO), Verdict.llm("true_positive", "r"), 0
     )
