@@ -102,23 +102,15 @@ class LlmRequest:
 
 
 @dataclass(frozen=True)
-class FilterVerdictRecord:
-    """One classification entry from a parsed response."""
-
-    finding_id: str
-    classification: Classification
-    rationale: str
-
-
-@dataclass(frozen=True)
 class BatchOutcome:
-    """What one backend exchange produced: records, or a failure cause.
+    """What one backend exchange produced: verdicts, or a failure cause.
 
-    ``unavailable`` holds the ids of findings whose source could not be
-    read; they were left out of the prompt and are retained fail-open.
+    ``records`` maps finding ids to the model's verdicts. ``unavailable``
+    holds the ids of findings whose source could not be read; they were
+    left out of the prompt and are retained fail-open.
     """
 
-    records: tuple[FilterVerdictRecord, ...] | None
+    records: Mapping[str, Verdict] | None
     cause: FailOpenCause | None
     raw_response: str | None
     latency: float
@@ -133,11 +125,11 @@ class BatchOutcome:
     @classmethod
     def parsed(
         cls,
-        records: Sequence[FilterVerdictRecord],
+        records: Mapping[str, Verdict],
         raw_response: str | None = None,
         latency: float = 0.0,
     ) -> "BatchOutcome":
-        return cls(records=tuple(records), cause=None, raw_response=raw_response, latency=latency)
+        return cls(records=dict(records), cause=None, raw_response=raw_response, latency=latency)
 
     @classmethod
     def failed(
@@ -382,14 +374,13 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
     """
     try:
         document = json.loads(_strip_fences(raw))
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # ValueError also covers over-long integers
         return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
         return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
 
     known_ids = {finding.id for finding in batch.findings}
-    records: list[FilterVerdictRecord] = []
-    seen: set[str] = set()
+    records: dict[str, Verdict] = {}
     for item in document["results"]:
         if not isinstance(item, dict) or not isinstance(item.get("finding_id"), str):
             return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
@@ -404,13 +395,10 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
         if fid not in known_ids:
             log.warning("batch %d: dropping verdict for unknown finding id %r", batch.index, fid)
             continue
-        if fid in seen:
+        if fid in records:
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
-        seen.add(fid)
-        records.append(
-            FilterVerdictRecord(finding_id=fid, classification=classification, rationale=rationale)
-        )
+        records[fid] = Verdict.llm(classification, rationale)
     return BatchOutcome.parsed(records, raw, latency)
 
 
@@ -423,18 +411,16 @@ def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]
     findings named false positive, retains findings named true positive,
     and retains unnamed findings fail-open (missing_entry).
     """
-    by_id = {record.finding_id: record for record in outcome.records or ()}
     result = []
     for finding in batch.findings:
-        record = by_id.get(finding.id)
         if finding.id in outcome.unavailable:
             verdict = Verdict.fail_open(FailOpenCause.SOURCE_UNAVAILABLE)
         elif not outcome.ok:
             verdict = Verdict.fail_open(outcome.cause)
-        elif record is None:
-            verdict = Verdict.fail_open(FailOpenCause.MISSING_ENTRY)
+        elif finding.id in outcome.records:
+            verdict = outcome.records[finding.id]
         else:
-            verdict = Verdict.llm(record.classification, record.rationale)
+            verdict = Verdict.fail_open(FailOpenCause.MISSING_ENTRY)
         result.append(FilteredFinding(finding, verdict, batch.index))
     return result
 
@@ -474,7 +460,7 @@ def _process_batch(
     if unavailable:
         reviewable = tuple(f for f in batch.findings if f.id not in unavailable)
         if not reviewable:
-            return replace(BatchOutcome.parsed(()), unavailable=unavailable), False
+            return replace(BatchOutcome.parsed({}), unavailable=unavailable), False
         batch = Batch(index=batch.index, findings=reviewable)
     outcome = _review(batch, sources, backend, template, config)
     return replace(outcome, unavailable=unavailable), True

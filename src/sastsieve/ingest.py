@@ -117,8 +117,8 @@ class ParsedScan:
     skipped: int
 
 
-def _cwe_tags(result: dict) -> tuple[str, ...]:
-    metadata = result.get("extra", {}).get("metadata", {})
+def _cwe_tags(extra: dict) -> tuple[str, ...]:
+    metadata = extra.get("metadata", {})
     if not isinstance(metadata, dict):
         return ()
     cwe = metadata.get("cwe")
@@ -141,7 +141,7 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
         payload = payload.decode("utf-8", errors="replace")
     try:
         document = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError also covers over-long integers
         raise ScannerOutputError(f"scanner output is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
         raise ScannerOutputError("scanner output lacks a top-level 'results' array")
@@ -173,7 +173,7 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
                 end_line=end_line,
                 severity_label=str(extra.get("severity", "")),
                 message=str(extra.get("message", "")),
-                cwe_tags=_cwe_tags(result),
+                cwe_tags=_cwe_tags(extra),
             )
         )
     if skipped:
@@ -189,13 +189,14 @@ def map_cwe(cwe_tags: tuple[str, ...] | list[str], table: CweMappingTable) -> Cw
     code = None
     for tag in cwe_tags:
         match = _CWE_TAG.search(tag)
-        if match:
-            code = int(match.group(1))
+        digits = match.group(1) if match else tag.strip()
+        if not digits.isdigit():
+            continue
+        try:
+            code = int(digits)
             break
-        stripped = tag.strip()
-        if stripped.isdigit():
-            code = int(stripped)
-            break
+        except ValueError:  # "²" passes isdigit(); int() refuses over 4,300 digits
+            continue
     if code is None:
         return CweCategory(0)
     if len(cwe_tags) > 1:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import subprocess
+import typing
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -66,22 +67,21 @@ class MissionPlan:
     match_any_cwe: bool = False
 
 
-# Config keys, with the coercion each value goes through.
-_PATH_KEYS = (
-    "target_root",
-    "scan_json",
-    "ground_truth",
-    "baseline",
-    "out_json",
-    "out_text",
-    "cwe_map",
-    "template",
-)
-_INT_KEYS = ("batch_size", "parallelism", "context_budget")
-_BOOL_KEYS = ("fail_open", "match_any_cwe")
-_STR_KEYS = ("scanner_cmd", "scanner_name", "model")
-_FLOAT_KEYS = ("timeout",)
-_KNOWN_KEYS = set(_PATH_KEYS) | set(_INT_KEYS) | set(_BOOL_KEYS) | set(_STR_KEYS) | set(_FLOAT_KEYS)
+# Every MissionPlan field except scanner_mode, which plan_mission derives, is
+# a config key: under its own name or under one of these aliases.
+_ALIASES = {
+    "scan_json_path": "scan_json",
+    "ground_truth_path": "ground_truth",
+    "baseline_path": "baseline",
+    "cwe_map_path": "cwe_map",
+    "template_path": "template",
+    "fail_open_enabled": "fail_open",
+    "model_id": "model",
+}
+_CONFIG_KEYS = {
+    _ALIASES.get(f.name, f.name): f.name for f in fields(MissionPlan) if f.name != "scanner_mode"
+}
+_FIELD_TYPES = typing.get_type_hints(MissionPlan)
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -98,15 +98,29 @@ def parse_config_file(text: str) -> dict[str, str]:
     return values
 
 
-def _coerce_bool(key: str, value: object) -> bool:
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+def _coerce(key: str, kind: object, value: object) -> object:
+    """The config value as the field's type: bool, str, int >= 1, float > 0 or Path."""
+    if kind is bool:
+        lowered = str(value).strip().lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    if kind in (int, float):
+        try:
+            number = kind(str(value))
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+        if kind is int and number < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {number}")
+        if kind is float and not number > 0:  # also refuses nan
+            raise ConfigError(f"{key}: must be positive, got {number}")
+        return number
+    if kind is str:
+        return str(value)
+    return Path(str(value))  # Path, or Path | None
 
 
 def plan_mission(config: Mapping[str, object]) -> MissionPlan:
@@ -117,55 +131,17 @@ def plan_mission(config: Mapping[str, object]) -> MissionPlan:
     (saved scanner output); with both, the saved output wins and the target
     supplies source context.
     """
-    unknown = set(config) - _KNOWN_KEYS
+    unknown = set(config) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(str(k) for k in unknown))}")
 
-    plan = MissionPlan()
-    updates: dict[str, object] = {}
-
-    key_to_field = {
-        "target_root": "target_root",
-        "scan_json": "scan_json_path",
-        "ground_truth": "ground_truth_path",
-        "baseline": "baseline_path",
-        "out_json": "out_json",
-        "out_text": "out_text",
-        "cwe_map": "cwe_map_path",
-        "template": "template_path",
-        "fail_open": "fail_open_enabled",
-        "model": "model_id",
-    }
-
-    for key in _PATH_KEYS:
-        if config.get(key) is not None:
-            updates[key_to_field.get(key, key)] = Path(str(config[key]))
-    for key in _INT_KEYS:
-        if config.get(key) is not None:
-            try:
-                value = int(str(config[key]))
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {config[key]!r}") from None
-            if value < 1:
-                raise ConfigError(f"{key}: must be >= 1, got {value}")
-            updates[key] = value
-    for key in _BOOL_KEYS:
-        if config.get(key) is not None:
-            updates[key_to_field.get(key, key)] = _coerce_bool(key, config[key])
-    for key in _STR_KEYS:
-        if config.get(key) is not None:
-            updates[key_to_field.get(key, key)] = str(config[key])
-    for key in _FLOAT_KEYS:
-        if config.get(key) is not None:
-            try:
-                value = float(str(config[key]))
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {config[key]!r}") from None
-            if value <= 0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
-            updates[key] = value
-
-    plan = replace(plan, **updates)
+    plan = MissionPlan(
+        **{
+            name: _coerce(key, _FIELD_TYPES[name], config[key])
+            for key, name in _CONFIG_KEYS.items()
+            if config.get(key) is not None
+        }
+    )
     if plan.scan_json_path is not None:
         plan = replace(plan, scanner_mode=SCANNER_MODE_LOAD)
     elif plan.target_root is None:

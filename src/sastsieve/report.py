@@ -8,24 +8,21 @@ determinism checks can exclude it wholesale.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
+import typing
+from collections import abc
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from enum import Enum
+from types import UnionType
+from typing import Callable, Collection, Mapping, Union
 
 from .benchmark import GroundTruth
 from .filter_agent import FilterStats
-from .model import (
-    Classification,
-    CweCategory,
-    FailOpenCause,
-    FilteredFinding,
-    Finding,
-    Provenance,
-    Severity,
-    TestCaseId,
-    Verdict,
-)
+from .model import CweCategory, FilteredFinding, Provenance, Severity, TestCaseId
 from .pipeline import MissionResult
 from .scoring import (
     ConfusionMatrix,
@@ -57,7 +54,6 @@ class Report:
     plan_summary: Mapping[str, object]
     retained: tuple[FilteredFinding, ...]
     suppressed: tuple[FilteredFinding, ...]
-    fail_open_events: tuple[tuple[int, str], ...]
     stats: FilterStats
     scorecard: CweScorecard | None
     baseline_deltas: ScorecardComparison | None
@@ -125,7 +121,6 @@ def build_report(
         plan_summary=plan_summary,
         retained=mission.kept,
         suppressed=mission.suppressed,
-        fail_open_events=mission.stats.fail_open_events,
         stats=mission.stats,
         scorecard=scorecard,
         baseline_deltas=deltas,
@@ -134,218 +129,166 @@ def build_report(
     )
 
 
-# --- JSON encoding ---------------------------------------------------------
+# --- JSON codec ------------------------------------------------------------
+#
+# Records are written field by field from their resolved types: enums and
+# TestCaseId as their value, X | None as the value or null, tuples as lists,
+# and Mapping[int, X] as an object keyed by str(code). Two layouts are named
+# exceptions: a CweCategory field is stored flat as <field>_code and
+# <field>_name, and a scorecard's (matrix, metrics) pair is an object with
+# those two keys. Decoding rejects every other shape.
+
+_SCORE_PAIR = tuple[ConfusionMatrix, MetricSet]
 
 
-def _finding_doc(finding: Finding) -> dict:
-    return {
-        "id": finding.id,
-        "test_id": finding.test_id.value if finding.test_id else None,
-        "cwe_code": finding.cwe.code,
-        "cwe_name": finding.cwe.name,
-        "file_path": finding.file_path,
-        "start_line": finding.start_line,
-        "end_line": finding.end_line,
-        "severity": finding.severity.value,
-        "description": finding.description,
-        "origin": finding.origin,
-    }
+def _same(value: object) -> object:
+    return value
 
 
-def _verdict_doc(verdict: Verdict) -> dict:
-    return {
-        "classification": verdict.classification.value,
-        "provenance": verdict.provenance.value,
-        "rationale": verdict.rationale,
-        "cause": verdict.cause.value if verdict.cause else None,
-        "evidence_ref": verdict.evidence_ref,
-    }
+def _expect(value: object, kind: type | tuple[type, ...]) -> object:
+    """``value`` if it has the JSON type ``kind``: bools are no numbers, floats finite."""
+    if isinstance(value, bool) and kind is not bool or not isinstance(value, kind):
+        expected = kind.__name__ if isinstance(kind, type) else "a number"
+        raise TypeError(f"expected {expected}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
-def _filtered_doc(ff: FilteredFinding) -> dict:
-    return {
-        "finding": _finding_doc(ff.finding),
-        "verdict": _verdict_doc(ff.verdict),
-        "batch_index": ff.batch_index,
-    }
+@functools.cache
+def _codec(tp: object) -> tuple[Callable, Callable]:
+    """How a value of type ``tp`` is encoded to JSON data and decoded back.
+
+    Worked out once per type: resolving type hints per record would cost
+    more than the encoding itself.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp == _SCORE_PAIR:
+        (enc_matrix, dec_matrix), (enc_metrics, dec_metrics) = map(_codec, args)
+        return (
+            lambda pair: {"matrix": enc_matrix(pair[0]), "metrics": enc_metrics(pair[1])},
+            lambda doc: (
+                dec_matrix(_expect(doc, dict).get("matrix")), dec_metrics(doc.get("metrics"))
+            ),
+        )
+    if origin in (Union, UnionType):  # X | None
+        encode, decode = _codec(args[0])
+        return (
+            _same if encode is _same else lambda value: None if value is None else encode(value),
+            lambda doc: None if doc is None else decode(doc),
+        )
+    if origin is tuple and args[-1] is Ellipsis:
+        encode, decode = _codec(args[0])
+        return (
+            lambda value: [encode(item) for item in value],
+            lambda doc: tuple(decode(item) for item in _expect(doc, list)),
+        )
+    if origin is tuple:  # fixed length, such as a (batch_index, cause) event
+        codecs = [_codec(arg) for arg in args]
+        return (
+            lambda value: [encode(item) for (encode, _), item in zip(codecs, value)],
+            lambda doc: tuple(
+                decode(item) for (_, decode), item in zip(codecs, _expect(doc, list), strict=True)
+            ),
+        )
+    if origin is abc.Mapping:
+        key, (encode, decode) = args[0], _codec(args[1])
+        return (
+            lambda value: {str(k): encode(v) for k, v in value.items()},
+            lambda doc: {key(k): decode(v) for k, v in _expect(doc, dict).items()},
+        )
+    if tp is TestCaseId or isinstance(tp, type) and issubclass(tp, Enum):
+        return (lambda value: value.value), tp
+    if dataclasses.is_dataclass(tp):
+        return _record_codec(tp)
+    if tp is object:
+        return _same, _same
+    kind = (int, float) if tp is float else tp
+    return _same, lambda doc: _expect(doc, kind)
 
 
-def _metrics_doc(metrics: MetricSet) -> dict:
-    return {
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "fpr": metrics.fpr,
-        "youden_j": metrics.youden_j,
-    }
+def _record_codec(cls: type) -> tuple[Callable, Callable]:
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    flat = [name for name in names if hints[name] is CweCategory]
+    codecs = [(name, *_codec(hints[name])) for name in names if name not in flat]
+
+    def encode(record):
+        doc = {name: encode_field(getattr(record, name)) for name, encode_field, _ in codecs}
+        for name in flat:
+            cwe = getattr(record, name)
+            doc[f"{name}_code"], doc[f"{name}_name"] = cwe.code, cwe.name
+        return doc
+
+    def decode(doc):
+        _expect(doc, dict)
+        values = {name: decode_field(doc.get(name)) for name, _, decode_field in codecs}
+        for name in flat:
+            values[name] = CweCategory(_expect(doc.get(f"{name}_code"), int))
+        return cls(**values)
+
+    return encode, decode
 
 
-def _matrix_doc(cm: ConfusionMatrix) -> dict:
-    return {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
+# Where each Report field sits in the document, as (document path, field
+# path). A fail-open event, a (batch_index, cause) pair in the stats, is
+# written as an object with those two keys.
+_LAYOUT = (
+    (("run_id",), ("run_id",)),
+    (("plan",), ("plan_summary",)),
+    (("stats", "batch_count"), ("stats", "batch_count")),
+    (("stats", "llm_calls"), ("stats", "llm_calls")),
+    (("fail_open_events",), ("stats", "fail_open_events")),
+    (("retained",), ("retained",)),
+    (("suppressed",), ("suppressed",)),
+    (("scorecard",), ("scorecard",)),
+    (("baseline_deltas",), ("baseline_deltas",)),
+    (("timing", "started_at"), ("started_at",)),
+    (("timing", "finished_at"), ("finished_at",)),
+    (("timing", "total_latency_seconds"), ("stats", "total_latency")),
+    (("timing", "filter_wall_seconds"), ("stats", "wall_time")),
+)
 
 
-def _scorecard_doc(card: CweScorecard | None) -> dict | None:
-    if card is None:
-        return None
-    return {
-        "overall": {"matrix": _matrix_doc(card.overall[0]), "metrics": _metrics_doc(card.overall[1])},
-        "per_cwe": {
-            str(code): {"matrix": _matrix_doc(cm), "metrics": _metrics_doc(metrics)}
-            for code, (cm, metrics) in card.per_cwe.items()
-        },
-    }
-
-
-def _delta_doc(delta: Delta | None) -> dict | None:
-    if delta is None:
-        return None
-    return {"f1_abs": delta.f1_abs, "f1_rel": delta.f1_rel}
-
-
-def _comparison_doc(comparison: ScorecardComparison | None) -> dict | None:
-    if comparison is None:
-        return None
-    return {
-        "overall": _delta_doc(comparison.overall),
-        "per_cwe": {str(code): _delta_doc(d) for code, d in comparison.per_cwe.items()},
-    }
+def _move(source: dict, target: dict, moves: typing.Iterable[tuple[tuple, tuple]]) -> dict:
+    """Copy the value at each source path to its target path; returns target."""
+    for source_path, target_path in moves:
+        value = source
+        for key in source_path:
+            value = value[key]
+        node = target
+        for key in target_path[:-1]:
+            node = node.setdefault(key, {})
+        node[target_path[-1]] = value
+    return target
 
 
 def render_json(report: Report) -> bytes:
     """Canonical JSON rendering: sorted keys, versioned, newline-terminated."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "run_id": report.run_id,
-        "plan": dict(report.plan_summary),
-        "stats": {
-            "batch_count": report.stats.batch_count,
-            "llm_calls": report.stats.llm_calls,
-        },
-        "fail_open_events": [
-            {"batch_index": index, "cause": cause} for index, cause in report.fail_open_events
-        ],
-        "retained": [_filtered_doc(ff) for ff in report.retained],
-        "suppressed": [_filtered_doc(ff) for ff in report.suppressed],
-        "scorecard": _scorecard_doc(report.scorecard),
-        "baseline_deltas": _comparison_doc(report.baseline_deltas),
-        "timing": {
-            "started_at": report.started_at,
-            "finished_at": report.finished_at,
-            "total_latency_seconds": report.stats.total_latency,
-            "filter_wall_seconds": report.stats.wall_time,
-        },
-    }
+    fields = _codec(Report)[0](report)
+    doc = _move(fields, {"schema_version": SCHEMA_VERSION}, ((f, d) for d, f in _LAYOUT))
+    doc["fail_open_events"] = [
+        {"batch_index": index, "cause": cause} for index, cause in doc["fail_open_events"]
+    ]
     return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-# --- JSON decoding ---------------------------------------------------------
-
-
-def _finding_from(doc: dict) -> Finding:
-    return Finding(
-        id=doc["id"],
-        test_id=TestCaseId(doc["test_id"]) if doc.get("test_id") else None,
-        cwe=CweCategory(doc["cwe_code"]),
-        file_path=doc["file_path"],
-        start_line=doc["start_line"],
-        end_line=doc["end_line"],
-        severity=Severity(doc["severity"]),
-        description=doc["description"],
-        origin=doc["origin"],
-    )
-
-
-def _verdict_from(doc: dict) -> Verdict:
-    return Verdict(
-        classification=Classification(doc["classification"]),
-        provenance=Provenance(doc["provenance"]),
-        rationale=doc.get("rationale"),
-        cause=FailOpenCause(doc["cause"]) if doc.get("cause") else None,
-        evidence_ref=doc.get("evidence_ref"),
-    )
-
-
-def _filtered_from(doc: dict) -> FilteredFinding:
-    return FilteredFinding(
-        finding=_finding_from(doc["finding"]),
-        verdict=_verdict_from(doc["verdict"]),
-        batch_index=doc.get("batch_index"),
-    )
-
-
-def _metrics_from(doc: dict) -> MetricSet:
-    return MetricSet(
-        precision=doc.get("precision"),
-        recall=doc.get("recall"),
-        f1=doc.get("f1"),
-        fpr=doc.get("fpr"),
-        youden_j=doc.get("youden_j"),
-    )
-
-
-def _matrix_from(doc: dict) -> ConfusionMatrix:
-    return ConfusionMatrix(tp=doc["tp"], fp=doc["fp"], tn=doc["tn"], fn=doc["fn"])
-
-
-def _scorecard_from(doc: dict | None) -> CweScorecard | None:
-    if doc is None:
-        return None
-    per_cwe = {
-        int(code): (_matrix_from(entry["matrix"]), _metrics_from(entry["metrics"]))
-        for code, entry in doc["per_cwe"].items()
-    }
-    overall = (_matrix_from(doc["overall"]["matrix"]), _metrics_from(doc["overall"]["metrics"]))
-    return CweScorecard(per_cwe=per_cwe, overall=overall)
-
-
-def _delta_from(doc: dict | None) -> Delta | None:
-    if doc is None:
-        return None
-    return Delta(f1_abs=doc["f1_abs"], f1_rel=doc.get("f1_rel"))
-
-
-def _comparison_from(doc: dict | None) -> ScorecardComparison | None:
-    if doc is None:
-        return None
-    return ScorecardComparison(
-        per_cwe={int(code): _delta_from(d) for code, d in doc["per_cwe"].items()},
-        overall=_delta_from(doc["overall"]),
-    )
-
-
 def load_report(payload: bytes | str) -> Report:
-    """Parse a JSON report back into an equal Report."""
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8")
+    """Parse a JSON report back into an equal Report.
+
+    Raises ReportFormatError for anything render_json could not have written.
+    """
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ReportFormatError("unsupported or missing report schema_version")
     try:
-        timing = doc["timing"]
-        stats = FilterStats(
-            batch_count=doc["stats"]["batch_count"],
-            llm_calls=doc["stats"]["llm_calls"],
-            fail_open_events=tuple(
-                (e["batch_index"], e["cause"]) for e in doc["fail_open_events"]
-            ),
-            total_latency=timing["total_latency_seconds"],
-            wall_time=timing["filter_wall_seconds"],
-        )
-        return Report(
-            run_id=doc["run_id"],
-            plan_summary=doc["plan"],
-            retained=tuple(_filtered_from(d) for d in doc["retained"]),
-            suppressed=tuple(_filtered_from(d) for d in doc["suppressed"]),
-            fail_open_events=stats.fail_open_events,
-            stats=stats,
-            scorecard=_scorecard_from(doc.get("scorecard")),
-            baseline_deltas=_comparison_from(doc.get("baseline_deltas")),
-            started_at=timing["started_at"],
-            finished_at=timing["finished_at"],
-        )
+        doc["fail_open_events"] = [
+            [event["batch_index"], event["cause"]] for event in doc["fail_open_events"]
+        ]
+        return _codec(Report)[1](_move(doc, {}, _LAYOUT))
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc
 
@@ -425,9 +368,9 @@ def render_text(
         f" fail-open {by_provenance[Provenance.FAIL_OPEN]})",
         f"suppressed findings : {len(report.suppressed)}",
     ]
-    if report.fail_open_events:
+    if report.stats.fail_open_events:
         causes = ", ".join(f"{cause} x{count}" for cause, count in sorted(cause_counts.items()))
-        lines.append(f"fail-open events    : {len(report.fail_open_events)}  ({causes})")
+        lines.append(f"fail-open events    : {len(report.stats.fail_open_events)}  ({causes})")
     else:
         lines.append("fail-open events    : none")
     lines.append(

@@ -10,7 +10,7 @@ file-level matching for sensitivity analysis.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
@@ -64,6 +64,10 @@ class MetricSet:
     f1: float | None
     fpr: float | None
     youden_j: float | None
+
+    def __post_init__(self) -> None:
+        if any(value is not None and not -1 <= value <= 1 for value in astuple(self)):
+            raise ValueError(f"metrics lie in [-1, 1], got {self}")
 
 
 @dataclass(frozen=True)

@@ -343,3 +343,51 @@ def test_run_live_without_model_exits_before_any_batch(tmp_path, monkeypatch, ca
     assert code == 1
     assert "QSC_MODEL" in capsys.readouterr().err
     assert not out_json.exists()
+
+
+def test_report_command_exits_one_on_a_misshapen_document(tmp_path, capsys):
+    from tests.test_report import GOLDEN
+
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    doc["scorecard"]["per_cwe"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--in", str(path)]) == 1
+    assert "malformed report document" in capsys.readouterr().err
+
+
+def test_run_on_hostile_scan_documents_exits_cleanly(tmp_path, capsys):
+    outputs = ["--out-json", str(tmp_path / "r.json"), "--out-text", str(tmp_path / "r.txt")]
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b'{"results": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+    assert main(["run", "--scan-json", str(deep), *outputs]) == 2
+    assert "scanner output error" in capsys.readouterr().err
+
+    odd_extra, odd_tag = benchmark_results(2)
+    odd_extra["extra"] = "not an object"
+    odd_tag["extra"]["metadata"]["cwe"] = "²"
+    assert main(["run", "--scan-json", saved_scan(tmp_path, [odd_extra, odd_tag]), *outputs]) == 0
+
+
+def test_replayed_overlong_integer_reply_fails_open_and_exits_zero(tmp_path):
+    scan = saved_scan(tmp_path, benchmark_results(4))
+    cassette = tmp_path / "c.json"
+    record_cassette(tmp_path, scan, cassette)
+    records = json.loads(cassette.read_text())
+    for record in records:
+        record["response_text"] = "1" * 5000
+    cassette.write_text(json.dumps(records))
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "replay",
+            "--scan-json", scan,
+            "--cassette", str(cassette),
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 0
+    assert json.loads(out_json.read_bytes())["fail_open_events"] == [
+        {"batch_index": 0, "cause": "malformed_response"}
+    ]

@@ -23,7 +23,6 @@ from sastsieve.filter_agent import (
     BatchOutcome,
     FilterConfig,
     FilterError,
-    FilterVerdictRecord,
     LlmRequest,
     apply_verdicts,
     build_prompt,
@@ -33,8 +32,9 @@ from sastsieve.filter_agent import (
     partition_batches,
     read_source_context,
 )
-from sastsieve.model import Classification, FailOpenCause, Provenance
+from sastsieve.model import Classification, FailOpenCause, Provenance, Verdict
 from tests.conftest import make_finding
+from tests.strategies import json_values
 
 
 class FailingBackend:
@@ -213,9 +213,9 @@ def test_parse_valid_response():
     )
     outcome = parse_llm_response(raw, batch)
     assert outcome.ok
-    assert outcome.records == (
-        FilterVerdictRecord(finding.id, Classification.FALSE_POSITIVE, "input sanitized"),
-    )
+    assert outcome.records == {
+        finding.id: Verdict.llm(Classification.FALSE_POSITIVE, "input sanitized"),
+    }
 
 
 def test_parse_prose_is_malformed():
@@ -255,7 +255,7 @@ def test_parse_drops_unknown_finding_ids():
     )
     outcome = parse_llm_response(raw, batch_of([finding]))
     assert outcome.ok
-    assert [r.finding_id for r in outcome.records] == [finding.id]
+    assert list(outcome.records) == [finding.id]
 
 
 def test_parse_rejects_non_object_payloads():
@@ -277,7 +277,42 @@ def test_parse_keeps_first_duplicate_record():
     outcome = parse_llm_response(raw, batch_of([finding]))
     assert outcome.ok
     assert len(outcome.records) == 1
-    assert outcome.records[0].classification is Classification.FALSE_POSITIVE
+    assert outcome.records[finding.id].classification is Classification.FALSE_POSITIVE
+
+
+REVIEW_BATCH = batch_of([make_finding(i) for i in range(3)])
+REVIEW_IDS = [f.id for f in REVIEW_BATCH.findings]
+review_entries = (
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "finding_id": st.sampled_from(REVIEW_IDS + ["ghost", "f999999"]) | json_values,
+            "classification": st.sampled_from(["true_positive", "false_positive"]) | json_values,
+            "rationale": st.text() | json_values,
+        },
+    )
+    | json_values
+)
+review_documents = st.fixed_dictionaries({"results": st.lists(review_entries, max_size=5)})
+replies = st.one_of(
+    st.text(),
+    st.integers(4301, 5000).map(lambda n: "1" * n),
+    json_values.map(json.dumps),
+    review_documents.map(json.dumps),
+    review_documents.map(lambda doc: f"```json\n{json.dumps(doc)}\n```"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replies)
+def test_parse_never_raises_and_never_suppresses_outside_the_batch(raw):
+    outcome = parse_llm_response(raw, REVIEW_BATCH)
+    if outcome.ok:
+        assert set(outcome.records) <= set(REVIEW_IDS)
+    else:
+        assert outcome.cause is FailOpenCause.MALFORMED_RESPONSE
+    out = apply_verdicts(REVIEW_BATCH, outcome)
+    assert [ff.finding for ff in out] == list(REVIEW_BATCH.findings)
 
 
 # --- apply_verdicts ---------------------------------------------------------
@@ -295,14 +330,13 @@ def test_failed_outcome_retains_entire_batch():
 
 def test_mixed_verdicts_suppress_only_named_false_positives():
     findings = [make_finding(i) for i in range(15)]
-    records = [
-        FilterVerdictRecord(
-            f.id,
+    records = {
+        f.id: Verdict.llm(
             Classification.FALSE_POSITIVE if i < 6 else Classification.TRUE_POSITIVE,
             "r",
         )
         for i, f in enumerate(findings)
-    ]
+    }
     out = apply_verdicts(batch_of(findings), BatchOutcome.parsed(records))
     retained = [ff for ff in out if ff.verdict.retained]
     assert len(retained) == 9
@@ -311,9 +345,7 @@ def test_mixed_verdicts_suppress_only_named_false_positives():
 
 def test_missing_record_retains_fail_open():
     findings = [make_finding(i) for i in range(15)]
-    records = [
-        FilterVerdictRecord(f.id, Classification.TRUE_POSITIVE, "r") for f in findings[:14]
-    ]
+    records = {f.id: Verdict.llm(Classification.TRUE_POSITIVE, "r") for f in findings[:14]}
     out = apply_verdicts(batch_of(findings), BatchOutcome.parsed(records))
     missing = [ff for ff in out if ff.verdict.provenance is Provenance.FAIL_OPEN]
     assert len(missing) == 1
@@ -385,6 +417,17 @@ def test_malformed_response_retains_whole_batch():
         findings, StaticBackend("garbage"), quiet_config()
     )
     assert len(retained) == 10 and not suppressed
+    assert stats.fail_open_counts == {"malformed_response": 1}
+
+
+def test_overlong_integer_reply_fails_open_as_malformed():
+    # Past the interpreter's 4,300-digit limit json.loads raises a plain
+    # ValueError, not JSONDecodeError.
+    findings = [make_finding(i) for i in range(3)]
+    retained, suppressed, stats = filter_findings(
+        findings, StaticBackend("1" * 5000), quiet_config()
+    )
+    assert len(retained) == 3 and not suppressed
     assert stats.fail_open_counts == {"malformed_response": 1}
 
 

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sastsieve.ingest import (
     CweMappingTable,
@@ -15,6 +17,7 @@ from sastsieve.ingest import (
 )
 from sastsieve.model import Severity, TestCaseId
 from tests.conftest import make_finding
+from tests.strategies import json_values
 
 
 def result_doc(path, start=10, end=12, check_id="java.lang.security.sqli", cwe="CWE-89: SQL Injection"):
@@ -70,6 +73,20 @@ def test_parse_rejects_invalid_documents():
         parse_scanner_output(b"[]")
 
 
+def test_parse_reads_non_object_extra_as_empty():
+    doc = result_doc("a.java")
+    doc["extra"] = ["not", "an", "object"]
+    parsed = parse_scanner_output(scan_doc([doc]))
+    assert parsed.findings[0].cwe_tags == ()
+    assert parsed.findings[0].severity_label == ""
+
+
+def test_parse_rejects_documents_nested_past_the_recursion_limit():
+    depth = 100_000
+    with pytest.raises(ScannerOutputError):
+        parse_scanner_output(b'{"results": ' + b"[" * depth + b"]" * depth + b"}")
+
+
 def test_parse_skips_non_object_result_entries():
     parsed = parse_scanner_output(scan_doc([result_doc("a.java"), "bogus", 7]))
     assert len(parsed.findings) == 1 and parsed.skipped == 2
@@ -105,6 +122,38 @@ def test_parse_never_invents_findings():
         assert len(parsed.findings) <= len(results)
 
 
+def optional_keys(**fields):
+    """Objects holding any subset of the given keys, or any other JSON value."""
+    return st.fixed_dictionaries({}, optional=fields) | json_values
+
+
+cwe_tags = st.text() | st.from_regex(r"CWE-\d+", fullmatch=True)
+scanner_results = optional_keys(
+    check_id=json_values,
+    path=st.text() | json_values,
+    start=optional_keys(line=st.integers(-1, 50) | json_values),
+    end=optional_keys(line=st.integers(-1, 50) | json_values),
+    extra=optional_keys(
+        severity=st.sampled_from(["ERROR", "high", "low"]) | json_values,
+        message=json_values,
+        metadata=optional_keys(cwe=cwe_tags | st.lists(cwe_tags, max_size=3) | json_values),
+    ),
+)
+scanner_documents = optional_keys(results=st.lists(scanner_results, max_size=5) | json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scanner_documents)
+def test_parse_raises_only_scanner_output_error_and_normalize_never_raises(document):
+    try:
+        parsed = parse_scanner_output(json.dumps(document))
+    except ScannerOutputError:
+        return
+    table = CweMappingTable.default()
+    for raw in parsed.findings:
+        normalize(raw, table)
+
+
 def test_map_cwe_benchmark_tag():
     cat = map_cwe(["CWE-89: SQL Injection"], CweMappingTable.default())
     assert (cat.code, cat.name) == (89, "SQL Injection")
@@ -131,6 +180,14 @@ def test_map_cwe_unknown_code_keeps_code_as_other():
 def test_map_cwe_first_parseable_tag_wins():
     cat = map_cwe(["no code here", "89", "CWE-79"], CweMappingTable.default())
     assert cat.code == 89
+
+
+def test_map_cwe_treats_tags_int_rejects_as_unparseable():
+    table = CweMappingTable.default()
+    # "²" passes str.isdigit(); more than 4,300 digits exceed int()'s limit.
+    for tag in ("²", "9" * 5000, "CWE-" + "9" * 5000):
+        assert map_cwe([tag], table).code == 0
+    assert map_cwe(["²", "CWE-89"], table).code == 89
 
 
 def test_mapping_table_load_overrides():

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from sastsieve.model import Provenance
 from sastsieve.pipeline import (
     ConfigError,
     EvidenceProvider,
+    MissionPlan,
     ScannerError,
     correlate_evidence,
     parse_config_file,
@@ -65,6 +68,53 @@ def test_plan_requires_target_or_saved_scan():
 def test_plan_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key"):
         plan_mission({"target_root": str(tmp_path), "bath_size": 3})
+
+
+CONFIG_KEYS = {
+    "target_root", "scan_json", "batch_size", "parallelism", "fail_open", "ground_truth",
+    "baseline", "out_json", "out_text", "model", "template", "cwe_map", "scanner_cmd",
+    "scanner_name", "timeout", "context_budget", "match_any_cwe",
+}
+
+
+def test_config_keys_are_exactly_the_documented_ones(tmp_path):
+    # A new MissionPlan field becomes a config key; this pins the set so
+    # that never happens silently.
+    def accepted(key):
+        try:
+            plan_mission({"target_root": str(tmp_path), key: "1"})
+        except ConfigError as exc:
+            assert "unknown config key" in str(exc)
+            return False
+        return True
+
+    candidates = CONFIG_KEYS | {f.name for f in dataclasses.fields(MissionPlan)}
+    assert {key for key in candidates if accepted(key)} == CONFIG_KEYS
+
+
+def test_plan_coerces_each_value_by_its_field_type(tmp_path):
+    plan = plan_mission(
+        {
+            "target_root": str(tmp_path),
+            "context_budget": "800",
+            "timeout": "2.5",
+            "match_any_cwe": "yes",
+            "model": 7,
+            "cwe_map": "map.txt",
+        }
+    )
+    assert (plan.context_budget, plan.timeout, plan.match_any_cwe) == (800, 2.5, True)
+    assert plan.model_id == "7" and plan.cwe_map_path == Path("map.txt")
+    for key, value, message in (
+        ("parallelism", "four", "expected an integer"),
+        ("context_budget", "-3", "must be >= 1"),
+        ("timeout", "soon", "expected a number"),
+        ("timeout", "0", "must be positive"),
+        ("timeout", "nan", "must be positive"),
+        ("match_any_cwe", "maybe", "expected a boolean"),
+    ):
+        with pytest.raises(ConfigError, match=f"{key}: {message}"):
+            plan_mission({"target_root": str(tmp_path), key: value})
 
 
 def test_plan_saved_scan_switches_mode(tmp_path):

@@ -1,6 +1,11 @@
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sastsieve.backends import ScriptedBackend
 from sastsieve.benchmark import load_ground_truth
@@ -24,6 +29,7 @@ from sastsieve.report import (
     detections_of,
     fmt_metric,
     load_report,
+    ReportFormatError,
     render_json,
     render_text,
 )
@@ -36,6 +42,7 @@ from sastsieve.scoring import (
     compute_metrics,
 )
 from tests.conftest import make_finding
+from tests.strategies import json_values
 from tests.test_filter_agent import FailingBackend
 from tests.test_pipeline import benchmark_results, saved_scan
 
@@ -103,7 +110,6 @@ def empty_report(**overrides) -> Report:
         plan_summary={"batch_size": 15, "target_root": None},
         retained=(),
         suppressed=(),
-        fail_open_events=(),
         stats=FilterStats(batch_count=0, llm_calls=0, fail_open_events=(), total_latency=0.0),
         scorecard=None,
         baseline_deltas=None,
@@ -184,7 +190,7 @@ def test_text_report_lists_fail_open_causes():
     retained = tuple(
         FilteredFinding(finding, Verdict.fail_open(FailOpenCause.TIMEOUT), 0) for _ in range(1)
     )
-    text = render_text(empty_report(stats=stats, fail_open_events=events, retained=retained))
+    text = render_text(empty_report(stats=stats, retained=retained))
     assert "timeout x2" in text
     assert "malformed_response x1" in text
 
@@ -233,7 +239,7 @@ def test_fail_open_events_survive_round_trip(tmp_path):
     report = mission_report(tmp_path, backend=FailingBackend())
     doc = json.loads(render_json(report))
     assert doc["fail_open_events"] == [{"batch_index": 0, "cause": "transport_error"}]
-    assert load_report(render_json(report)).fail_open_events == ((0, "transport_error"),)
+    assert load_report(render_json(report)).stats.fail_open_events == ((0, "transport_error"),)
 
 
 def test_detections_of_uses_kept_findings_with_test_ids():
@@ -252,16 +258,51 @@ def test_fmt_metric():
 
 
 def test_load_report_rejects_bad_documents():
-    import pytest
-
-    from sastsieve.report import ReportFormatError
-
     with pytest.raises(ReportFormatError):
         load_report(b"not json")
     with pytest.raises(ReportFormatError):
         load_report(b'{"schema_version": "99"}')
     with pytest.raises(ReportFormatError):
-        load_report(b'{"schema_version": "1"}')  # missing sections
+        load_report(b'{"schema_version": "2"}')  # missing sections
+    doc = json.loads(render_json(golden_report()))
+    doc["scorecard"]["per_cwe"] = []
+    with pytest.raises(ReportFormatError):
+        load_report(json.dumps(doc))
+    doc = json.loads(render_json(golden_report()))
+    doc["scorecard"]["overall"]["metrics"]["f1"] = 1e25  # no metric lies outside [-1, 1]
+    with pytest.raises(ReportFormatError):
+        load_report(json.dumps(doc))
+
+
+def node_paths(node, path=()):
+    """The path of every node below ``node`` in a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+GOLDEN_DOC = json.loads((GOLDEN / "report.json").read_bytes())
+DELETE = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(node_paths(GOLDEN_DOC))), json_values | st.just(DELETE))
+def test_misshapen_report_loads_and_renders_or_is_rejected(path, value):
+    doc = copy.deepcopy(GOLDEN_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        report = load_report(json.dumps(doc))
+    except ReportFormatError:
+        return
+    render_json(report)
+    render_text(report)
 
 
 def test_baseline_deltas_in_report(tmp_path, distribution_csv, baseline_detections):
