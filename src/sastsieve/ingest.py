@@ -134,8 +134,8 @@ def _cwe_tags(extra: dict) -> tuple[str, ...]:
 def parse_scanner_output(payload: bytes | str) -> ParsedScan:
     """Parse the scanner's JSON document into raw findings.
 
-    Results lacking a usable path or start line are skipped and counted;
-    everything else is mapped in document order.
+    Results lacking a path or a start line that is a positive integer (JSON
+    true is not one) are skipped and counted; the rest keep their order.
     """
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8", errors="replace")
@@ -155,12 +155,12 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
         path = result.get("path")
         start = result.get("start", {})
         start_line = start.get("line") if isinstance(start, dict) else None
-        if not isinstance(path, str) or not path or not isinstance(start_line, int) or start_line < 1:
+        if not isinstance(path, str) or not path or type(start_line) is not int or start_line < 1:
             skipped += 1
             continue
         end = result.get("end", {})
         end_line = end.get("line") if isinstance(end, dict) else None
-        if not isinstance(end_line, int) or end_line < start_line:
+        if type(end_line) is not int or end_line < start_line:
             end_line = start_line
         extra = result.get("extra", {})
         if not isinstance(extra, dict):

@@ -101,6 +101,13 @@ def test_parse_accepts_cwe_as_string_or_list():
     assert none.findings[0].cwe_tags == ()
 
 
+def test_parse_treats_boolean_line_numbers_as_missing():
+    no_start, no_end = result_doc("a.java", start=True), result_doc("b.java", start=4, end=True)
+    parsed = parse_scanner_output(scan_doc([no_start, no_end]))
+    assert parsed.skipped == 1
+    assert (parsed.findings[0].start_line, parsed.findings[0].end_line) == (4, 4)
+
+
 def test_parse_clamps_missing_end_line():
     doc = result_doc("a.java", start=9)
     del doc["end"]
