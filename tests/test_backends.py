@@ -209,6 +209,20 @@ def test_request_digest_ignores_timeout_but_not_content():
     assert request_digest(a) != request_digest(c)
 
 
+def test_request_digest_and_output_cap_are_pinned(chat_server):
+    # Cassettes are keyed by this digest; a change to what it covers (the
+    # model, both texts and the 4096-token output cap) makes every
+    # recorded exchange miss on replay.
+    request = LlmRequest(
+        model_id="model-x", system_text="system text", user_text="review: café → ok", timeout=5.0
+    )
+    assert request_digest(request) == (
+        "7aaaf09fb3b115eb0dc04c7f1065891ff8afd875f2d4f322f41e7729d1c016dd"
+    )
+    live_backend(chat_server).complete(request)
+    assert chat_server.last_body["max_tokens"] == 4096
+
+
 def test_record_then_replay_round_trip(tmp_path):
     cassette = tmp_path / "cassette.json"
     inner = ScriptedBackend({}, default="true_positive")
