@@ -3,7 +3,8 @@
 Every backend exposes one method, ``complete(request) -> str``, returning
 the model's raw text. Failures raise BackendError (transport) or
 BackendTimeoutError; callers in the filter absorb both as fail-open. All
-backends are safe to call from multiple threads.
+backends are safe to call from multiple threads. ``LlmRequest`` is what the
+filter sends; ``request_digest`` keys it in cassettes.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import requests
 
-from .filter_agent import LlmRequest
 from .model import Classification
 
 log = logging.getLogger(__name__)
@@ -29,8 +30,27 @@ ENV_API_KEY = "QSC_API_KEY"
 ENV_API_BASE = "QSC_API_BASE"
 ENV_MODEL = "QSC_MODEL"
 
+DEFAULT_TIMEOUT = 60.0
+MAX_OUTPUT_TOKENS = 4096  # sent as max_tokens; in every request digest, so fixed
 MAX_RETRIES = 2
 BACKOFF_SECONDS = (1.0, 4.0)
+
+
+@dataclass(frozen=True)
+class LlmRequest:
+    model_id: str
+    system_text: str
+    user_text: str
+    timeout: float = DEFAULT_TIMEOUT
+    # The ids of the findings the prompt lists, in batch order. Not part of
+    # the request digest: the user text already determines them.
+    finding_ids: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.user_text:
+            raise ValueError("user_text must be non-empty")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
 
 
 class BackendError(Exception):
@@ -68,7 +88,7 @@ def request_digest(request: LlmRequest) -> str:
             "model_id": request.model_id,
             "system_text": request.system_text,
             "user_text": request.user_text,
-            "max_output_tokens": request.max_output_tokens,
+            "max_output_tokens": MAX_OUTPUT_TOKENS,
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -119,7 +139,7 @@ class LiveBackend(LlmBackend):
                 {"role": "user", "content": request.user_text},
             ],
             "temperature": 0,
-            "max_tokens": request.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: BackendError | None = None
@@ -171,11 +191,15 @@ class ScriptedBackend(LlmBackend):
     ):
         normalized: dict[str, tuple[Classification, str]] = {}
         for fid, value in (verdicts or {}).items():
-            if isinstance(value, (tuple, list)):
-                classification, rationale = value
-            else:
-                classification, rationale = value, "scripted verdict"
-            normalized[fid] = (Classification(classification), str(rationale))
+            pair = value if isinstance(value, (tuple, list)) else (value, "scripted verdict")
+            try:
+                classification, rationale = pair
+                normalized[fid] = (Classification(classification), str(rationale))
+            except ValueError:
+                raise BackendConfigError(
+                    f"verdict for {fid!r} is not a classification or a "
+                    f"[classification, rationale] pair: {value!r}"
+                ) from None
         self._verdicts = normalized
         self._default = Classification(default) if default is not None else None
 
@@ -207,7 +231,7 @@ class ReplayBackend(LlmBackend):
             records = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise CassetteError(f"cassette not found: {path}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CassetteError(f"cassette unreadable: {path}: {exc}") from exc
         if not isinstance(records, list):
             raise CassetteError(f"cassette must be a JSON array: {path}")

@@ -26,11 +26,13 @@ from .benchmark import GroundTruthError, load_ground_truth
 from .filter_agent import FilterError
 from .ingest import ScannerOutputError
 from .pipeline import (
+    CONFIG_KEYS,
     ConfigError,
     MissionPlan,
     ScannerError,
     parse_config_file,
     plan_mission,
+    read_input,
     run_mission,
     run_scanner,
 )
@@ -60,7 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, *, replay_only: bool = False) -> None:
-    parser.add_argument("--target", help="source tree to scan (and to read context from)")
+    # A flag's dest is the config key it overrides; None leaves the key alone.
+    parser.add_argument(
+        "--target", dest="target_root", help="source tree to scan (and to read context from)"
+    )
     parser.add_argument("--scan-json", help="saved scanner JSON document to load instead of scanning")
     parser.add_argument("--config", help="mission config file (key = value lines)")
     parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
@@ -76,40 +81,32 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, replay_only: bool = False
     parser.add_argument("--verdicts", help="scripted backend: JSON file of finding_id -> classification")
     parser.add_argument("--batch-size", type=int, help="findings per LLM call (default 15)")
     parser.add_argument("--parallelism", type=int, help="concurrent batches (default 4)")
-    parser.add_argument("--no-fail-open", action="store_true", help="abort on filter failures instead of retaining")
-    parser.add_argument("--match-any-cwe", action="store_true", help="score by file only, ignoring CWE codes")
+    parser.add_argument(
+        "--no-fail-open",
+        dest="fail_open",
+        action="store_false",
+        default=None,
+        help="abort on filter failures instead of retaining",
+    )
+    parser.add_argument(
+        "--match-any-cwe", action="store_true", default=None, help="score by file only, ignoring CWE codes"
+    )
     parser.add_argument("--model", help="model identifier (overrides QSC_MODEL)")
     parser.add_argument("--template", help="prompt template file with {{findings_block}}")
     parser.add_argument("--cwe-map", help="CWE alias table file (alias -> category lines)")
     parser.add_argument("--scanner-cmd", help="scanner executable (default semgrep)")
-    parser.add_argument("--out-json", default="report.json", help="JSON report path")
-    parser.add_argument("--out-text", default="report.txt", help="text report path")
+    parser.add_argument("--out-json", help="JSON report path (default report.json)")
+    parser.add_argument("--out-text", help="text report path (default report.txt)")
     parser.add_argument("--detections-out", help="also write kept detections (TestCaseId,CWE lines)")
 
 
 def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     config: dict[str, object] = {}
     if args.config:
-        config.update(parse_config_file(Path(args.config).read_text(encoding="utf-8")))
-    overrides = {
-        "target_root": args.target,
-        "scan_json": args.scan_json,
-        "ground_truth": args.ground_truth,
-        "baseline": args.baseline,
-        "batch_size": args.batch_size,
-        "parallelism": args.parallelism,
-        "model": args.model,
-        "template": args.template,
-        "cwe_map": args.cwe_map,
-        "scanner_cmd": args.scanner_cmd,
-        "out_json": args.out_json,
-        "out_text": args.out_text,
-    }
-    if args.no_fail_open:
-        overrides["fail_open"] = False
-    if args.match_any_cwe:
-        overrides["match_any_cwe"] = True
-    config.update({k: v for k, v in overrides.items() if v is not None})
+        config.update(read_input("config", args.config, parse_config_file))
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
     return config
 
 
@@ -129,7 +126,7 @@ def _build_backend(
         return ReplayBackend(args.cassette), None
     verdicts = {}
     if args.verdicts:
-        verdicts = json.loads(Path(args.verdicts).read_text(encoding="utf-8"))
+        verdicts = read_input("verdicts", args.verdicts, json.loads)
         if not isinstance(verdicts, dict):
             raise BackendConfigError("--verdicts file must hold a JSON object")
     # With no script the scripted backend behaves as a conservative
@@ -142,7 +139,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = plan_mission(_mission_config(args))
         backend, recorder = _build_backend(args, plan)
-    except (ConfigError, BackendConfigError, CassetteError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, BackendConfigError, CassetteError) as exc:
         if args.parser is not None:
             args.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
@@ -163,6 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         mission = run_mission(plan, backend)
         succeeded = True
+    except ConfigError as exc:  # an input file the plan names is unusable
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ScannerError as exc:
         print(f"scanner error: {exc}", file=sys.stderr)
         return EXIT_SCANNER

@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .backends import DEFAULT_TIMEOUT, BackendError, BackendTimeoutError, LlmRequest
 from .model import (
     Classification,
     FailOpenCause,
@@ -36,8 +37,6 @@ log = logging.getLogger(__name__)
 DEFAULT_BATCH_SIZE = 15
 DEFAULT_PARALLELISM = 4
 DEFAULT_CONTEXT_BUDGET = 16_000
-DEFAULT_TIMEOUT = 60.0
-DEFAULT_MAX_OUTPUT_TOKENS = 4096
 
 FINDINGS_PLACEHOLDER = "{{findings_block}}"
 FINDING_HEADER = "### Finding "
@@ -82,37 +81,17 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class LlmRequest:
-    model_id: str
-    system_text: str
-    user_text: str
-    timeout: float = DEFAULT_TIMEOUT
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    # The ids of the findings the prompt lists, in batch order. Not part of
-    # the request digest: the user text already determines them.
-    finding_ids: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.user_text:
-            raise ValueError("user_text must be non-empty")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-
-
-@dataclass(frozen=True)
 class BatchOutcome:
-    """What one backend exchange produced: verdicts, or a failure cause.
+    """What reviewing one batch produced: verdicts, or a failure cause.
 
     ``records`` maps finding ids to the model's verdicts. ``unavailable``
     holds the ids of findings whose source could not be read; they were
-    left out of the prompt and are retained fail-open.
+    left out of the prompt and are retained fail-open. The backend was
+    called unless every finding of the batch is unavailable.
     """
 
     records: Mapping[str, Verdict] | None
     cause: FailOpenCause | None
-    raw_response: str | None
     latency: float
     unavailable: frozenset[str] = field(default_factory=frozenset)
 
@@ -123,22 +102,12 @@ class BatchOutcome:
             raise ValueError(f"{self.cause.value} is a per-finding cause, not a batch failure")
 
     @classmethod
-    def parsed(
-        cls,
-        records: Mapping[str, Verdict],
-        raw_response: str | None = None,
-        latency: float = 0.0,
-    ) -> "BatchOutcome":
-        return cls(records=dict(records), cause=None, raw_response=raw_response, latency=latency)
+    def parsed(cls, records: Mapping[str, Verdict], latency: float = 0.0) -> "BatchOutcome":
+        return cls(records=dict(records), cause=None, latency=latency)
 
     @classmethod
-    def failed(
-        cls,
-        cause: FailOpenCause | str,
-        raw_response: str | None = None,
-        latency: float = 0.0,
-    ) -> "BatchOutcome":
-        return cls(records=None, cause=FailOpenCause(cause), raw_response=raw_response, latency=latency)
+    def failed(cls, cause: FailOpenCause | str, latency: float = 0.0) -> "BatchOutcome":
+        return cls(records=None, cause=FailOpenCause(cause), latency=latency)
 
     @property
     def ok(self) -> bool:
@@ -172,7 +141,6 @@ class FilterConfig:
     template_text: str | None = None  # None -> packaged default template
     model_id: str = ""
     timeout: float = DEFAULT_TIMEOUT
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
     fail_open_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -331,7 +299,6 @@ def build_prompt(
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
     model_id: str = "",
     timeout: float = DEFAULT_TIMEOUT,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> LlmRequest:
     """Render the batch into a request via the template's findings placeholder.
 
@@ -349,7 +316,6 @@ def build_prompt(
         system_text=SYSTEM_TEXT,
         user_text=user_text,
         timeout=timeout,
-        max_output_tokens=max_output_tokens,
         finding_ids=tuple(finding.id for finding in batch.findings),
     )
 
@@ -375,22 +341,22 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
     try:
         document = json.loads(_strip_fences(raw))
     except (ValueError, RecursionError):  # ValueError also covers over-long integers
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
+        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
+        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
 
     known_ids = {finding.id for finding in batch.findings}
     records: dict[str, Verdict] = {}
     for item in document["results"]:
         if not isinstance(item, dict) or not isinstance(item.get("finding_id"), str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
         try:
             classification = Classification(item.get("classification"))
         except ValueError:
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
         rationale = item.get("rationale", "")
         if not isinstance(rationale, str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, raw, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
         fid = item["finding_id"]
         if fid not in known_ids:
             log.warning("batch %d: dropping verdict for unknown finding id %r", batch.index, fid)
@@ -399,7 +365,7 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
         records[fid] = Verdict.llm(classification, rationale)
-    return BatchOutcome.parsed(records, raw, latency)
+    return BatchOutcome.parsed(records, latency)
 
 
 def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]:
@@ -448,31 +414,17 @@ def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], froz
     return texts, frozenset(f.id for f in batch.findings if f.file_path in unreadable)
 
 
-def _process_batch(
-    batch: Batch, backend, template: str, config: FilterConfig
-) -> tuple[BatchOutcome, bool]:
-    """Run one batch end to end; the flag records whether the backend was called.
+def _review(batch: Batch, backend, template: str, config: FilterConfig) -> BatchOutcome:
+    """Send the batch's findings with their source context and parse the answer.
 
     Findings whose source is unavailable are left out of the prompt; when
     that leaves none, the backend is not called.
     """
     sources, unavailable = _read_sources(batch, config.source_root)
+    if len(unavailable) == len(batch.findings):
+        return replace(BatchOutcome.parsed({}), unavailable=unavailable)
     if unavailable:
-        reviewable = tuple(f for f in batch.findings if f.id not in unavailable)
-        if not reviewable:
-            return replace(BatchOutcome.parsed({}), unavailable=unavailable), False
-        batch = Batch(index=batch.index, findings=reviewable)
-    outcome = _review(batch, sources, backend, template, config)
-    return replace(outcome, unavailable=unavailable), True
-
-
-def _review(
-    batch: Batch, sources: Mapping[str, str], backend, template: str, config: FilterConfig
-) -> BatchOutcome:
-    """Send one batch to the backend and parse what comes back."""
-    # Local import: backends depends on this module for LlmRequest.
-    from .backends import BackendError, BackendTimeoutError
-
+        batch = Batch(batch.index, tuple(f for f in batch.findings if f.id not in unavailable))
     request = build_prompt(
         batch,
         template,
@@ -480,21 +432,23 @@ def _review(
         context_budget=config.context_budget,
         model_id=config.model_id,
         timeout=config.timeout,
-        max_output_tokens=config.max_output_tokens,
     )
     started = time.perf_counter()
     try:
         raw = backend.complete(request)
+        cause = None
     except BackendTimeoutError as exc:
         log.warning("batch %d: backend timed out: %s", batch.index, exc)
-        return BatchOutcome.failed(FailOpenCause.TIMEOUT, None, time.perf_counter() - started)
+        cause = FailOpenCause.TIMEOUT
     except BackendError as exc:
         log.warning("batch %d: backend failed: %s", batch.index, exc)
-        return BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started)
+        cause = FailOpenCause.TRANSPORT_ERROR
     except Exception as exc:  # backend contract violation; still fail open
         log.error("batch %d: unexpected backend error: %s", batch.index, exc)
-        return BatchOutcome.failed(FailOpenCause.TRANSPORT_ERROR, None, time.perf_counter() - started)
-    return parse_llm_response(raw, batch, time.perf_counter() - started)
+        cause = FailOpenCause.TRANSPORT_ERROR
+    latency = time.perf_counter() - started
+    outcome = BatchOutcome.failed(cause, latency) if cause else parse_llm_response(raw, batch, latency)
+    return replace(outcome, unavailable=unavailable)
 
 
 def filter_findings(
@@ -507,7 +461,7 @@ def filter_findings(
     The union of retained and suppressed is exactly the input; ordering
     follows the original finding order regardless of batch completion
     order. All backend failures are absorbed as fail-open retention unless
-    fail-open is disabled, in which case the first batch failure raises
+    fail-open is disabled, in which case the first fail-open verdict raises
     FilterError.
     """
     config = config or FilterConfig()
@@ -515,38 +469,23 @@ def filter_findings(
     batches = partition_batches(findings, config.batch_size)
     template = config.template_text if config.template_text is not None else default_template()
 
-    results: list[tuple[BatchOutcome, bool]]
-    if len(batches) <= 1 or config.parallelism == 1:
-        results = [_process_batch(b, backend, template, config) for b in batches]
-    else:
-        workers = min(config.parallelism, len(batches))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _process_batch(b, backend, template, config), batches)
-            )
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        outcomes = list(pool.map(lambda b: _review(b, backend, template, config), batches))
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []
     events: list[tuple[int, str]] = []
-    llm_calls = 0
-    total_latency = 0.0
-    for batch, (outcome, called) in zip(batches, results):
-        llm_calls += int(called)
-        total_latency += outcome.latency
+    for batch, outcome in zip(batches, outcomes):
         if not outcome.ok:
-            if not config.fail_open_enabled:
-                raise FilterError(
-                    f"batch {batch.index} failed ({outcome.cause.value}) with fail-open disabled"
-                )
             events.append((batch.index, outcome.cause.value))
         for filtered in apply_verdicts(batch, outcome):
             cause = filtered.verdict.cause
+            if cause is not None and not config.fail_open_enabled:
+                raise FilterError(
+                    f"batch {batch.index}: finding {filtered.finding.id} failed "
+                    f"({cause.value}) with fail-open disabled"
+                )
             if cause in _PER_FINDING_CAUSES:
-                if not config.fail_open_enabled:
-                    raise FilterError(
-                        f"batch {batch.index}: finding {filtered.finding.id} failed "
-                        f"({cause.value}) with fail-open disabled"
-                    )
                 events.append((batch.index, cause.value))
             if filtered.verdict.retained:
                 retained.append(filtered)
@@ -555,9 +494,9 @@ def filter_findings(
 
     stats = FilterStats(
         batch_count=len(batches),
-        llm_calls=llm_calls,
+        llm_calls=sum(len(o.unavailable) < len(b.findings) for b, o in zip(batches, outcomes)),
         fail_open_events=tuple(events),
-        total_latency=total_latency,
+        total_latency=sum(o.latency for o in outcomes),
         wall_time=time.perf_counter() - started,
     )
     return retained, suppressed, stats

@@ -13,10 +13,10 @@ import logging
 import subprocess
 import typing
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .filter_agent import (
     DEFAULT_BATCH_SIZE,
@@ -30,6 +30,8 @@ from .ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanne
 from .model import FilteredFinding, Finding, Verdict
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 SCANNER_MODE_INVOKE = "invoke_external"
 SCANNER_MODE_LOAD = "load_saved"
@@ -48,7 +50,6 @@ class MissionPlan:
     """Fully resolved run parameters."""
 
     target_root: Path | None = None
-    scanner_mode: str = SCANNER_MODE_INVOKE
     scan_json_path: Path | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
     parallelism: int = DEFAULT_PARALLELISM
@@ -66,9 +67,14 @@ class MissionPlan:
     timeout: float = 60.0
     match_any_cwe: bool = False
 
+    @property
+    def scanner_mode(self) -> str:
+        """Load the saved scanner document when one is given, else run the scanner."""
+        return SCANNER_MODE_INVOKE if self.scan_json_path is None else SCANNER_MODE_LOAD
 
-# Every MissionPlan field except scanner_mode, which plan_mission derives, is
-# a config key: under its own name or under one of these aliases.
+
+# Every MissionPlan field is a config key: under its own name or under one of
+# these aliases.
 _ALIASES = {
     "scan_json_path": "scan_json",
     "ground_truth_path": "ground_truth",
@@ -78,9 +84,7 @@ _ALIASES = {
     "fail_open_enabled": "fail_open",
     "model_id": "model",
 }
-_CONFIG_KEYS = {
-    _ALIASES.get(f.name, f.name): f.name for f in fields(MissionPlan) if f.name != "scanner_mode"
-}
+CONFIG_KEYS = {_ALIASES.get(f.name, f.name): f.name for f in fields(MissionPlan)}
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
 
 
@@ -96,6 +100,14 @@ def parse_config_file(text: str) -> dict[str, str]:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
         values[key.strip()] = value.strip()
     return values
+
+
+def read_input(key: str, path: Path | str, parse: Callable[[str], T]) -> T:
+    """Parse a UTF-8 input file; ConfigError, naming the key, when that fails."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{key} {path}: {exc}") from exc
 
 
 def _coerce(key: str, kind: object, value: object) -> object:
@@ -131,20 +143,18 @@ def plan_mission(config: Mapping[str, object]) -> MissionPlan:
     (saved scanner output); with both, the saved output wins and the target
     supplies source context.
     """
-    unknown = set(config) - set(_CONFIG_KEYS)
+    unknown = set(config) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(str(k) for k in unknown))}")
 
     plan = MissionPlan(
         **{
             name: _coerce(key, _FIELD_TYPES[name], config[key])
-            for key, name in _CONFIG_KEYS.items()
+            for key, name in CONFIG_KEYS.items()
             if config.get(key) is not None
         }
     )
-    if plan.scan_json_path is not None:
-        plan = replace(plan, scanner_mode=SCANNER_MODE_LOAD)
-    elif plan.target_root is None:
+    if plan.scan_json_path is None and plan.target_root is None:
         raise ConfigError("target_root: a target directory or scan_json is required")
     return plan
 
@@ -275,16 +285,24 @@ def run_mission(
     backend,
     providers: Sequence[EvidenceProvider] = (),
 ) -> MissionResult:
-    """Execute scan, parse, normalize, dedupe, correlate, filter, assemble."""
+    """Execute scan, parse, normalize, dedupe, correlate, filter, assemble.
+
+    The CWE alias table and the prompt template are read before the scan,
+    so a bad one raises ConfigError before the scanner runs.
+    """
     started = _utcnow()
+    if plan.cwe_map_path is not None:
+        table = read_input("cwe_map", plan.cwe_map_path, CweMappingTable.load)
+    else:
+        table = CweMappingTable.default()
+    template_text = None
+    if plan.template_path is not None:
+        template_text = read_input("template", plan.template_path, str)
+
     payload = run_scanner(plan)
     parsed = parse_scanner_output(payload)
     log.info("scanner produced %d results (%d skipped)", len(parsed.findings), parsed.skipped)
 
-    if plan.cwe_map_path is not None:
-        table = CweMappingTable.load(plan.cwe_map_path.read_text(encoding="utf-8"))
-    else:
-        table = CweMappingTable.default()
     findings = [normalize(raw, table, scanner=plan.scanner_name) for raw in parsed.findings]
     deduped = _drop_duplicate_ids(dedupe_by_testcase(findings))
     log.info("%d findings after per-test-case dedupe", len(deduped))
@@ -292,9 +310,6 @@ def run_mission(
     verified, unverified = correlate_evidence(deduped, providers)
     log.info("%d findings verified by evidence, %d sent to the filter", len(verified), len(unverified))
 
-    template_text = None
-    if plan.template_path is not None:
-        template_text = plan.template_path.read_text(encoding="utf-8")
     retained, suppressed, stats = filter_findings(
         unverified,
         backend,

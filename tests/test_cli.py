@@ -227,6 +227,15 @@ def test_config_file_applies_and_flags_override(tmp_path):
     assert doc["stats"]["batch_count"] == 3  # ceil(7 / 3)
 
 
+def test_config_file_sets_the_report_paths(tmp_path):
+    scan = saved_scan(tmp_path, benchmark_results(2))
+    out_json, out_text = tmp_path / "from-config.json", tmp_path / "from-config.txt"
+    config = tmp_path / "mission.cfg"
+    config.write_text(f"scan_json = {scan}\nout_json = {out_json}\nout_text = {out_text}\n")
+    assert main(["run", "--config", str(config)]) == 0
+    assert out_json.exists() and out_text.exists()
+
+
 def test_every_command_help_exits_zero(capsys):
     for command in ("run", "scan", "filter", "score", "report", "replay"):
         with pytest.raises(SystemExit) as exc_info:
@@ -391,3 +400,42 @@ def test_replayed_overlong_integer_reply_fails_open_and_exits_zero(tmp_path):
     assert json.loads(out_json.read_bytes())["fail_open_events"] == [
         {"batch_index": 0, "cause": "malformed_response"}
     ]
+
+
+DEEP_JSON = b'{"f1": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        pytest.param("--verdicts", b'{"f1": "maybe"}', id="verdict-not-a-classification"),
+        pytest.param("--verdicts", b'{"f1": ["false_positive"]}', id="verdict-one-item-list"),
+        pytest.param("--verdicts", DEEP_JSON, id="verdicts-nested-too-deep"),
+        pytest.param("--config", b"batch_size = 2\n# caf\xe9\n", id="config-not-utf8"),
+        pytest.param("--template", None, id="template-missing"),
+        pytest.param("--cwe-map", None, id="cwe-map-missing"),
+        pytest.param("--cwe-map", b"200 => 22\n", id="cwe-map-malformed"),
+        pytest.param("--cassette", b"\xff[]", id="cassette-not-utf8"),
+        pytest.param("--cassette", b"[" * 100_000 + b"]" * 100_000, id="cassette-nested-too-deep"),
+    ],
+)
+def test_bad_input_file_exits_one_before_the_scan(tmp_path, capsys, flag, content):
+    # The scan file is absent, so reaching the scanner would exit 2: every
+    # input named on the command line is read and checked before the scan.
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    command = "replay" if flag == "--cassette" else "run"
+    code = main(
+        [
+            command,
+            "--scan-json", str(tmp_path / "absent.json"),
+            flag, str(path),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "Traceback" not in err

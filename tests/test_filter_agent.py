@@ -86,9 +86,10 @@ def test_partition_empty_input():
 
 def test_partition_preserves_order_and_content():
     rng = random.Random(5)
+    pool = [make_finding(i) for i in range(10_000)]
     for _ in range(300):
         n, size = rng.randint(0, 10_000), rng.randint(1, 64)
-        findings = [make_finding(i) for i in range(n)]
+        findings = pool[:n]
         batches = partition_batches(findings, size)
         assert len(batches) == math.ceil(n / size)
         assert all(len(b.findings) <= size for b in batches)
@@ -356,7 +357,7 @@ def test_missing_record_retains_fail_open():
 
 def test_batch_outcome_validation():
     with pytest.raises(ValueError):
-        BatchOutcome(records=None, cause=None, raw_response=None, latency=0.0)
+        BatchOutcome(records=None, cause=None, latency=0.0)
     with pytest.raises(ValueError):
         BatchOutcome.failed(FailOpenCause.MISSING_ENTRY)
 
@@ -464,6 +465,11 @@ def test_fail_open_disabled_raises_on_batch_failure():
     findings = [make_finding(i) for i in range(3)]
     with pytest.raises(FilterError):
         filter_findings(findings, FailingBackend(), quiet_config(fail_open_enabled=False))
+    # A finding the answer omits fails open on its own; that aborts too.
+    with pytest.raises(FilterError, match="missing_entry"):
+        filter_findings(
+            findings, StaticBackend('{"results": []}'), quiet_config(fail_open_enabled=False)
+        )
 
 
 def test_parallelism_larger_than_batch_count():

@@ -122,6 +122,17 @@ def test_plan_saved_scan_switches_mode(tmp_path):
     assert plan.scanner_mode == "load_saved"
 
 
+def test_scanner_mode_follows_the_saved_scan_path(tmp_path):
+    # The mode is derived, so it cannot contradict scan_json_path.
+    with pytest.raises(TypeError):
+        MissionPlan(target_root=tmp_path, scanner_mode="load_saved")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        plan_mission({"target_root": str(tmp_path), "scanner_mode": "load_saved"})
+    plan = MissionPlan(target_root=tmp_path, scan_json_path=tmp_path / "scan.json")
+    assert plan.scanner_mode == "load_saved"
+    assert dataclasses.replace(plan, scan_json_path=None).scanner_mode == "invoke_external"
+
+
 def test_parse_config_file_format():
     values = parse_config_file("# comment\nbatch_size = 7\nfail_open = false\n\n")
     assert values == {"batch_size": "7", "fail_open": "false"}

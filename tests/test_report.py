@@ -17,7 +17,6 @@ from sastsieve.model import (
     Verdict,
 )
 from sastsieve.pipeline import (
-    SCANNER_MODE_LOAD,
     MissionPlan,
     MissionResult,
     plan_mission,
@@ -59,9 +58,7 @@ def golden_report() -> Report:
     dropped = make_finding(3, cwe=79, test_num=8)
     missing = make_finding(4, cwe=22, test_num=9, start_line=5, end_line=5)
     mission = MissionResult(
-        plan=MissionPlan(
-            scanner_mode=SCANNER_MODE_LOAD, scan_json_path=Path("scan.json"), model_id="m-1"
-        ),
+        plan=MissionPlan(scan_json_path=Path("scan.json"), model_id="m-1"),
         scanner_finding_count=5,
         skipped_results=1,
         verified=(FilteredFinding(verified, Verdict.evidence("trace:42")),),
