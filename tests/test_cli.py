@@ -439,3 +439,87 @@ def test_bad_input_file_exits_one_before_the_scan(tmp_path, capsys, flag, conten
     assert code == 1, err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
     assert "Traceback" not in err
+
+
+def command_writing(tmp_path, case, out):
+    """argv for ``case`` ("command --flag") writing that output to ``out``."""
+    from tests.test_pipeline import fake_scanner
+
+    command, flag = case.split()
+    if command == "scan":
+        scanner = fake_scanner(tmp_path, results=benchmark_results(2))
+        return ["scan", "--target", str(tmp_path), "--scanner-cmd", scanner, flag, str(out)]
+    scan = saved_scan(tmp_path, benchmark_results(3))
+    outputs = {"--out-json": str(tmp_path / "r.json"), "--out-text": str(tmp_path / "r.txt")}
+    if command == "report":
+        assert main(["run", "--scan-json", scan, *(x for pair in outputs.items() for x in pair)]) == 0
+        return ["report", "--in", outputs["--out-json"], flag, str(out)]
+    outputs[flag] = str(out)
+    return ["run", "--scan-json", scan, *(x for pair in outputs.items() for x in pair)]
+
+
+@pytest.mark.parametrize(
+    "case", ["run --detections-out", "report --out-json", "report --out-text", "scan --out"]
+)
+def test_output_into_a_missing_directory_is_written(tmp_path, capsys, case):
+    out = tmp_path / "absent" / "dir" / "out"
+    assert main(command_writing(tmp_path, case, out)) == 0
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["run --out-json", "run --detections-out", "report --out-json", "report --out-text", "scan --out"],
+)
+def test_output_under_a_regular_file_exits_one_with_one_error_line(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    argv = command_writing(tmp_path, case, blocker / "out")
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--ground-truth", "--baseline"])
+def test_filter_offers_no_scoring_flags(tmp_path, capsys, flag):
+    scan = saved_scan(tmp_path, benchmark_results(2))
+    with pytest.raises(SystemExit) as exc_info:
+        main(
+            [
+                "filter",
+                "--scan-json", scan,
+                flag, str(tmp_path / "absent.csv"),
+                "--out-json", str(tmp_path / "r.json"),
+                "--out-text", str(tmp_path / "r.txt"),
+            ]
+        )
+    assert exc_info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, command):
+    rows = b"".join(b"BenchmarkTest%05d,sql\xe9,true,89\n" % n for n in range(1, 4))
+    gt = tmp_path / "expected.csv"
+    gt.write_bytes(b"\xef\xbb\xbf# caf\xe9 labels\n" + rows)
+    if command == "score":
+        detections = tmp_path / "detections.txt"
+        detections.write_bytes(b"BenchmarkTest00001,89\n")
+        argv = ["score", "--detections", str(detections), "--ground-truth", str(gt)]
+    else:
+        argv = [
+            "run",
+            "--scan-json", saved_scan(tmp_path, benchmark_results(3)),
+            "--ground-truth", str(gt),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+    if command == "run":
+        assert json.loads((tmp_path / "r.json").read_bytes())["scorecard"] is not None
+    else:
+        assert "3 test cases" in capsys.readouterr().out

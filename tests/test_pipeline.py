@@ -274,6 +274,14 @@ def test_mission_partitions_deduped_findings(tmp_path):
     assert len(set(ids)) == total
 
 
+def test_mission_keeps_one_of_identical_results_without_a_test_id(tmp_path):
+    twin = result_doc("src/util/Helper.java", start=7)
+    plan = plan_mission({"scan_json": saved_scan(tmp_path, [twin, dict(twin)])})
+    mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
+    assert mission.scanner_finding_count == 2
+    assert [ff.finding.test_id for ff in mission.retained] == [None]
+
+
 def test_mission_stage_monotonicity(tmp_path):
     # No stage increases the finding count.
     results = benchmark_results(8) + benchmark_results(3)  # 3 duplicates
