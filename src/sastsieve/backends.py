@@ -41,7 +41,6 @@ class LlmRequest:
     model_id: str
     system_text: str
     user_text: str
-    timeout: float = DEFAULT_TIMEOUT
     # The ids of the findings the prompt lists, in batch order. Not part of
     # the request digest: the user text already determines them.
     finding_ids: tuple[str, ...] = ()
@@ -49,8 +48,6 @@ class LlmRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
 
 
 class BackendError(Exception):
@@ -82,7 +79,7 @@ class LlmBackend(ABC):
 
 
 def request_digest(request: LlmRequest) -> str:
-    """Cryptographic hash of the normalized request (timeout excluded)."""
+    """Cryptographic hash of the normalized request."""
     payload = json.dumps(
         {
             "model_id": request.model_id,
@@ -101,9 +98,10 @@ class LiveBackend(LlmBackend):
 
     Credentials come from the environment (QSC_API_KEY bearer token,
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
-    any of the three is missing. Transient transport
-    failures (connection errors, 429, 5xx) are retried at most twice with
-    1s/4s backoff; timeouts and malformed output are never retried.
+    any of the three is missing. Each attempt may take ``timeout`` seconds.
+    Transient transport failures (connection errors, 429, 5xx) are retried at
+    most twice with 1s/4s backoff; timeouts and malformed output are never
+    retried.
     """
 
     def __init__(
@@ -111,12 +109,14 @@ class LiveBackend(LlmBackend):
         api_base: str | None = None,
         api_key: str | None = None,
         model_id: str | None = None,
+        timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = MAX_RETRIES,
         backoff: tuple[float, ...] = BACKOFF_SECONDS,
     ):
         self.api_base = (api_base or os.environ.get(ENV_API_BASE, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_MODEL, "")
+        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         if not self.api_key:
@@ -148,10 +148,10 @@ class LiveBackend(LlmBackend):
                 time.sleep(self.backoff[min(attempt - 1, len(self.backoff) - 1)])
             try:
                 response = requests.post(
-                    self._url(), json=body, headers=headers, timeout=request.timeout
+                    self._url(), json=body, headers=headers, timeout=self.timeout
                 )
             except requests.Timeout as exc:
-                raise BackendTimeoutError(f"request timed out after {request.timeout}s") from exc
+                raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
             except requests.RequestException as exc:
                 last_error = BackendError(f"transport error: {exc}")
                 log.warning("attempt %d/%d failed: %s", attempt + 1, self.max_retries + 1, exc)
@@ -256,9 +256,8 @@ class ReplayBackend(LlmBackend):
 class CassetteRecorder(LlmBackend):
     """Wraps another backend and persists every successful exchange.
 
-    Records accumulate in memory and are written by ``save()`` (or on exit
-    when used as a context manager), sorted by digest so the cassette file
-    is independent of batch completion order.
+    Records accumulate in memory and are written by ``save()``, sorted by
+    digest so the cassette file is independent of batch completion order.
     """
 
     def __init__(self, inner: LlmBackend, cassette_path: Path | str):
@@ -291,9 +290,3 @@ class CassetteRecorder(LlmBackend):
             json.dumps(records, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
-
-    def __enter__(self) -> "CassetteRecorder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.save()

@@ -110,15 +110,6 @@ def load_ground_truth(payload: bytes | str) -> GroundTruth:
     return GroundTruth(entries=entries)
 
 
-def serialize_ground_truth(gt: GroundTruth) -> bytes:
-    """Render entries back to the CSV form accepted by load_ground_truth."""
-    lines = ["# test name, category, real vulnerability, cwe"]
-    for entry in gt.entries.values():
-        flag = "true" if entry.is_vulnerable else "false"
-        lines.append(f"{entry.test_id},{entry.category_name},{flag},{entry.cwe.code}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def summarize_distribution(gt: GroundTruth) -> DistributionSummary:
     """Count vulnerable and safe cases per CWE code and overall."""
     per_cwe: dict[int, list[int]] = {}

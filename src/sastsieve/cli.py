@@ -1,8 +1,9 @@
 """Command-line entry point binding all stages into user-invocable commands.
 
-Exit codes: 0 success, 1 configuration or input-parse error, 2 scanner
-failure. Filter-stage faults never change the exit code while fail-open is
-enabled. Secrets travel only through environment variables.
+Exit codes: 0 success, 1 configuration, input or output-file error, 2 scanner
+failure; commands raise and ``main`` alone maps an error to its code. Filter-stage
+faults never change the exit code while fail-open is enabled. Secrets travel
+only through environment variables.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .pipeline import (
     run_scanner,
 )
 from .report import (
+    ReportFormatError,
     build_report,
     detections_of,
     format_comparison_text,
@@ -51,6 +53,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SCANNER = 2
 
+# Unusable configuration, input files and output paths: one "error:" line, exit 1.
+_INPUT_ERRORS = (ConfigError, BackendConfigError, CassetteError, GroundTruthError, DetectionsError,
+                 ReportFormatError, OSError)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; configuration errors are exit 1 here."""
@@ -61,16 +67,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, *, replay_only: bool = False) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, scoring: bool = True) -> None:
     # A flag's dest is the config key it overrides; None leaves the key alone.
     parser.add_argument(
         "--target", dest="target_root", help="source tree to scan (and to read context from)"
     )
     parser.add_argument("--scan-json", help="saved scanner JSON document to load instead of scanning")
     parser.add_argument("--config", help="mission config file (key = value lines)")
-    parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
-    parser.add_argument("--baseline", help="baseline detections file for delta reporting")
-    if not replay_only:
+    if scoring:
+        parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
+        parser.add_argument("--baseline", help="baseline detections file for delta reporting")
+    if backend:
         parser.add_argument(
             "--backend",
             choices=["live", "scripted", "replay"],
@@ -110,20 +117,20 @@ def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     return config
 
 
-def _build_backend(
-    args: argparse.Namespace, plan: MissionPlan
-) -> tuple[LlmBackend, CassetteRecorder | None]:
-    name = getattr(args, "backend", "replay")
-    if name == "live":
-        backend: LlmBackend = LiveBackend(model_id=plan.model_id)
-        if args.cassette:
-            recorder = CassetteRecorder(backend, args.cassette)
-            return recorder, recorder
-        return backend, None
-    if name == "replay":
+def _write(path: Path | str, data: bytes) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
+def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> LlmBackend:
+    if args.backend == "live":
+        live = LiveBackend(model_id=plan.model_id, timeout=plan.timeout)
+        return CassetteRecorder(live, args.cassette) if args.cassette else live
+    if args.backend == "replay":
         if not args.cassette:
             raise BackendConfigError("--cassette is required with the replay backend")
-        return ReplayBackend(args.cassette), None
+        return ReplayBackend(args.cassette)
     verdicts = {}
     if args.verdicts:
         verdicts = read_input("verdicts", args.verdicts, json.loads)
@@ -132,60 +139,37 @@ def _build_backend(
     # With no script the scripted backend behaves as a conservative
     # retain-everything reviewer.
     default = None if verdicts else "true_positive"
-    return ScriptedBackend(verdicts, default=default), None
+    return ScriptedBackend(verdicts, default=default)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = plan_mission(_mission_config(args))
-        backend, recorder = _build_backend(args, plan)
-    except (ConfigError, BackendConfigError, CassetteError) as exc:
-        if args.parser is not None:
-            args.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    gt = None
-    baseline = None
-    try:
-        if plan.ground_truth_path is not None:
-            gt = load_ground_truth(plan.ground_truth_path.read_bytes())
-        if plan.baseline_path is not None:
-            baseline = load_detections(plan.baseline_path.read_bytes())
-    except (GroundTruthError, DetectionsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        backend = _build_backend(args, plan)
+    except (ConfigError, BackendConfigError, CassetteError):
+        args.parser.print_usage(sys.stderr)
+        raise
+    gt = baseline = None
+    if plan.ground_truth_path is not None:
+        gt = load_ground_truth(plan.ground_truth_path.read_bytes())
+    if plan.baseline_path is not None:
+        baseline = load_detections(plan.baseline_path.read_bytes())
 
     succeeded = False
     try:
         mission = run_mission(plan, backend)
         succeeded = True
-    except ConfigError as exc:  # an input file the plan names is unusable
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScannerError as exc:
-        print(f"scanner error: {exc}", file=sys.stderr)
-        return EXIT_SCANNER
-    except ScannerOutputError as exc:
-        print(f"scanner output error: {exc}", file=sys.stderr)
-        return EXIT_SCANNER
-    except FilterError as exc:
-        # Only reachable with --no-fail-open; strictness was asked for.
-        print(f"filter error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     finally:
         # Recorded exchanges are kept even when a later stage fails, but a
         # failed run never clobbers an existing cassette with an empty one.
-        if recorder is not None and (succeeded or recorder.record_count):
-            recorder.save()
+        if isinstance(backend, CassetteRecorder) and (succeeded or backend.record_count):
+            backend.save()
 
     report = build_report(mission, gt, baseline)
-    plan.out_json.parent.mkdir(parents=True, exist_ok=True)
-    plan.out_json.write_bytes(render_json(report))
-    plan.out_text.parent.mkdir(parents=True, exist_ok=True)
-    plan.out_text.write_text(render_text(report), encoding="utf-8")
+    _write(plan.out_json, render_json(report))
+    _write(plan.out_text, render_text(report).encode("utf-8"))
     if args.detections_out:
-        Path(args.detections_out).write_bytes(serialize_detections(detections_of(mission.kept)))
+        _write(args.detections_out, serialize_detections(detections_of(mission.kept)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "
@@ -196,43 +180,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        plan = plan_mission(
-            {"target_root": args.target, "scanner_cmd": args.scanner_cmd or None}
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        payload = run_scanner(plan)
-    except ScannerError as exc:
-        print(f"scanner error: {exc}", file=sys.stderr)
-        return EXIT_SCANNER
+    payload = run_scanner(
+        plan_mission({"target_root": args.target, "scanner_cmd": args.scanner_cmd or None})
+    )
     if args.out:
-        Path(args.out).write_bytes(payload)
+        _write(args.out, payload)
         print(f"scanner output written to {args.out}")
     else:
         sys.stdout.buffer.write(payload)
     return EXIT_OK
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    # A filter run is a mission over saved scanner output without scoring.
-    args.ground_truth = None
-    args.baseline = None
-    return cmd_run(args)
-
-
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        detections = load_detections(Path(args.detections).read_bytes())
-        gt = load_ground_truth(Path(args.ground_truth).read_bytes())
-        baseline = (
-            load_detections(Path(args.baseline).read_bytes()) if args.baseline else None
-        )
-    except (DetectionsError, GroundTruthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    detections = load_detections(Path(args.detections).read_bytes())
+    gt = load_ground_truth(Path(args.ground_truth).read_bytes())
+    baseline = load_detections(Path(args.baseline).read_bytes()) if args.baseline else None
 
     card = score_per_cwe(detections, gt, match_any_cwe=args.match_any_cwe)
     print(f"metrics vs ground truth ({card.overall[0].total} test cases):")
@@ -250,26 +212,17 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report = load_report(Path(args.input).read_bytes())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = load_report(Path(args.input).read_bytes())
     if args.out_json:
-        Path(args.out_json).write_bytes(render_json(report))
+        _write(args.out_json, render_json(report))
     text = render_text(
         report, max_retained=args.max_retained, max_suppressed=args.max_suppressed
     )
     if args.out_text:
-        Path(args.out_text).write_text(text, encoding="utf-8")
+        _write(args.out_text, text.encode("utf-8"))
     else:
         print(text, end="")
     return EXIT_OK
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    args.backend = "replay"
-    return cmd_run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with fail-open retention, then score against benchmark ground truth.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.set_defaults(parser=None)
 
     run = sub.add_parser("run", help="execute the full pipeline and write reports")
     _add_run_flags(run)
@@ -292,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     filt = sub.add_parser("filter", help="filter saved scanner output without scoring")
-    _add_run_flags(filt)
-    filt.set_defaults(func=cmd_filter, parser=filt)
+    _add_run_flags(filt, scoring=False)
+    filt.set_defaults(func=cmd_run, parser=filt)
 
     score_p = sub.add_parser("score", help="score a detections file against ground truth")
     score_p.add_argument("--detections", required=True, help="TestCaseId,CWE lines")
@@ -311,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_report)
 
     replay = sub.add_parser("replay", help="rerun a mission from a recorded cassette")
-    _add_run_flags(replay, replay_only=True)
-    replay.set_defaults(func=cmd_replay, parser=replay)
+    _add_run_flags(replay, backend=False)
+    replay.set_defaults(func=cmd_run, parser=replay, backend="replay")
 
     return parser
 
@@ -321,9 +273,19 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ScannerError as exc:
+        message, code = f"scanner error: {exc}", EXIT_SCANNER
+    except ScannerOutputError as exc:
+        message, code = f"scanner output error: {exc}", EXIT_SCANNER
+    except FilterError as exc:  # only with --no-fail-open: strictness was asked for
+        message, code = f"filter error: {exc}", EXIT_CONFIG
+    except _INPUT_ERRORS as exc:
+        message, code = f"error: {exc}", EXIT_CONFIG
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .backends import DEFAULT_TIMEOUT, BackendError, BackendTimeoutError, LlmRequest
+from .backends import BackendError, BackendTimeoutError, LlmRequest
 from .model import (
     Classification,
     FailOpenCause,
@@ -140,7 +140,6 @@ class FilterConfig:
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     template_text: str | None = None  # None -> packaged default template
     model_id: str = ""
-    timeout: float = DEFAULT_TIMEOUT
     fail_open_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -298,7 +297,6 @@ def build_prompt(
     sources: Mapping[str, str] | None = None,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
     model_id: str = "",
-    timeout: float = DEFAULT_TIMEOUT,
 ) -> LlmRequest:
     """Render the batch into a request via the template's findings placeholder.
 
@@ -315,7 +313,6 @@ def build_prompt(
         model_id=model_id,
         system_text=SYSTEM_TEXT,
         user_text=user_text,
-        timeout=timeout,
         finding_ids=tuple(finding.id for finding in batch.findings),
     )
 
@@ -431,7 +428,6 @@ def _review(batch: Batch, backend, template: str, config: FilterConfig) -> Batch
         sources=sources,
         context_budget=config.context_budget,
         model_id=config.model_id,
-        timeout=config.timeout,
     )
     started = time.perf_counter()
     try:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
-    BENCHMARK_CWE_NAMES,
     CweCategory,
     Finding,
     Severity,
@@ -73,26 +72,22 @@ class CweMappingTable:
     """Maps scanner-reported CWE codes onto scoring categories.
 
     ``aliases`` redirects scanner vocabularies onto the benchmark codes
-    (e.g. 326 -> 327); targets missing from ``entries`` resolve to "Other".
+    (e.g. 326 -> 327); a code that is not a benchmark category is "Other".
     """
 
-    entries: Mapping[int, CweCategory]
     aliases: Mapping[int, int]
 
     @classmethod
     def default(cls) -> "CweMappingTable":
-        entries = {code: CweCategory(code) for code in BENCHMARK_CWE_NAMES}
         # 326 tags weak-crypto strength variants, 759/760 tag unsalted/salted
         # one-way hashes; scanners commonly report these for the 327/328
         # benchmark categories.
-        aliases = {326: 327, 759: 328, 760: 328}
-        return cls(entries=entries, aliases=aliases)
+        return cls(aliases={326: 327, 759: 328, 760: 328})
 
     @classmethod
     def load(cls, text: str) -> "CweMappingTable":
         """Parse an alias override file: one ``alias_code -> category_code`` per line."""
-        table = cls.default()
-        aliases = dict(table.aliases)
+        aliases = dict(cls.default().aliases)
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -106,7 +101,7 @@ class CweMappingTable:
                 aliases[int(left.strip())] = int(right.strip())
             except ValueError as exc:
                 raise ScannerOutputError(f"mapping table line {lineno}: {exc}") from exc
-        return cls(entries=table.entries, aliases=aliases)
+        return cls(aliases=aliases)
 
 
 @dataclass(frozen=True)
@@ -202,9 +197,7 @@ def map_cwe(cwe_tags: tuple[str, ...] | list[str], table: CweMappingTable) -> Cw
     if len(cwe_tags) > 1:
         log.warning("finding carries %d CWE tags; using the first parseable one (CWE-%d)",
                     len(cwe_tags), code)
-    code = table.aliases.get(code, code)
-    entry = table.entries.get(code)
-    return entry if entry is not None else CweCategory(code)
+    return CweCategory(table.aliases.get(code, code))
 
 
 def fold_severity(label: str) -> Severity:
@@ -231,18 +224,15 @@ def normalize(raw: RawFinding, table: CweMappingTable, scanner: str = "semgrep")
 def dedupe_by_testcase(findings: list[Finding]) -> list[Finding]:
     """Keep the first finding per (test_id, CWE code) pair.
 
-    Findings without a test id pass through untouched. Idempotent and
-    order-preserving.
+    A finding without a test id is keyed by its id, so of those only
+    identical scanner results (which hash to one id) collapse; ids stay
+    pairwise distinct within a run. Idempotent and order-preserving.
     """
-    seen: set[tuple[TestCaseId, int]] = set()
+    seen: set[tuple[TestCaseId, int] | str] = set()
     out: list[Finding] = []
     for finding in findings:
-        if finding.test_id is None:
+        key = finding.id if finding.test_id is None else (finding.test_id, finding.cwe.code)
+        if key not in seen:
+            seen.add(key)
             out.append(finding)
-            continue
-        key = (finding.test_id, finding.cwe.code)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(finding)
     return out

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
+from .backends import DEFAULT_TIMEOUT
 from .filter_agent import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_CONTEXT_BUDGET,
@@ -64,7 +65,7 @@ class MissionPlan:
     template_path: Path | None = None
     model_id: str = ""
     context_budget: int = DEFAULT_CONTEXT_BUDGET
-    timeout: float = 60.0
+    timeout: float = DEFAULT_TIMEOUT
     match_any_cwe: bool = False
 
     @property
@@ -179,6 +180,8 @@ def run_scanner(plan: MissionPlan) -> bytes:
         proc = subprocess.run(argv, capture_output=True, timeout=3600)
     except FileNotFoundError as exc:
         raise ScannerError(f"scanner executable not found: {plan.scanner_cmd}") from exc
+    except OSError as exc:  # e.g. not executable
+        raise ScannerError(f"scanner could not be started: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
         raise ScannerError(f"scanner timed out: {exc}") from exc
     if proc.returncode != 0:
@@ -265,21 +268,6 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _drop_duplicate_ids(findings: list[Finding]) -> list[Finding]:
-    # Identical scanner results hash to the same id; keep the first so ids
-    # stay pairwise distinct within the run.
-    seen: set[str] = set()
-    out = []
-    for finding in findings:
-        if finding.id in seen:
-            continue
-        seen.add(finding.id)
-        out.append(finding)
-    if len(out) != len(findings):
-        log.info("dropped %d findings with duplicate ids", len(findings) - len(out))
-    return out
-
-
 def run_mission(
     plan: MissionPlan,
     backend,
@@ -304,7 +292,7 @@ def run_mission(
     log.info("scanner produced %d results (%d skipped)", len(parsed.findings), parsed.skipped)
 
     findings = [normalize(raw, table, scanner=plan.scanner_name) for raw in parsed.findings]
-    deduped = _drop_duplicate_ids(dedupe_by_testcase(findings))
+    deduped = dedupe_by_testcase(findings)
     log.info("%d findings after per-test-case dedupe", len(deduped))
 
     verified, unverified = correlate_evidence(deduped, providers)
@@ -320,7 +308,6 @@ def run_mission(
             context_budget=plan.context_budget,
             template_text=template_text,
             model_id=plan.model_id,
-            timeout=plan.timeout,
             fail_open_enabled=plan.fail_open_enabled,
         ),
     )

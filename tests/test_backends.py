@@ -2,7 +2,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -25,7 +25,7 @@ from tests.test_filter_agent import batch_of
 
 
 def request_for(user_text="review this", model="test-model"):
-    return LlmRequest(model_id=model, system_text="sys", user_text=user_text, timeout=2.0)
+    return LlmRequest(model_id=model, system_text="sys", user_text=user_text)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -149,11 +149,10 @@ def test_live_backend_no_retry_on_4xx(chat_server):
 
 def test_live_backend_enforces_timeout(chat_server):
     chat_server.plan = [("sleep", 1.0)]
-    backend = live_backend(chat_server)
-    request = LlmRequest(model_id="m", system_text="s", user_text="u", timeout=0.2)
+    backend = live_backend(chat_server, timeout=0.2)
     started = time.perf_counter()
     with pytest.raises(BackendTimeoutError):
-        backend.complete(request)
+        backend.complete(request_for())
     assert time.perf_counter() - started < 0.9  # did not wait for the server
 
 
@@ -202,10 +201,11 @@ def test_scripted_backend_default_classification():
 
 
 def test_request_digest_ignores_timeout_but_not_content():
-    a = LlmRequest(model_id="m", system_text="s", user_text="u", timeout=1.0)
-    b = LlmRequest(model_id="m", system_text="s", user_text="u", timeout=9.0)
-    c = LlmRequest(model_id="m", system_text="s", user_text="different", timeout=1.0)
-    assert request_digest(a) == request_digest(b)
+    # The timeout is a LiveBackend setting, not part of the request, so it
+    # cannot reach a digest.
+    assert "timeout" not in {f.name for f in fields(LlmRequest)}
+    a = LlmRequest(model_id="m", system_text="s", user_text="u")
+    c = LlmRequest(model_id="m", system_text="s", user_text="different")
     assert request_digest(a) != request_digest(c)
 
 
@@ -214,7 +214,7 @@ def test_request_digest_and_output_cap_are_pinned(chat_server):
     # model, both texts and the 4096-token output cap) makes every
     # recorded exchange miss on replay.
     request = LlmRequest(
-        model_id="model-x", system_text="system text", user_text="review: café → ok", timeout=5.0
+        model_id="model-x", system_text="system text", user_text="review: café → ok"
     )
     assert request_digest(request) == (
         "7aaaf09fb3b115eb0dc04c7f1065891ff8afd875f2d4f322f41e7729d1c016dd"
@@ -229,8 +229,9 @@ def test_record_then_replay_round_trip(tmp_path):
     findings = [make_finding(i) for i in range(3)]
     request = build_prompt(batch_of(findings), default_template())
 
-    with CassetteRecorder(inner, cassette) as recorder:
-        recorded_text = recorder.complete(request)
+    recorder = CassetteRecorder(inner, cassette)
+    recorded_text = recorder.complete(request)
+    recorder.save()
     assert cassette.exists()
 
     replay = ReplayBackend(cassette)

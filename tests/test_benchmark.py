@@ -3,7 +3,6 @@ import pytest
 from sastsieve.benchmark import (
     GroundTruthError,
     load_ground_truth,
-    serialize_ground_truth,
     summarize_distribution,
 )
 from sastsieve.model import TestCaseId
@@ -70,12 +69,6 @@ def test_load_accepts_unknown_cwe_codes_as_other():
     gt = load_ground_truth(b"BenchmarkTest00001,custom,true,9999\n")
     entry = gt.entries[TestCaseId("BenchmarkTest00001")]
     assert entry.cwe.code == 9999 and entry.cwe.name == "Other"
-
-
-def test_round_trip_serialization(distribution_csv):
-    gt = load_ground_truth(distribution_csv)
-    again = load_ground_truth(serialize_ground_truth(gt))
-    assert again == gt
 
 
 def test_summarize_distribution_matches_published_table(ground_truth):

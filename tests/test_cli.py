@@ -165,6 +165,11 @@ def test_scan_command_with_fake_scanner(tmp_path, capsys):
 def test_scan_command_scanner_failure_exits_two(tmp_path, capsys):
     code = main(["scan", "--target", str(tmp_path), "--scanner-cmd", "/no/such/bin"])
     assert code == 2
+    not_executable = tmp_path / "scanner.sh"
+    not_executable.write_text("#!/bin/sh\n")
+    code = main(["scan", "--target", str(tmp_path), "--scanner-cmd", str(not_executable)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("scanner error:")
 
 
 def test_report_command_rerenders(tmp_path, capsys):
