@@ -488,21 +488,47 @@ def test_output_under_a_regular_file_exits_one_with_one_error_line(tmp_path, cap
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--ground-truth", "--baseline"])
+@pytest.mark.parametrize("flag", ["--ground-truth", "--baseline", "--match-any-cwe"])
 def test_filter_offers_no_scoring_flags(tmp_path, capsys, flag):
     scan = saved_scan(tmp_path, benchmark_results(2))
+    value = [] if flag == "--match-any-cwe" else [str(tmp_path / "absent.csv")]
     with pytest.raises(SystemExit) as exc_info:
         main(
             [
                 "filter",
                 "--scan-json", scan,
-                flag, str(tmp_path / "absent.csv"),
+                flag, *value,
                 "--out-json", str(tmp_path / "r.json"),
                 "--out-text", str(tmp_path / "r.txt"),
             ]
         )
     assert exc_info.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["ground_truth", "baseline", "match_any_cwe"])
+def test_filter_refuses_scoring_keys_from_a_config_file(tmp_path, capsys, key):
+    # Every value is usable and the scan file is absent, so reaching the
+    # scanner would exit 2.
+    (tmp_path / "gt.csv").write_text("BenchmarkTest00001,sqli,true,89\n")
+    (tmp_path / "base.txt").write_text("BenchmarkTest00001,89\n")
+    value = {"ground_truth": tmp_path / "gt.csv", "baseline": tmp_path / "base.txt"}.get(key, "true")
+    config = tmp_path / "mission.cfg"
+    config.write_text(f"batch_size = 2\n{key} = {value}\n")
+    code = main(
+        [
+            "filter",
+            "--scan-json", str(tmp_path / "absent.json"),
+            "--config", str(config),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1, err
+    assert len(errors) == 1 and key in errors[0], err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "score"])

@@ -115,6 +115,19 @@ def test_plan_coerces_each_value_by_its_field_type(tmp_path):
     ):
         with pytest.raises(ConfigError, match=f"{key}: {message}"):
             plan_mission({"target_root": str(tmp_path), key: value})
+    # A plan built directly is checked too, with the config path's message.
+    for key, value in (
+        ("batch_size", 0),
+        ("parallelism", 0),
+        ("context_budget", -3),
+        ("timeout", float("nan")),
+    ):
+        with pytest.raises(ConfigError) as direct:
+            MissionPlan(**{key: value})
+        with pytest.raises(ConfigError) as configured:
+            plan_mission({"target_root": str(tmp_path), key: str(value)})
+        assert str(direct.value) == str(configured.value)
+        assert str(direct.value).startswith(f"{key}: must be ")
 
 
 def test_plan_saved_scan_switches_mode(tmp_path):
@@ -305,6 +318,21 @@ def test_mission_propagates_scanner_errors(tmp_path):
     plan = plan_mission({"scan_json": str(tmp_path / "missing.json")})
     with pytest.raises(ScannerError):
         run_mission(plan, FailingBackend())
+
+
+def test_template_without_placeholder_warns_once_per_run(tmp_path, caplog):
+    template = tmp_path / "template.txt"
+    template.write_text("Just instructions.\n")
+    plan = plan_mission(
+        {"scan_json": saved_scan(tmp_path, benchmark_results(45)), "template": str(template)}
+    )
+    backend = ScriptedBackend({}, default="true_positive")
+    with caplog.at_level("WARNING"):
+        mission = run_mission(plan, backend)
+    assert mission.stats.batch_count == 3
+    assert len(mission.retained) == 45  # every batch carried its findings
+    warnings = [r for r in caplog.records if "{{findings_block}}" in r.getMessage()]
+    assert len(warnings) == 1
 
 
 def test_mission_logs_stage_counts(tmp_path, caplog):
