@@ -10,7 +10,6 @@ from .benchmark import GroundTruth, GroundTruthEntry, load_ground_truth, summari
 from .filter_agent import (
     Batch,
     BatchOutcome,
-    FilterConfig,
     FilterStats,
     LlmRequest,
     filter_findings,
@@ -54,7 +53,6 @@ __all__ = [
     "Delta",
     "EvidenceProvider",
     "FailOpenCause",
-    "FilterConfig",
     "FilterStats",
     "FilteredFinding",
     "Finding",

@@ -110,14 +110,12 @@ class LiveBackend(LlmBackend):
         api_key: str | None = None,
         model_id: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        max_retries: int = MAX_RETRIES,
         backoff: tuple[float, ...] = BACKOFF_SECONDS,
     ):
         self.api_base = (api_base or os.environ.get(ENV_API_BASE, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_MODEL, "")
         self.timeout = timeout
-        self.max_retries = max_retries
         self.backoff = backoff
         if not self.api_key:
             raise BackendConfigError(f"{ENV_API_KEY} is not set (bearer token required)")
@@ -143,7 +141,7 @@ class LiveBackend(LlmBackend):
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: BackendError | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(self.backoff[min(attempt - 1, len(self.backoff) - 1)])
             try:
@@ -154,13 +152,13 @@ class LiveBackend(LlmBackend):
                 raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
             except requests.RequestException as exc:
                 last_error = BackendError(f"transport error: {exc}")
-                log.warning("attempt %d/%d failed: %s", attempt + 1, self.max_retries + 1, exc)
+                log.warning("attempt %d/%d failed: %s", attempt + 1, MAX_RETRIES + 1, exc)
                 continue
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = BackendError(
                     f"transient HTTP {response.status_code}: {response.text[:200]}"
                 )
-                log.warning("attempt %d/%d: %s", attempt + 1, self.max_retries + 1, last_error)
+                log.warning("attempt %d/%d: %s", attempt + 1, MAX_RETRIES + 1, last_error)
                 continue
             if response.status_code != 200:
                 raise BackendError(f"HTTP {response.status_code}: {response.text[:500]}")

@@ -56,6 +56,8 @@ EXIT_SCANNER = 2
 # Unusable configuration, input files and output paths: one "error:" line, exit 1.
 _INPUT_ERRORS = (ConfigError, BackendConfigError, CassetteError, GroundTruthError, DetectionsError,
                  ReportFormatError, OSError)
+# The config keys only a scoring command (run, replay) takes.
+_SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, scoring: bool = True) -> None:
+    parser.set_defaults(func=cmd_run, parser=parser, scoring=scoring)
     # A flag's dest is the config key it overrides; None leaves the key alone.
     parser.add_argument(
         "--target", dest="target_root", help="source tree to scan (and to read context from)"
@@ -77,6 +80,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
     if scoring:
         parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
         parser.add_argument("--baseline", help="baseline detections file for delta reporting")
+        parser.add_argument(
+            "--match-any-cwe", action="store_true", default=None, help="score by file only, ignoring CWE codes"
+        )
     if backend:
         parser.add_argument(
             "--backend",
@@ -95,9 +101,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
         default=None,
         help="abort on filter failures instead of retaining",
     )
-    parser.add_argument(
-        "--match-any-cwe", action="store_true", default=None, help="score by file only, ignoring CWE codes"
-    )
     parser.add_argument("--model", help="model identifier (overrides QSC_MODEL)")
     parser.add_argument("--template", help="prompt template file with {{findings_block}}")
     parser.add_argument("--cwe-map", help="CWE alias table file (alias -> category lines)")
@@ -111,6 +114,9 @@ def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     config: dict[str, object] = {}
     if args.config:
         config.update(read_input("config", args.config, parse_config_file))
+        refused = [key for key in _SCORING_KEYS if key in config]
+        if refused and not args.scoring:
+            raise ConfigError(f"config {args.config}: {', '.join(refused)}: filter does not score; use run")
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
@@ -235,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the full pipeline and write reports")
     _add_run_flags(run)
-    run.set_defaults(func=cmd_run, parser=run)
 
     scan = sub.add_parser("scan", help="run the external scanner and emit its JSON")
     scan.add_argument("--target", required=True, help="source tree to scan")
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     filt = sub.add_parser("filter", help="filter saved scanner output without scoring")
     _add_run_flags(filt, scoring=False)
-    filt.set_defaults(func=cmd_run, parser=filt)
 
     score_p = sub.add_parser("score", help="score a detections file against ground truth")
     score_p.add_argument("--detections", required=True, help="TestCaseId,CWE lines")
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="rerun a mission from a recorded cassette")
     _add_run_flags(replay, backend=False)
-    replay.set_defaults(func=cmd_run, parser=replay, backend="replay")
+    replay.set_defaults(backend="replay")
 
     return parser
 

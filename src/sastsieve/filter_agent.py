@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .backends import BackendError, BackendTimeoutError, LlmRequest
 from .model import (
@@ -32,10 +32,11 @@ from .model import (
     Verdict,
 )
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import MissionPlan
+
 log = logging.getLogger(__name__)
 
-DEFAULT_BATCH_SIZE = 15
-DEFAULT_PARALLELISM = 4
 DEFAULT_CONTEXT_BUDGET = 16_000
 
 FINDINGS_PLACEHOLDER = "{{findings_block}}"
@@ -130,25 +131,6 @@ class FilterStats:
         for _, cause in self.fail_open_events:
             counts[cause] = counts.get(cause, 0) + 1
         return counts
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    batch_size: int = DEFAULT_BATCH_SIZE
-    parallelism: int = DEFAULT_PARALLELISM
-    source_root: Path | None = None
-    context_budget: int = DEFAULT_CONTEXT_BUDGET
-    template_text: str | None = None  # None -> packaged default template
-    model_id: str = ""
-    fail_open_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.context_budget < 1:
-            raise ValueError("context_budget must be >= 1")
 
 
 def default_template() -> str:
@@ -301,13 +283,13 @@ def build_prompt(
     """Render the batch into a request via the template's findings placeholder.
 
     ``sources`` maps a finding's file path to the file's text; each file's
-    context is windowed from it with ``context_budget`` per finding.
+    context is windowed from it with ``context_budget`` per finding. A
+    template without the placeholder gets the block appended.
     """
     block = _findings_block(batch, sources or {}, context_budget)
     if FINDINGS_PLACEHOLDER in template:
         user_text = template.replace(FINDINGS_PLACEHOLDER, block)
     else:
-        log.warning("prompt template lacks %s; appending findings block", FINDINGS_PLACEHOLDER)
         user_text = template.rstrip("\n") + "\n\n" + block
     return LlmRequest(
         model_id=model_id,
@@ -411,13 +393,13 @@ def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], froz
     return texts, frozenset(f.id for f in batch.findings if f.file_path in unreadable)
 
 
-def _review(batch: Batch, backend, template: str, config: FilterConfig) -> BatchOutcome:
+def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOutcome:
     """Send the batch's findings with their source context and parse the answer.
 
     Findings whose source is unavailable are left out of the prompt; when
     that leaves none, the backend is not called.
     """
-    sources, unavailable = _read_sources(batch, config.source_root)
+    sources, unavailable = _read_sources(batch, plan.target_root)
     if len(unavailable) == len(batch.findings):
         return replace(BatchOutcome.parsed({}), unavailable=unavailable)
     if unavailable:
@@ -426,8 +408,8 @@ def _review(batch: Batch, backend, template: str, config: FilterConfig) -> Batch
         batch,
         template,
         sources=sources,
-        context_budget=config.context_budget,
-        model_id=config.model_id,
+        context_budget=plan.context_budget,
+        model_id=plan.model_id,
     )
     started = time.perf_counter()
     try:
@@ -450,23 +432,24 @@ def _review(batch: Batch, backend, template: str, config: FilterConfig) -> Batch
 def filter_findings(
     findings: Sequence[Finding],
     backend,
-    config: FilterConfig | None = None,
+    plan: MissionPlan,
+    template: str,
 ) -> tuple[list[FilteredFinding], list[FilteredFinding], FilterStats]:
     """Review findings in batches and split them into retained and suppressed.
 
+    The plan gives the batch size, parallelism, source root, context budget,
+    model and fail-open setting; ``template`` is the prompt template's text.
     The union of retained and suppressed is exactly the input; ordering
     follows the original finding order regardless of batch completion
     order. All backend failures are absorbed as fail-open retention unless
     fail-open is disabled, in which case the first fail-open verdict raises
     FilterError.
     """
-    config = config or FilterConfig()
     started = time.perf_counter()
-    batches = partition_batches(findings, config.batch_size)
-    template = config.template_text if config.template_text is not None else default_template()
+    batches = partition_batches(findings, plan.batch_size)
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        outcomes = list(pool.map(lambda b: _review(b, backend, template, config), batches))
+    with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
+        outcomes = list(pool.map(lambda b: _review(b, backend, template, plan), batches))
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []
@@ -476,7 +459,7 @@ def filter_findings(
             events.append((batch.index, outcome.cause.value))
         for filtered in apply_verdicts(batch, outcome):
             cause = filtered.verdict.cause
-            if cause is not None and not config.fail_open_enabled:
+            if cause is not None and not plan.fail_open_enabled:
                 raise FilterError(
                     f"batch {batch.index}: finding {filtered.finding.id} failed "
                     f"({cause.value}) with fail-open disabled"

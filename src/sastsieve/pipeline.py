@@ -20,11 +20,10 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .backends import DEFAULT_TIMEOUT
 from .filter_agent import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_CONTEXT_BUDGET,
-    DEFAULT_PARALLELISM,
-    FilterConfig,
+    FINDINGS_PLACEHOLDER,
     FilterStats,
+    default_template,
     filter_findings,
 )
 from .ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
@@ -48,12 +47,15 @@ class ScannerError(RuntimeError):
 
 @dataclass(frozen=True)
 class MissionPlan:
-    """Fully resolved run parameters."""
+    """Fully resolved run parameters.
+
+    Every int field is at least 1 and every float field is positive.
+    """
 
     target_root: Path | None = None
     scan_json_path: Path | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    parallelism: int = DEFAULT_PARALLELISM
+    batch_size: int = 15
+    parallelism: int = 4
     fail_open_enabled: bool = True
     ground_truth_path: Path | None = None
     baseline_path: Path | None = None
@@ -67,6 +69,15 @@ class MissionPlan:
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     timeout: float = DEFAULT_TIMEOUT
     match_any_cwe: bool = False
+
+    def __post_init__(self) -> None:
+        # The int and float fields have no aliases: each name is its config key.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is int and not value >= 1:
+                raise ConfigError(f"{name}: must be >= 1, got {value}")
+            if kind is float and not value > 0:  # also refuses nan
+                raise ConfigError(f"{name}: must be positive, got {value}")
 
     @property
     def scanner_mode(self) -> str:
@@ -112,7 +123,7 @@ def read_input(key: str, path: Path | str, parse: Callable[[str], T]) -> T:
 
 
 def _coerce(key: str, kind: object, value: object) -> object:
-    """The config value as the field's type: bool, str, int >= 1, float > 0 or Path."""
+    """The config value as the field's type: bool, str, int, float or Path."""
     if kind is bool:
         lowered = str(value).strip().lower()
         if lowered in ("true", "yes", "1", "on"):
@@ -126,10 +137,6 @@ def _coerce(key: str, kind: object, value: object) -> object:
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
-        if kind is int and number < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {number}")
-        if kind is float and not number > 0:  # also refuses nan
-            raise ConfigError(f"{key}: must be positive, got {number}")
         return number
     if kind is str:
         return str(value)
@@ -283,9 +290,12 @@ def run_mission(
         table = read_input("cwe_map", plan.cwe_map_path, CweMappingTable.load)
     else:
         table = CweMappingTable.default()
-    template_text = None
     if plan.template_path is not None:
-        template_text = read_input("template", plan.template_path, str)
+        template = read_input("template", plan.template_path, str)
+    else:
+        template = default_template()
+    if FINDINGS_PLACEHOLDER not in template:
+        log.warning("prompt template lacks %s; appending the findings block", FINDINGS_PLACEHOLDER)
 
     payload = run_scanner(plan)
     parsed = parse_scanner_output(payload)
@@ -298,19 +308,7 @@ def run_mission(
     verified, unverified = correlate_evidence(deduped, providers)
     log.info("%d findings verified by evidence, %d sent to the filter", len(verified), len(unverified))
 
-    retained, suppressed, stats = filter_findings(
-        unverified,
-        backend,
-        FilterConfig(
-            batch_size=plan.batch_size,
-            parallelism=plan.parallelism,
-            source_root=plan.target_root,
-            context_budget=plan.context_budget,
-            template_text=template_text,
-            model_id=plan.model_id,
-            fail_open_enabled=plan.fail_open_enabled,
-        ),
-    )
+    retained, suppressed, stats = filter_findings(unverified, backend, plan, template)
     log.info(
         "filter retained %d and suppressed %d findings over %d batches",
         len(retained),

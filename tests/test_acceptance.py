@@ -24,9 +24,9 @@ import random
 from sastsieve.backends import CassetteRecorder, ScriptedBackend
 from sastsieve.benchmark import GroundTruth, GroundTruthEntry, load_ground_truth, summarize_distribution
 from sastsieve.cli import main
-from sastsieve.filter_agent import FilterConfig, filter_findings, partition_batches
+from sastsieve.filter_agent import filter_findings, partition_batches
 from sastsieve.model import CweCategory, Provenance, TestCaseId
-from sastsieve.pipeline import plan_mission, run_mission
+from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
@@ -188,10 +188,12 @@ def test_criterion_4_fail_open_soundness():
     with criterion(4, "fail-open soundness over 1000 randomized trials"):
         rng = random.Random(40_404)
         pool = _finding_pool(500, rng)
-        config = FilterConfig(parallelism=1, template_text="{{findings_block}}")
+        plan = MissionPlan(parallelism=1)
         for _ in range(1000):
             findings = pool[: rng.randint(0, 500)]
-            retained, suppressed, _ = filter_findings(findings, FailingBackend(), config)
+            retained, suppressed, _ = filter_findings(
+                findings, FailingBackend(), plan, "{{findings_block}}"
+            )
             assert [ff.finding for ff in retained] == findings
             assert suppressed == []
             assert all(ff.verdict.provenance is Provenance.FAIL_OPEN for ff in retained)
@@ -214,12 +216,10 @@ def test_criterion_5_conservation_and_partition():
                     verdicts[finding.id] = "true_positive"
                 elif roll < 0.8:
                     verdicts[finding.id] = "false_positive"
-            config = FilterConfig(
-                batch_size=rng.randint(1, 32),
-                parallelism=1,
-                template_text="{{findings_block}}",
+            plan = MissionPlan(batch_size=rng.randint(1, 32), parallelism=1)
+            retained, suppressed, _ = filter_findings(
+                findings, ScriptedBackend(verdicts), plan, "{{findings_block}}"
             )
-            retained, suppressed, _ = filter_findings(findings, ScriptedBackend(verdicts), config)
             assert len(retained) + len(suppressed) == len(findings)
             seen = [ff.finding.id for ff in retained] + [ff.finding.id for ff in suppressed]
             assert sorted(seen) == sorted(f.id for f in findings)

@@ -133,7 +133,7 @@ def test_live_backend_retries_transient_failures(chat_server):
 
 def test_live_backend_bounded_retries(chat_server):
     chat_server.plan = [("status", 500)] * 10
-    backend = live_backend(chat_server, max_retries=2)
+    backend = live_backend(chat_server)
     with pytest.raises(BackendError):
         backend.complete(request_for())
     assert chat_server.hits == 3  # initial call + 2 retries, never more

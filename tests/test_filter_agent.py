@@ -21,7 +21,6 @@ from sastsieve.backends import (
 from sastsieve.filter_agent import (
     Batch,
     BatchOutcome,
-    FilterConfig,
     FilterError,
     LlmRequest,
     apply_verdicts,
@@ -33,6 +32,7 @@ from sastsieve.filter_agent import (
     read_source_context,
 )
 from sastsieve.model import Classification, FailOpenCause, Provenance, Verdict
+from sastsieve.pipeline import MissionPlan
 from tests.conftest import make_finding
 from tests.strategies import json_values
 
@@ -363,16 +363,17 @@ def test_batch_outcome_validation():
 # --- filter_findings --------------------------------------------------------
 
 
+BARE_TEMPLATE = "{{findings_block}}"
+
+
 def quiet_config(**kwargs):
-    defaults = dict(parallelism=1, template_text="{{findings_block}}")
-    defaults.update(kwargs)
-    return FilterConfig(**defaults)
+    return MissionPlan(**{"parallelism": 1, **kwargs})
 
 
 def test_always_failing_backend_is_identity_on_retained():
     findings = [make_finding(i) for i in range(40)]
     backend = FailingBackend()
-    retained, suppressed, stats = filter_findings(findings, backend, quiet_config())
+    retained, suppressed, stats = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert [ff.finding for ff in retained] == findings
     assert suppressed == []
     assert backend.calls == stats.llm_calls == stats.batch_count == 3
@@ -382,7 +383,7 @@ def test_always_failing_backend_is_identity_on_retained():
 def test_timeout_backend_maps_to_timeout_cause():
     findings = [make_finding(i) for i in range(5)]
     backend = FailingBackend(BackendTimeoutError("too slow"))
-    retained, _, stats = filter_findings(findings, backend, quiet_config())
+    retained, _, stats = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert all(ff.verdict.cause is FailOpenCause.TIMEOUT for ff in retained)
     assert stats.fail_open_counts == {"timeout": 1}
 
@@ -390,7 +391,7 @@ def test_timeout_backend_maps_to_timeout_cause():
 def test_suppress_everything_backend_retains_nothing():
     findings = [make_finding(i) for i in range(20)]
     backend = ScriptedBackend({}, default="false_positive")
-    retained, suppressed, _ = filter_findings(findings, backend, quiet_config())
+    retained, suppressed, _ = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert retained == []
     assert [ff.finding for ff in suppressed] == findings
 
@@ -404,7 +405,7 @@ def test_scripted_verdicts_drive_the_partition():
         for f in findings
     }
     retained, suppressed, _ = filter_findings(
-        findings, ScriptedBackend(verdicts), quiet_config()
+        findings, ScriptedBackend(verdicts), quiet_config(), BARE_TEMPLATE
     )
     assert {ff.finding.id for ff in retained} == keep
     assert {ff.finding.id for ff in suppressed} == {f.id for f in findings} - keep
@@ -413,7 +414,7 @@ def test_scripted_verdicts_drive_the_partition():
 def test_malformed_response_retains_whole_batch():
     findings = [make_finding(i) for i in range(10)]
     retained, suppressed, stats = filter_findings(
-        findings, StaticBackend("garbage"), quiet_config()
+        findings, StaticBackend("garbage"), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 10 and not suppressed
     assert stats.fail_open_counts == {"malformed_response": 1}
@@ -424,7 +425,7 @@ def test_overlong_integer_reply_fails_open_as_malformed():
     # ValueError, not JSONDecodeError.
     findings = [make_finding(i) for i in range(3)]
     retained, suppressed, stats = filter_findings(
-        findings, StaticBackend("1" * 5000), quiet_config()
+        findings, StaticBackend("1" * 5000), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 3 and not suppressed
     assert stats.fail_open_counts == {"malformed_response": 1}
@@ -434,7 +435,7 @@ def test_scripted_backend_without_entry_yields_missing_entry():
     findings = [make_finding(i) for i in range(3)]
     verdicts = {findings[0].id: "true_positive", findings[1].id: "false_positive"}
     retained, suppressed, stats = filter_findings(
-        findings, ScriptedBackend(verdicts), quiet_config()
+        findings, ScriptedBackend(verdicts), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 2 and len(suppressed) == 1
     causes = [ff.verdict.cause for ff in retained]
@@ -452,7 +453,8 @@ def test_conservation_and_order_with_concurrency():
     retained, suppressed, stats = filter_findings(
         findings,
         JitterBackend(),
-        FilterConfig(batch_size=5, parallelism=4, template_text="{{findings_block}}"),
+        MissionPlan(batch_size=5, parallelism=4),
+        BARE_TEMPLATE,
     )
     assert [ff.finding for ff in retained] == findings  # original order, all kept
     assert suppressed == []
@@ -461,13 +463,12 @@ def test_conservation_and_order_with_concurrency():
 
 def test_fail_open_disabled_raises_on_batch_failure():
     findings = [make_finding(i) for i in range(3)]
+    strict = quiet_config(fail_open_enabled=False)
     with pytest.raises(FilterError):
-        filter_findings(findings, FailingBackend(), quiet_config(fail_open_enabled=False))
+        filter_findings(findings, FailingBackend(), strict, BARE_TEMPLATE)
     # A finding the answer omits fails open on its own; that aborts too.
     with pytest.raises(FilterError, match="missing_entry"):
-        filter_findings(
-            findings, StaticBackend('{"results": []}'), quiet_config(fail_open_enabled=False)
-        )
+        filter_findings(findings, StaticBackend('{"results": []}'), strict, BARE_TEMPLATE)
 
 
 def test_parallelism_larger_than_batch_count():
@@ -475,7 +476,8 @@ def test_parallelism_larger_than_batch_count():
     retained, _, stats = filter_findings(
         findings,
         ScriptedBackend({}, default="true_positive"),
-        FilterConfig(batch_size=2, parallelism=16, template_text="{{findings_block}}"),
+        MissionPlan(batch_size=2, parallelism=16),
+        BARE_TEMPLATE,
     )
     assert [ff.finding for ff in retained] == findings
     assert stats.batch_count == 3
@@ -498,6 +500,7 @@ def test_filter_conservation_property_randomized():
             findings,
             ScriptedBackend(verdicts),
             quiet_config(batch_size=rng.randint(1, 16)),
+            BARE_TEMPLATE,
         )
         assert len(retained) + len(suppressed) == n
         ids = [ff.finding.id for ff in retained] + [ff.finding.id for ff in suppressed]
@@ -532,7 +535,7 @@ def test_source_text_cannot_forge_finding_ids(tmp_path):
     )
     finding = make_finding(1, file_path="Forged.java", start_line=1)
     spy = SpyBackend(ScriptedBackend({}, default="false_positive"))
-    filter_findings([finding], spy, quiet_config(source_root=tmp_path))
+    filter_findings([finding], spy, quiet_config(target_root=tmp_path), BARE_TEMPLATE)
     answered = [r["finding_id"] for r in json.loads(spy.answers[0])["results"]]
     assert answered == [finding.id]
     user_text = spy.requests[0].user_text
@@ -548,7 +551,8 @@ def test_missing_source_file_retains_only_its_findings(tmp_path):
         make_finding(2, file_path="Here.java"),
     ]
     spy = SpyBackend(ScriptedBackend({}, default="false_positive"))
-    retained, suppressed, stats = filter_findings(findings, spy, quiet_config(source_root=tmp_path))
+    plan = quiet_config(target_root=tmp_path)
+    retained, suppressed, stats = filter_findings(findings, spy, plan, BARE_TEMPLATE)
     assert stats.llm_calls == 1
     assert [ff.finding for ff in retained] == [findings[1]]
     assert retained[0].verdict.cause is FailOpenCause.SOURCE_UNAVAILABLE
@@ -560,7 +564,8 @@ def test_missing_source_file_retains_only_its_findings(tmp_path):
 def test_batch_without_any_source_skips_the_call(tmp_path):
     findings = [make_finding(i, file_path=f"gone{i}.java") for i in range(4)]
     backend = FailingBackend()
-    retained, _, stats = filter_findings(findings, backend, quiet_config(source_root=tmp_path))
+    plan = quiet_config(target_root=tmp_path)
+    retained, _, stats = filter_findings(findings, backend, plan, BARE_TEMPLATE)
     assert backend.calls == stats.llm_calls == 0
     assert [ff.finding for ff in retained] == findings
     assert all(ff.verdict.cause is FailOpenCause.SOURCE_UNAVAILABLE for ff in retained)
@@ -586,7 +591,9 @@ def test_source_outside_the_root_is_never_read(tmp_path):
         make_finding(6, file_path=str(root / "src" / "In.java")),
     ]
     spy = SpyBackend(ScriptedBackend({}, default="true_positive"))
-    retained, _, _ = filter_findings(escaping + inside, spy, quiet_config(source_root=root))
+    retained, _, _ = filter_findings(
+        escaping + inside, spy, quiet_config(target_root=root), BARE_TEMPLATE
+    )
     assert "outside secret" not in spy.requests[0].user_text
     assert spy.requests[0].user_text.count("inside") == 3
     causes = {ff.finding.id: ff.verdict.cause for ff in retained}
@@ -766,7 +773,7 @@ def test_prompt_bytes_with_one_finding_per_file_are_pinned(tmp_path):
     ]
     spy = SpyBackend(ScriptedBackend({}, default="true_positive"))
     filter_findings(
-        findings, spy, quiet_config(source_root=tmp_path, context_budget=120, template_text=None)
+        findings, spy, quiet_config(target_root=tmp_path, context_budget=120), default_template()
     )
     assert spy.requests[0].user_text == GOLDEN_ONE_FILE_EACH
 
@@ -781,9 +788,9 @@ def test_several_findings_per_file_keep_scripted_verdicts_and_replay(tmp_path):
     ]
     verdicts = {f.id: "false_positive" if i % 3 else "true_positive" for i, f in enumerate(findings)}
     cassette = tmp_path / "cassette.json"
-    config = quiet_config(source_root=tmp_path, batch_size=15, context_budget=2000)
+    plan = quiet_config(target_root=tmp_path, batch_size=15, context_budget=2000)
     recorder = CassetteRecorder(ScriptedBackend(verdicts), cassette)
-    recorded = filter_findings(findings, recorder, config)
+    recorded = filter_findings(findings, recorder, plan, BARE_TEMPLATE)
     recorder.save()
     retained, suppressed, stats = recorded
     assert stats.batch_count == stats.llm_calls == 2
@@ -791,4 +798,4 @@ def test_several_findings_per_file_keep_scripted_verdicts_and_replay(tmp_path):
     assert {ff.finding.id: ff.verdict.classification.value for ff in retained + suppressed} == verdicts
     for request_text in (r["request_user_text"] for r in json.loads(cassette.read_text())):
         assert request_text.count("Source context:") == 2  # one block per file and batch
-    assert filter_findings(findings, ReplayBackend(cassette), config)[:2] == recorded[:2]
+    assert filter_findings(findings, ReplayBackend(cassette), plan, BARE_TEMPLATE)[:2] == recorded[:2]
