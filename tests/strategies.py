@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests.
+"""Hypothesis strategies and checks shared by the property tests.
 
 Kept out of conftest.py, which the benchmark harness imports: importing
 Hypothesis there would grow the harness, and with it the peak RSS the
@@ -7,9 +7,34 @@ benchmark reads from the processes it starts.
 
 from hypothesis import strategies as st
 
+from sastsieve.filter_agent import FilterStats
+from sastsieve.report import Report, render_json, render_text
+
+# Any character, lone surrogates (which UTF-8 cannot encode) included. They
+# are drawn on their own: as a small share of all code points they would
+# almost never come up.
+any_char = st.characters() | st.characters(categories=["Cs"])
+any_text = st.text(any_char)
+
 # Any value json.dumps can write, NaN and infinities included.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(any_char, max_size=8), inner, max_size=4),
     max_leaves=12,
 )
+
+
+def assert_renders(filtered) -> None:
+    """A report holding these filtered findings renders as JSON and as UTF-8 text."""
+    filtered = tuple(filtered)
+    report = Report(
+        run_id="r",
+        plan_summary={},
+        retained=tuple(ff for ff in filtered if ff.verdict.retained),
+        suppressed=tuple(ff for ff in filtered if not ff.verdict.retained),
+        stats=FilterStats(batch_count=1, llm_calls=1, fail_open_events=(), total_latency=0.0),
+        scorecard=None,
+        baseline_deltas=None,
+    )
+    render_json(report)
+    render_text(report, max_retained=len(filtered), max_suppressed=len(filtered)).encode("utf-8")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +23,14 @@ from sastsieve.backends import (
     ScriptedBackend,
     request_digest,
 )
+from sastsieve.cli import main
 from sastsieve.filter_agent import LlmRequest, build_prompt, default_template
 from tests.conftest import make_finding
-from tests.test_filter_agent import batch_of
+from tests.test_cli import only_finding_id, record_cassette
+from tests.test_filter_agent import StaticBackend, batch_of
+from tests.test_pipeline import benchmark_results, saved_scan
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def request_for(user_text="review this", model="test-model"):
@@ -283,3 +292,108 @@ def test_backends_are_safe_under_concurrent_calls(tmp_path):
     assert len(records) == 40
     digests = [r["request_digest"] for r in records]
     assert digests == sorted(digests)  # cassette file order is deterministic
+
+
+def test_failed_cassette_save_leaves_the_old_cassette(tmp_path):
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text('[{"request_digest": "d", "response_text": "t"}]\n')
+    old = cassette.read_bytes()
+    # A lone surrogate cannot be encoded, so writing the records fails.
+    recorder = CassetteRecorder(StaticBackend("ok \ud800"), cassette)
+    recorder.complete(request_for())
+    with pytest.raises(UnicodeEncodeError):
+        recorder.save()
+    assert cassette.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+
+
+def test_live_answer_with_a_lone_surrogate_is_recorded_and_replayed(
+    tmp_path, chat_server, monkeypatch, capsys
+):
+    scan = saved_scan(tmp_path, benchmark_results(1))
+    answer = {
+        "results": [
+            {
+                "finding_id": only_finding_id(scan),
+                "classification": "false_positive",
+                "rationale": "ok \ud800",
+            }
+        ]
+    }
+    # The endpoint escapes the surrogate in its JSON body, so the decoded
+    # answer text holds it raw.
+    chat_server.plan = [("ok", json.dumps(answer, ensure_ascii=False))]
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", f"http://127.0.0.1:{chat_server.server_address[1]}")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    cassette = tmp_path / "c.json"
+    for backend in ("live", "replay"):
+        out_json = tmp_path / f"{backend}.json"
+        code = main(
+            [
+                "run",
+                "--scan-json", scan,
+                "--backend", backend,
+                "--cassette", str(cassette),
+                "--out-json", str(out_json),
+                "--out-text", str(tmp_path / "r.txt"),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        [dropped] = json.loads(out_json.read_bytes())["suppressed"]
+        assert dropped["verdict"]["rationale"] == "ok \ufffd"
+    assert chat_server.hits == 1
+
+
+# The HTTP client is loaded only when a live backend is built. Other tests
+# import it in this process, so each check runs in a fresh interpreter.
+def run_python(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+COMMANDS_THEN_CHECK = """
+import json, sys
+from sastsieve import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert "requests" not in sys.modules
+"""
+
+
+def test_commands_without_a_live_backend_never_load_the_http_client(tmp_path):
+    scan = saved_scan(tmp_path, benchmark_results(3))
+    cassette = tmp_path / "c.json"
+    record_cassette(tmp_path, scan, cassette)
+    ground_truth = tmp_path / "expected.csv"
+    ground_truth.write_text("BenchmarkTest00001,sqli,true,89\n")
+    out = {name: str(tmp_path / name) for name in ("r.json", "r.txt", "d.txt", "p.json", "p.txt", "x.txt")}
+    commands = [
+        ["run", "--backend", "scripted", "--scan-json", scan, "--out-json", out["r.json"],
+         "--out-text", out["r.txt"], "--detections-out", out["d.txt"]],
+        ["replay", "--scan-json", scan, "--cassette", str(cassette), "--out-json", out["p.json"],
+         "--out-text", out["p.txt"]],
+        ["report", "--in", out["r.json"], "--out-text", out["x.txt"]],
+        ["score", "--detections", out["d.txt"], "--ground-truth", str(ground_truth)],
+    ]
+    proc = run_python(COMMANDS_THEN_CHECK, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+
+
+BUILD_THEN_CHECK = """
+import sys
+from sastsieve.backends import LiveBackend
+assert "requests" not in sys.modules
+LiveBackend(api_key="k", api_base="http://127.0.0.1:9", model_id="m")
+assert "requests" in sys.modules
+"""
+
+
+def test_building_a_live_backend_loads_the_http_client():
+    proc = run_python(BUILD_THEN_CHECK)
+    assert proc.returncode == 0, proc.stderr

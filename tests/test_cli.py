@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sastsieve.backends import CassetteRecorder, ScriptedBackend
 from sastsieve.cli import main
+from sastsieve.ingest import CweMappingTable, normalize, parse_scanner_output
 from sastsieve.pipeline import plan_mission, run_mission
 from sastsieve.scoring import serialize_detections
 from tests.test_pipeline import benchmark_results, saved_scan
@@ -554,3 +556,68 @@ def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, 
         assert json.loads((tmp_path / "r.json").read_bytes())["scorecard"] is not None
     else:
         assert "3 test cases" in capsys.readouterr().out
+
+
+# A JSON escape such as \ud800 decodes to a lone surrogate, which UTF-8
+# cannot encode: outside text carrying one is repaired, never fatal.
+LONE_SURROGATE = "\ud800"
+
+
+def only_finding_id(scan_path) -> str:
+    [raw] = parse_scanner_output(Path(scan_path).read_bytes()).findings
+    return normalize(raw, CweMappingTable.default()).id
+
+
+@pytest.mark.parametrize(
+    "field, report_field",
+    [("check_id", "origin"), ("path", "file_path"), ("message", "description")],
+)
+def test_lone_surrogate_in_scanner_output_is_replaced(tmp_path, capsys, field, report_field):
+    [result] = benchmark_results(1)
+    holder = result["extra"] if field == "message" else result
+    holder[field] += LONE_SURROGATE
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "run",
+            "--scan-json", saved_scan(tmp_path, [result]),
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    [kept] = json.loads(out_json.read_bytes())["retained"]
+    assert kept["finding"][report_field].endswith("\ufffd")
+
+
+def test_lone_surrogate_in_a_verdict_rationale_is_replaced(tmp_path, capsys):
+    scan = saved_scan(tmp_path, benchmark_results(1))
+    verdicts = tmp_path / "verdicts.json"
+    verdicts.write_text(json.dumps({only_finding_id(scan): ["false_positive", "ok " + LONE_SURROGATE]}))
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "run",
+            "--scan-json", scan,
+            "--verdicts", str(verdicts),
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    [dropped] = json.loads(out_json.read_bytes())["suppressed"]
+    assert dropped["verdict"]["rationale"] == "ok \ufffd"
+
+
+def test_report_command_refuses_a_lone_surrogate(tmp_path, capsys):
+    from tests.test_report import GOLDEN
+
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    doc["suppressed"][0]["verdict"]["rationale"] = "ok " + LONE_SURROGATE
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out_json = tmp_path / "x.json"
+    assert main(["report", "--in", str(path), "--out-json", str(out_json)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert not out_json.exists()

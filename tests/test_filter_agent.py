@@ -34,7 +34,7 @@ from sastsieve.filter_agent import (
 from sastsieve.model import Classification, FailOpenCause, Provenance, Verdict
 from sastsieve.pipeline import MissionPlan
 from tests.conftest import make_finding
-from tests.strategies import json_values
+from tests.strategies import any_text, assert_renders, json_values
 
 
 class FailingBackend:
@@ -287,14 +287,14 @@ review_entries = (
         optional={
             "finding_id": st.sampled_from(REVIEW_IDS + ["ghost", "f999999"]) | json_values,
             "classification": st.sampled_from(["true_positive", "false_positive"]) | json_values,
-            "rationale": st.text() | json_values,
+            "rationale": any_text | json_values,
         },
     )
     | json_values
 )
 review_documents = st.fixed_dictionaries({"results": st.lists(review_entries, max_size=5)})
 replies = st.one_of(
-    st.text(),
+    any_text,
     st.integers(4301, 5000).map(lambda n: "1" * n),
     json_values.map(json.dumps),
     review_documents.map(json.dumps),
@@ -312,6 +312,7 @@ def test_parse_never_raises_and_never_suppresses_outside_the_batch(raw):
         assert outcome.cause is FailOpenCause.MALFORMED_RESPONSE
     out = apply_verdicts(REVIEW_BATCH, outcome)
     assert [ff.finding for ff in out] == list(REVIEW_BATCH.findings)
+    assert_renders(out)
 
 
 # --- apply_verdicts ---------------------------------------------------------

@@ -15,9 +15,9 @@ from sastsieve.ingest import (
     normalize,
     parse_scanner_output,
 )
-from sastsieve.model import Severity, TestCaseId
+from sastsieve.model import FailOpenCause, FilteredFinding, Severity, TestCaseId, Verdict
 from tests.conftest import make_finding
-from tests.strategies import json_values
+from tests.strategies import any_text, assert_renders, json_values
 
 
 def result_doc(path, start=10, end=12, check_id="java.lang.security.sqli", cwe="CWE-89: SQL Injection"):
@@ -134,10 +134,10 @@ def optional_keys(**fields):
     return st.fixed_dictionaries({}, optional=fields) | json_values
 
 
-cwe_tags = st.text() | st.from_regex(r"CWE-\d+", fullmatch=True)
+cwe_tags = any_text | st.from_regex(r"CWE-\d+", fullmatch=True)
 scanner_results = optional_keys(
     check_id=json_values,
-    path=st.text() | json_values,
+    path=any_text | json_values,
     start=optional_keys(line=st.integers(-1, 50) | json_values),
     end=optional_keys(line=st.integers(-1, 50) | json_values),
     extra=optional_keys(
@@ -157,8 +157,8 @@ def test_parse_raises_only_scanner_output_error_and_normalize_never_raises(docum
     except ScannerOutputError:
         return
     table = CweMappingTable.default()
-    for raw in parsed.findings:
-        normalize(raw, table)
+    findings = [normalize(raw, table) for raw in parsed.findings]
+    assert_renders(FilteredFinding(f, Verdict.fail_open(FailOpenCause.MISSING_ENTRY), 0) for f in findings)
 
 
 def test_map_cwe_benchmark_tag():

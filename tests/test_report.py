@@ -299,7 +299,7 @@ def test_misshapen_report_loads_and_renders_or_is_rejected(path, value):
     except ReportFormatError:
         return
     render_json(report)
-    render_text(report)
+    render_text(report).encode("utf-8")
 
 
 def test_baseline_deltas_in_report(tmp_path, distribution_csv, baseline_detections):
