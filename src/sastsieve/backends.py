@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import requests
-
-from .model import Classification
+from .model import Classification, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +121,11 @@ class LiveBackend(LlmBackend):
             raise BackendConfigError(f"{ENV_API_BASE} is not set (endpoint URL required)")
         if not self.model_id:
             raise BackendConfigError(f"{ENV_MODEL} is not set and no model was given")
+        # Imported here, not at module level, so only a run that builds a live
+        # backend loads the HTTP stack; building it is part of set-up.
+        import requests
+
+        self._requests = requests
 
     def _url(self) -> str:
         if self.api_base.endswith("/chat/completions"):
@@ -140,6 +143,7 @@ class LiveBackend(LlmBackend):
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
+        requests = self._requests
         last_error: BackendError | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
@@ -168,7 +172,7 @@ class LiveBackend(LlmBackend):
                 raise BackendError(f"unexpected completion envelope: {exc}") from exc
             if not isinstance(content, str):
                 raise BackendError("unexpected completion envelope: content is not text")
-            return content
+            return replace_surrogates(content)
         raise last_error if last_error else BackendError("no attempts made")
 
 
@@ -281,10 +285,16 @@ class CassetteRecorder(LlmBackend):
             return len(self._records)
 
     def save(self) -> None:
+        """Write the cassette whole or not at all: a failed save keeps the old file."""
         with self._lock:
             records = [self._records[k] for k in sorted(self._records)]
+        text = json.dumps(records, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        data = text.encode("utf-8")
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._path.write_text(
-            json.dumps(records, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        partial = self._path.with_name(f".{self._path.name}.{os.getpid()}.tmp")
+        try:
+            partial.write_bytes(data)
+            os.replace(partial, self._path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise

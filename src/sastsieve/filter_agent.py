@@ -30,6 +30,7 @@ from .model import (
     FilteredFinding,
     Finding,
     Verdict,
+    replace_surrogates,
 )
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -315,7 +316,8 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
 
     Failure is a value: anything that is not exactly one JSON object of the
     documented shape yields a malformed_response outcome. Records naming
-    finding ids outside the batch are dropped with a warning.
+    finding ids outside the batch are dropped with a warning. Lone surrogates
+    in a rationale become U+FFFD.
     """
     try:
         document = json.loads(_strip_fences(raw))
@@ -343,7 +345,7 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
         if fid in records:
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
-        records[fid] = Verdict.llm(classification, rationale)
+        records[fid] = Verdict.llm(classification, replace_surrogates(rationale))
     return BatchOutcome.parsed(records, latency)
 
 

@@ -20,6 +20,7 @@ from .model import (
     Severity,
     TestCaseId,
     finding_id,
+    replace_surrogates,
     test_id_from_path,
 )
 
@@ -131,6 +132,7 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
 
     Results lacking a path or a start line that is a positive integer (JSON
     true is not one) are skipped and counted; the rest keep their order.
+    Lone surrogates in the rule id, path and message become U+FFFD.
     """
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8", errors="replace")
@@ -162,12 +164,12 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
             extra = {}
         findings.append(
             RawFinding(
-                rule_id=str(result.get("check_id", "")),
-                file_path=path,
+                rule_id=replace_surrogates(str(result.get("check_id", ""))),
+                file_path=replace_surrogates(path),
                 start_line=start_line,
                 end_line=end_line,
                 severity_label=str(extra.get("severity", "")),
-                message=str(extra.get("message", "")),
+                message=replace_surrogates(str(extra.get("message", ""))),
                 cwe_tags=_cwe_tags(extra),
             )
         )

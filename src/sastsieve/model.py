@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 TEST_CASE_PATTERN = re.compile(r"BenchmarkTest\d{5}")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # The eleven benchmark categories with their canonical names. Any other code
 # is rendered as "Other".
@@ -42,6 +43,15 @@ class TestCaseId:
 
     def __str__(self) -> str:
         return self.value
+
+
+def replace_surrogates(text: str) -> str:
+    """``text`` with each lone surrogate, which UTF-8 cannot encode, made U+FFFD.
+
+    A JSON escape such as ``\\ud800`` decodes to one; text from outside
+    passes through here before anything needs to write it.
+    """
+    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
 
 
 def test_id_from_path(file_path: str) -> TestCaseId | None:

@@ -282,6 +282,10 @@ def load_report(payload: bytes | str) -> Report:
         doc = json.loads(payload)
     except (ValueError, RecursionError) as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
+    try:  # a lone surrogate, say from a \ud800 escape, cannot be written as UTF-8
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ReportFormatError(f"report text is not encodable as UTF-8: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ReportFormatError("unsupported or missing report schema_version")
     try:
