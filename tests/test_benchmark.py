@@ -57,6 +57,8 @@ def test_load_reports_line_numbers_on_malformed_records():
         load_ground_truth(b"NotATest,sqli,true,89\n")
     with pytest.raises(GroundTruthError, match="line 1"):
         load_ground_truth(b"BenchmarkTest00001,sqli,true,eighty-nine\n")
+    with pytest.raises(GroundTruthError, match="line 2"):
+        load_ground_truth(b"BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,true,-89\n")
 
 
 def test_load_rejects_duplicate_test_ids():

@@ -422,6 +422,7 @@ DEEP_JSON = b'{"f1": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
         pytest.param("--template", None, id="template-missing"),
         pytest.param("--cwe-map", None, id="cwe-map-missing"),
         pytest.param("--cwe-map", b"200 => 22\n", id="cwe-map-malformed"),
+        pytest.param("--cwe-map", b"89 -> -1\n", id="cwe-map-negative-category"),
         pytest.param("--cassette", b"\xff[]", id="cassette-not-utf8"),
         pytest.param("--cassette", b"[" * 100_000 + b"]" * 100_000, id="cassette-nested-too-deep"),
     ],
@@ -558,6 +559,31 @@ def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, 
         assert "3 test cases" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_negative_cwe_code_in_ground_truth_exits_one_naming_the_line(tmp_path, capsys, command):
+    gt = tmp_path / "expected.csv"
+    gt.write_text("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,true,-89\n")
+    if command == "score":
+        detections = tmp_path / "detections.txt"
+        detections.write_text("BenchmarkTest00001,89\n")
+        argv = ["score", "--detections", str(detections), "--ground-truth", str(gt)]
+    else:
+        # The scan file is absent, so reaching the scanner would exit 2.
+        argv = [
+            "run",
+            "--scan-json", str(tmp_path / "absent.json"),
+            "--ground-truth", str(gt),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    code = main(argv)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1, err
+    assert len(errors) == 1 and "line 2" in errors[0], err
+    assert "Traceback" not in err
+
+
 # A JSON escape such as \ud800 decodes to a lone surrogate, which UTF-8
 # cannot encode: outside text carrying one is repaired, never fatal.
 LONE_SURROGATE = "\ud800"
@@ -621,3 +647,66 @@ def test_report_command_refuses_a_lone_surrogate(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert not out_json.exists()
+
+
+# Python decodes a command-line byte that is not UTF-8, such as b"\xff", to a
+# lone surrogate (surrogateescape).
+UNDECODABLE = "\udcff"
+
+
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        ("--scan-json", "scan_json"),
+        ("--target", "target_root"),
+        ("--ground-truth", "ground_truth"),
+        ("--baseline", "baseline"),
+        ("--scanner-cmd", "scanner_cmd"),
+        ("--model", "model_id"),
+    ],
+)
+def test_undecodable_command_line_argument_shows_as_replacement_in_the_plan(tmp_path, capsys, flag, key):
+    from tests.test_pipeline import fake_scanner
+
+    # The odd path still opens: the scan is read from it, or the scanner starts.
+    odd = tmp_path / f"odd{UNDECODABLE}"
+    scan = Path(saved_scan(tmp_path, benchmark_results(3)))
+    if flag == "--scan-json":
+        scan = scan.rename(odd)
+    elif flag == "--target":
+        odd.mkdir()
+    elif flag == "--ground-truth":
+        odd.write_text("BenchmarkTest00001,sqli,true,89\n")
+    elif flag == "--baseline":
+        odd.write_text("BenchmarkTest00001,89\n")
+    elif flag == "--scanner-cmd":
+        Path(fake_scanner(tmp_path, results=benchmark_results(3))).rename(odd)
+    value = f"m{UNDECODABLE}" if flag == "--model" else str(odd)
+    source = ["--target", str(tmp_path)] if flag == "--scanner-cmd" else ["--scan-json", str(scan)]
+    out_json = tmp_path / "r.json"
+    code = main(
+        ["run", *source, flag, value, "--out-json", str(out_json), "--out-text", str(tmp_path / "r.txt")]
+    )
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out_json.read_bytes())
+    assert "\ufffd" in doc["plan"][key]
+    assert len(doc["retained"]) == 3
+
+
+def test_replay_with_an_undecodable_model_logs_a_cassette_miss(tmp_path, caplog):
+    scan = saved_scan(tmp_path, benchmark_results(3))
+    cassette = tmp_path / "c.json"
+    record_cassette(tmp_path, scan, cassette)
+    code = main(
+        [
+            "replay",
+            "--scan-json", scan,
+            "--cassette", str(cassette),
+            "--model", f"m{UNDECODABLE}",
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 0
+    assert "no recorded response" in caplog.text
+    assert "unexpected backend error" not in caplog.text

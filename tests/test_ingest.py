@@ -203,6 +203,8 @@ def test_mapping_table_load_overrides():
     assert map_cwe(["CWE-326"], table).code == 330  # file wins over default
     with pytest.raises(ScannerOutputError):
         CweMappingTable.load("garbage line\n")
+    with pytest.raises(ScannerOutputError, match="line 2"):
+        CweMappingTable.load("200 -> 22\n89 -> -1\n")
 
 
 def test_fold_severity():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -108,7 +109,7 @@ def test_score_empty_detections(ground_truth):
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, TOTAL_SAFE, TOTAL_VULNERABLE)
 
 
-def test_score_ignores_pairs_absent_from_ground_truth():
+def test_score_ignores_pairs_absent_from_ground_truth(caplog):
     gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\n")
     detections = {
         (TestCaseId("BenchmarkTest00001"), 89),
@@ -116,6 +117,12 @@ def test_score_ignores_pairs_absent_from_ground_truth():
     }
     cm = score(detections, gt)
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 0, 0)
+    caplog.clear()
+    with caplog.at_level("INFO", logger="sastsieve.scoring"):
+        score_per_cwe(detections, gt)
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignoring 1 detection pairs absent from the ground truth"
+    ]
 
 
 def test_score_requires_cwe_match_by_default():
@@ -125,7 +132,7 @@ def test_score_requires_cwe_match_by_default():
     assert score(wrong_cwe, gt, match_any_cwe=True).tp == 1
 
 
-def _random_gt(rng: random.Random, max_entries: int = 50) -> GroundTruth:
+def _random_gt(rng: random.Random, max_entries: int = 50, codes=(22, 79, 89, 330)) -> GroundTruth:
     entries = {}
     for n in rng.sample(range(1, 200), rng.randint(1, max_entries)):
         tid = TestCaseId(f"BenchmarkTest{n:05d}")
@@ -133,16 +140,18 @@ def _random_gt(rng: random.Random, max_entries: int = 50) -> GroundTruth:
             test_id=tid,
             category_name="cat",
             is_vulnerable=rng.random() < 0.5,
-            cwe=CweCategory(rng.choice([22, 79, 89, 330])),
+            cwe=CweCategory(rng.choice(codes)),
         )
     return GroundTruth(entries)
 
 
-def _brute_force(detections, gt: GroundTruth) -> tuple[int, int, int, int]:
+def _brute_force(detections, entries, match_any_cwe=False) -> tuple[int, int, int, int]:
     # Independent oracle: classify each entry through the four branches.
     tp = fp = tn = fn = 0
-    for entry in gt.entries.values():
-        detected = (entry.test_id, entry.cwe.code) in detections
+    for entry in entries:
+        detected = any(
+            tid == entry.test_id and (match_any_cwe or code == entry.cwe.code) for tid, code in detections
+        )
         if entry.is_vulnerable and detected:
             tp += 1
         elif entry.is_vulnerable and not detected:
@@ -164,8 +173,30 @@ def test_score_matches_brute_force_oracle():
                 code = entry.cwe.code if rng.random() < 0.7 else rng.choice([22, 79, 89, 330])
                 detections.add((entry.test_id, code))
         cm = score(detections, gt)
-        assert (cm.tp, cm.fp, cm.tn, cm.fn) == _brute_force(detections, gt)
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == _brute_force(detections, gt.entries.values())
         assert cm.total == len(gt)
+
+
+@pytest.mark.parametrize("match_any_cwe", [False, True])
+def test_per_cwe_matrices_match_brute_force_counts(match_any_cwe):
+    rng = random.Random(3030)
+    codes = (0, 22, 79, 89, 330)
+    for _ in range(300):
+        gt = _random_gt(rng, codes=codes)
+        # Ids 200-299 are never in the ground truth; codes are often another entry's CWE.
+        detections = {
+            (TestCaseId(f"BenchmarkTest{n:05d}"), rng.choice(codes + (9999,)))
+            for n in rng.sample(range(1, 300), rng.randint(0, 60))
+        }
+        card = score_per_cwe(detections, gt, match_any_cwe=match_any_cwe)
+        entries = list(gt.entries.values())
+        assert list(card.per_cwe) == sorted({e.cwe.code for e in entries})
+        for code, (cm, metrics) in card.per_cwe.items():
+            in_cwe = [e for e in entries if e.cwe.code == code]
+            assert astuple(cm) == _brute_force(detections, in_cwe, match_any_cwe)
+            assert metrics == compute_metrics(cm)
+        assert astuple(card.overall[0]) == _brute_force(detections, entries, match_any_cwe)
+        assert card.overall[1] == compute_metrics(card.overall[0])
 
 
 def test_per_cwe_matrices_sum_to_overall(ground_truth, pipeline_detections):
