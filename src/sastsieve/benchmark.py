@@ -97,13 +97,17 @@ def load_ground_truth(payload: bytes | str) -> GroundTruth:
             code = int(code_raw)
         except ValueError as exc:
             raise GroundTruthError(f"line {lineno}: CWE code is not numeric: {code_raw!r}") from exc
+        try:
+            cwe = CweCategory(code)
+        except ValueError as exc:
+            raise GroundTruthError(f"line {lineno}: {exc}") from exc
         if test_id in entries:
             raise GroundTruthError(f"line {lineno}: duplicate test case {test_id}")
         entries[test_id] = GroundTruthEntry(
             test_id=test_id,
             category_name=category,
             is_vulnerable=is_vulnerable,
-            cwe=CweCategory(code),
+            cwe=cwe,
         )
     if not entries:
         raise GroundTruthError("ground-truth document contains no records")

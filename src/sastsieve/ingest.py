@@ -99,7 +99,7 @@ class CweMappingTable:
                     f"mapping table line {lineno}: expected 'alias -> category', got {stripped!r}"
                 )
             try:
-                aliases[int(left.strip())] = int(right.strip())
+                aliases[int(left.strip())] = CweCategory(int(right.strip())).code
             except ValueError as exc:
                 raise ScannerOutputError(f"mapping table line {lineno}: {exc}") from exc
         return cls(aliases=aliases)
