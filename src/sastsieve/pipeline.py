@@ -27,7 +27,7 @@ from .filter_agent import (
     filter_findings,
 )
 from .ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
-from .model import FilteredFinding, Finding, Verdict
+from .model import FilteredFinding, Finding, Verdict, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +71,9 @@ class MissionPlan:
     match_any_cwe: bool = False
 
     def __post_init__(self) -> None:
+        # A model id names no file, so one from non-UTF-8 argv is repaired here:
+        # the request, its digest and the report then carry the same text.
+        object.__setattr__(self, "model_id", replace_surrogates(self.model_id))
         # The int and float fields have no aliases: each name is its config key.
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)

@@ -22,7 +22,7 @@ from typing import Callable, Collection, Mapping, Union
 
 from .benchmark import GroundTruth
 from .filter_agent import FilterStats
-from .model import CweCategory, FilteredFinding, Provenance, Severity, TestCaseId
+from .model import CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
 from .pipeline import MissionResult
 from .scoring import (
     ConfusionMatrix,
@@ -77,7 +77,7 @@ def build_report(
 ) -> Report:
     """Assemble a Report from a mission, scoring it when ground truth is given."""
     plan = mission.plan
-    plan_summary = {
+    summary = {
         "target_root": str(plan.target_root) if plan.target_root else None,
         "scanner_mode": plan.scanner_mode,
         "scan_json": str(plan.scan_json_path) if plan.scan_json_path else None,
@@ -92,6 +92,9 @@ def build_report(
         "scanner_finding_count": mission.scanner_finding_count,
         "skipped_results": mission.skipped_results,
     }
+    # Paths from non-UTF-8 argv keep their lone surrogates so the files still
+    # open; only the report's copy is repaired.
+    plan_summary = {k: replace_surrogates(v) if isinstance(v, str) else v for k, v in summary.items()}
 
     scorecard = None
     deltas = None
