@@ -35,30 +35,6 @@ class GroundTruth:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def vulnerable_count(self) -> int:
-        return sum(1 for e in self.entries.values() if e.is_vulnerable)
-
-    @property
-    def safe_count(self) -> int:
-        return len(self.entries) - self.vulnerable_count
-
-    def cwe_codes(self) -> list[int]:
-        return sorted({e.cwe.code for e in self.entries.values()})
-
-    def restrict_to_cwe(self, code: int) -> "GroundTruth":
-        return GroundTruth(
-            {tid: e for tid, e in self.entries.items() if e.cwe.code == code}
-        )
-
-
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Per-CWE (vulnerable, safe) counts plus overall totals."""
-
-    per_cwe: Mapping[int, tuple[int, int]]
-    totals: tuple[int, int, int]  # (vulnerable, safe, all)
-
 
 def _parse_flag(raw: str, lineno: int) -> bool:
     lowered = raw.strip().lower()
@@ -112,15 +88,3 @@ def load_ground_truth(payload: bytes | str) -> GroundTruth:
     if not entries:
         raise GroundTruthError("ground-truth document contains no records")
     return GroundTruth(entries=entries)
-
-
-def summarize_distribution(gt: GroundTruth) -> DistributionSummary:
-    """Count vulnerable and safe cases per CWE code and overall."""
-    per_cwe: dict[int, list[int]] = {}
-    for entry in gt.entries.values():
-        bucket = per_cwe.setdefault(entry.cwe.code, [0, 0])
-        bucket[0 if entry.is_vulnerable else 1] += 1
-    frozen = {code: (vuln, safe) for code, (vuln, safe) in sorted(per_cwe.items())}
-    vulnerable = sum(v for v, _ in frozen.values())
-    safe = sum(s for _, s in frozen.values())
-    return DistributionSummary(per_cwe=frozen, totals=(vulnerable, safe, vulnerable + safe))

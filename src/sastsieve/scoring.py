@@ -10,11 +10,12 @@ file-level matching for sensitivity analysis.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
-from .benchmark import GroundTruth
+from .benchmark import GroundTruth, GroundTruthEntry
 from .model import TestCaseId
 
 log = logging.getLogger(__name__)
@@ -109,33 +110,8 @@ def score(
     *,
     match_any_cwe: bool = False,
 ) -> ConfusionMatrix:
-    """Cross-reference detections against the ground truth at the file level.
-
-    Detection pairs whose test id is absent from the ground truth are
-    ignored (counted and logged).
-    """
-    pairs = set(detections)
-    unknown = sum(1 for tid, _ in pairs if tid not in gt.entries)
-    if unknown:
-        log.info("ignoring %d detection pairs absent from the ground truth", unknown)
-    detected_ids = {tid for tid, _ in pairs}
-    tp = fp = tn = fn = 0
-    for entry in gt.entries.values():
-        if match_any_cwe:
-            hit = entry.test_id in detected_ids
-        else:
-            hit = (entry.test_id, entry.cwe.code) in pairs
-        if entry.is_vulnerable:
-            if hit:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if hit:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    """The overall confusion matrix of ``score_per_cwe``."""
+    return score_per_cwe(detections, gt, match_any_cwe=match_any_cwe).overall[0]
 
 
 def score_per_cwe(
@@ -144,16 +120,35 @@ def score_per_cwe(
     *,
     match_any_cwe: bool = False,
 ) -> CweScorecard:
-    """Score restricted to each CWE's ground-truth subset plus the full set."""
+    """Cross-reference detections against the ground truth at the file level.
+
+    One pass over the entries fills a matrix per CWE code; the overall
+    matrix is their sum. Detection pairs whose test id is absent from the
+    ground truth are ignored (counted and logged).
+    """
     pairs = set(detections)
+    unknown = sum(1 for tid, _ in pairs if tid not in gt.entries)
+    if unknown:
+        log.info("ignoring %d detection pairs absent from the ground truth", unknown)
+    detected_ids = {tid for tid, _ in pairs}
+
+    def hit(entry: GroundTruthEntry) -> bool:
+        if match_any_cwe:
+            return entry.test_id in detected_ids
+        return (entry.test_id, entry.cwe.code) in pairs
+
+    counts = Counter((e.cwe.code, e.is_vulnerable, hit(e)) for e in gt.entries.values())
     per_cwe: dict[int, tuple[ConfusionMatrix, MetricSet]] = {}
-    for code in gt.cwe_codes():
-        subset = gt.restrict_to_cwe(code)
-        sub_pairs = {(tid, c) for tid, c in pairs if tid in subset.entries}
-        cm = score(sub_pairs, subset, match_any_cwe=match_any_cwe)
+    for code in sorted({code for code, _, _ in counts}):
+        cm = ConfusionMatrix(
+            tp=counts[code, True, True],
+            fp=counts[code, False, True],
+            tn=counts[code, False, False],
+            fn=counts[code, True, False],
+        )
         per_cwe[code] = (cm, compute_metrics(cm))
-    overall_cm = score(pairs, gt, match_any_cwe=match_any_cwe)
-    return CweScorecard(per_cwe=per_cwe, overall=(overall_cm, compute_metrics(overall_cm)))
+    overall = sum((cm for cm, _ in per_cwe.values()), ConfusionMatrix(0, 0, 0, 0))
+    return CweScorecard(per_cwe=per_cwe, overall=(overall, compute_metrics(overall)))
 
 
 def compare(baseline: CweScorecard, candidate: CweScorecard) -> ScorecardComparison:

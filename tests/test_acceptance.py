@@ -20,9 +20,10 @@ import contextlib
 import json
 import math
 import random
+from collections import Counter
 
 from sastsieve.backends import CassetteRecorder, ScriptedBackend
-from sastsieve.benchmark import GroundTruth, GroundTruthEntry, load_ground_truth, summarize_distribution
+from sastsieve.benchmark import GroundTruth, GroundTruthEntry, load_ground_truth
 from sastsieve.cli import main
 from sastsieve.filter_agent import filter_findings, partition_batches
 from sastsieve.model import CweCategory, Provenance, TestCaseId
@@ -122,13 +123,13 @@ def test_criterion_2_ground_truth_fidelity():
     with criterion(2, "ground-truth fidelity over the full distribution"):
         gt = load_ground_truth(distribution_csv_bytes())
         assert len(gt) == 2740
-        assert gt.vulnerable_count == 1415
-        assert gt.safe_count == 1325
-        summary = summarize_distribution(gt)
-        for code, _, vulnerable, safe in CATEGORY_ROWS:
-            assert summary.per_cwe[code] == (vulnerable, safe), code
-        assert summary.per_cwe[89] == (272, 232)
-        assert summary.per_cwe[643] == (15, 20)
+        counts = Counter((e.cwe.code, e.is_vulnerable) for e in gt.entries.values())
+        assert sum(n for (_, vulnerable), n in counts.items() if vulnerable) == 1415
+        assert sum(n for (_, vulnerable), n in counts.items() if not vulnerable) == 1325
+        per_cwe = {code: (counts[code, True], counts[code, False]) for code, _ in counts}
+        assert per_cwe == {code: (vulnerable, safe) for code, _, vulnerable, safe in CATEGORY_ROWS}
+        assert per_cwe[89] == (272, 232)
+        assert per_cwe[643] == (15, 20)
 
 
 def _scorecard_from_f1(column: int) -> CweScorecard:

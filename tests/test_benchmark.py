@@ -1,12 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from sastsieve.benchmark import (
-    GroundTruthError,
-    load_ground_truth,
-    summarize_distribution,
-)
+from sastsieve.benchmark import GroundTruthError, load_ground_truth
 from sastsieve.model import TestCaseId
-from tests.conftest import CATEGORY_ROWS, TOTAL_CASES, TOTAL_SAFE, TOTAL_VULNERABLE
+from tests.conftest import TOTAL_CASES, TOTAL_SAFE, TOTAL_VULNERABLE
 
 
 def test_load_single_record():
@@ -20,8 +18,8 @@ def test_load_single_record():
 def test_load_full_distribution(distribution_csv):
     gt = load_ground_truth(distribution_csv)
     assert len(gt) == TOTAL_CASES
-    assert gt.vulnerable_count == TOTAL_VULNERABLE
-    assert gt.safe_count == TOTAL_SAFE
+    vulnerable = Counter(e.is_vulnerable for e in gt.entries.values())
+    assert (vulnerable[True], vulnerable[False]) == (TOTAL_VULNERABLE, TOTAL_SAFE)
 
 
 def test_load_empty_payload_is_an_error():
@@ -71,27 +69,3 @@ def test_load_accepts_unknown_cwe_codes_as_other():
     gt = load_ground_truth(b"BenchmarkTest00001,custom,true,9999\n")
     entry = gt.entries[TestCaseId("BenchmarkTest00001")]
     assert entry.cwe.code == 9999 and entry.cwe.name == "Other"
-
-
-def test_summarize_distribution_matches_published_table(ground_truth):
-    summary = summarize_distribution(ground_truth)
-    expected = {code: (vuln, safe) for code, _, vuln, safe in CATEGORY_ROWS}
-    assert dict(summary.per_cwe) == expected
-    assert summary.totals == (TOTAL_VULNERABLE, TOTAL_SAFE, TOTAL_CASES)
-    assert summary.per_cwe[89] == (272, 232)
-    assert summary.per_cwe[643] == (15, 20)
-
-
-def test_summarize_single_entry():
-    gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\n")
-    assert summarize_distribution(gt).per_cwe == {89: (1, 0)}
-    gt = load_ground_truth(b"BenchmarkTest00001,sqli,false,89\n")
-    assert summarize_distribution(gt).per_cwe == {89: (0, 1)}
-
-
-def test_summarize_totals_partition_entries(ground_truth):
-    summary = summarize_distribution(ground_truth)
-    vulnerable, safe, total = summary.totals
-    assert vulnerable + safe == total == len(ground_truth)
-    assert vulnerable == sum(v for v, _ in summary.per_cwe.values())
-    assert safe == sum(s for _, s in summary.per_cwe.values())
