@@ -124,9 +124,9 @@ def test_criterion_2_ground_truth_fidelity():
         gt = load_ground_truth(distribution_csv_bytes())
         assert len(gt) == 2740
         counts = Counter((e.cwe.code, e.is_vulnerable) for e in gt.entries.values())
-        assert sum(n for (_, vulnerable), n in counts.items() if vulnerable) == 1415
-        assert sum(n for (_, vulnerable), n in counts.items() if not vulnerable) == 1325
         per_cwe = {code: (counts[code, True], counts[code, False]) for code, _ in counts}
+        assert sum(vulnerable for vulnerable, _ in per_cwe.values()) == 1415
+        assert sum(safe for _, safe in per_cwe.values()) == 1325
         assert per_cwe == {code: (vulnerable, safe) for code, _, vulnerable, safe in CATEGORY_ROWS}
         assert per_cwe[89] == (272, 232)
         assert per_cwe[643] == (15, 20)
