@@ -17,8 +17,9 @@ import logging
 import os
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -84,36 +85,43 @@ class Batch:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """What reviewing one batch produced: verdicts, or a failure cause.
+    """Every verdict reviewing one batch decided, and the fallback for the rest.
 
-    ``records`` maps finding ids to the model's verdicts. ``unavailable``
-    holds the ids of findings whose source could not be read; they were
-    left out of the prompt and are retained fail-open. The backend was
-    called unless every finding of the batch is unavailable.
+    ``records`` maps finding ids to decided verdicts: the model's parsed
+    verdicts, and source_unavailable for findings left out of the prompt.
+    A finding without a record is retained fail-open under ``cause``: the
+    batch's failure, or missing_entry when the answer parsed. ``called``
+    says whether the backend was asked; ``latency`` is that call's time.
     """
 
-    records: Mapping[str, Verdict] | None
-    cause: FailOpenCause | None
-    latency: float
-    unavailable: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if (self.records is None) == (self.cause is None):
-            raise ValueError("outcome carries either records or a failure cause")
-        if self.cause in _PER_FINDING_CAUSES:
-            raise ValueError(f"{self.cause.value} is a per-finding cause, not a batch failure")
+    records: Mapping[str, Verdict]
+    cause: FailOpenCause
+    called: bool = True
+    latency: float = 0.0
 
     @classmethod
-    def parsed(cls, records: Mapping[str, Verdict], latency: float = 0.0) -> "BatchOutcome":
-        return cls(records=dict(records), cause=None, latency=latency)
+    def parsed(cls, records: Mapping[str, Verdict]) -> "BatchOutcome":
+        return cls(dict(records), FailOpenCause.MISSING_ENTRY)
 
     @classmethod
-    def failed(cls, cause: FailOpenCause | str, latency: float = 0.0) -> "BatchOutcome":
-        return cls(records=None, cause=FailOpenCause(cause), latency=latency)
+    def failed(cls, cause: FailOpenCause | str) -> "BatchOutcome":
+        cause = FailOpenCause(cause)
+        if cause in _PER_FINDING_CAUSES:
+            raise ValueError(f"{cause.value} is a per-finding cause, not a batch failure")
+        return cls({}, cause)
 
     @property
     def ok(self) -> bool:
-        return self.records is not None
+        """No batch failure: the answer parsed, or the backend was not called."""
+        return self.cause is FailOpenCause.MISSING_ENTRY
+
+
+@dataclass(frozen=True)
+class FailOpenEvent:
+    """One fail-open cause arising in a batch: per failed batch, or per finding."""
+
+    batch_index: int
+    cause: FailOpenCause
 
 
 @dataclass(frozen=True)
@@ -122,16 +130,13 @@ class FilterStats:
 
     batch_count: int
     llm_calls: int
-    fail_open_events: tuple[tuple[int, str], ...]  # (batch_index, cause)
+    fail_open_events: tuple[FailOpenEvent, ...]
     total_latency: float  # summed backend call time over all batches
     wall_time: float = 0.0  # wall-clock time of the whole filter stage
 
     @property
     def fail_open_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, cause in self.fail_open_events:
-            counts[cause] = counts.get(cause, 0) + 1
-        return counts
+        return dict(Counter(event.cause.value for event in self.fail_open_events))
 
 
 def default_template() -> str:
@@ -311,7 +316,7 @@ def _strip_fences(raw: str) -> str:
     return text
 
 
-def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOutcome:
+def parse_llm_response(raw: str, batch: Batch) -> BatchOutcome:
     """Validate the backend's raw text against the verdict schema.
 
     Failure is a value: anything that is not exactly one JSON object of the
@@ -322,22 +327,22 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
     try:
         document = json.loads(_strip_fences(raw))
     except (ValueError, RecursionError):  # ValueError also covers over-long integers
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
+        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
+        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
 
     known_ids = {finding.id for finding in batch.findings}
     records: dict[str, Verdict] = {}
     for item in document["results"]:
         if not isinstance(item, dict) or not isinstance(item.get("finding_id"), str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
         try:
             classification = Classification(item.get("classification"))
         except ValueError:
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
         rationale = item.get("rationale", "")
         if not isinstance(rationale, str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE, latency)
+            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
         fid = item["finding_id"]
         if fid not in known_ids:
             log.warning("batch %d: dropping verdict for unknown finding id %r", batch.index, fid)
@@ -346,40 +351,30 @@ def parse_llm_response(raw: str, batch: Batch, latency: float = 0.0) -> BatchOut
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
         records[fid] = Verdict.llm(classification, replace_surrogates(rationale))
-    return BatchOutcome.parsed(records, latency)
+    return BatchOutcome.parsed(records)
 
 
 def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]:
     """Attach verdicts to every finding of the batch, exactly once each.
 
-    Findings whose source was unavailable are retained fail-open
-    (source_unavailable). Otherwise a failed outcome retains the finding
-    fail-open under the batch's cause, and a parsed outcome suppresses
-    findings named false positive, retains findings named true positive,
-    and retains unnamed findings fail-open (missing_entry).
+    A finding takes its decided verdict, or else is retained fail-open under
+    the outcome's fallback cause.
     """
-    result = []
-    for finding in batch.findings:
-        if finding.id in outcome.unavailable:
-            verdict = Verdict.fail_open(FailOpenCause.SOURCE_UNAVAILABLE)
-        elif not outcome.ok:
-            verdict = Verdict.fail_open(outcome.cause)
-        elif finding.id in outcome.records:
-            verdict = outcome.records[finding.id]
-        else:
-            verdict = Verdict.fail_open(FailOpenCause.MISSING_ENTRY)
-        result.append(FilteredFinding(finding, verdict, batch.index))
-    return result
+    fallback = Verdict.fail_open(outcome.cause)
+    return [
+        FilteredFinding(finding, outcome.records.get(finding.id, fallback), batch.index)
+        for finding in batch.findings
+    ]
 
 
-def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], frozenset[str]]:
+def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], dict[str, Verdict]]:
     """Each distinct source file of the batch, read once.
 
-    Returns the texts by file path and the ids of findings whose file is
-    missing, unreadable or outside the root.
+    Returns the texts by file path and a source_unavailable verdict for each
+    finding whose file is missing, unreadable or outside the root.
     """
     if root is None:
-        return {}, frozenset()
+        return {}, {}
     real_root = os.path.realpath(root)
     texts: dict[str, str] = {}
     unreadable: set[str] = set()
@@ -392,7 +387,8 @@ def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], froz
         except (OSError, ValueError) as exc:
             log.warning("batch %d: source context unavailable: %s", batch.index, exc)
             unreadable.add(path)
-    return texts, frozenset(f.id for f in batch.findings if f.file_path in unreadable)
+    verdict = Verdict.fail_open(FailOpenCause.SOURCE_UNAVAILABLE)
+    return texts, {f.id: verdict for f in batch.findings if f.file_path in unreadable}
 
 
 def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOutcome:
@@ -401,11 +397,11 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
     Findings whose source is unavailable are left out of the prompt; when
     that leaves none, the backend is not called.
     """
-    sources, unavailable = _read_sources(batch, plan.target_root)
-    if len(unavailable) == len(batch.findings):
-        return replace(BatchOutcome.parsed({}), unavailable=unavailable)
-    if unavailable:
-        batch = Batch(batch.index, tuple(f for f in batch.findings if f.id not in unavailable))
+    sources, left_out = _read_sources(batch, plan.target_root)
+    sent = tuple(f for f in batch.findings if f.id not in left_out)
+    if not sent:
+        return BatchOutcome(left_out, FailOpenCause.MISSING_ENTRY, called=False)
+    batch = Batch(batch.index, sent)
     request = build_prompt(
         batch,
         template,
@@ -427,8 +423,8 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
         log.error("batch %d: unexpected backend error: %s", batch.index, exc)
         cause = FailOpenCause.TRANSPORT_ERROR
     latency = time.perf_counter() - started
-    outcome = BatchOutcome.failed(cause, latency) if cause else parse_llm_response(raw, batch, latency)
-    return replace(outcome, unavailable=unavailable)
+    outcome = BatchOutcome.failed(cause) if cause else parse_llm_response(raw, batch)
+    return replace(outcome, records={**outcome.records, **left_out}, latency=latency)
 
 
 def filter_findings(
@@ -455,10 +451,10 @@ def filter_findings(
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []
-    events: list[tuple[int, str]] = []
+    events: list[FailOpenEvent] = []
     for batch, outcome in zip(batches, outcomes):
         if not outcome.ok:
-            events.append((batch.index, outcome.cause.value))
+            events.append(FailOpenEvent(batch.index, outcome.cause))
         for filtered in apply_verdicts(batch, outcome):
             cause = filtered.verdict.cause
             if cause is not None and not plan.fail_open_enabled:
@@ -467,7 +463,7 @@ def filter_findings(
                     f"({cause.value}) with fail-open disabled"
                 )
             if cause in _PER_FINDING_CAUSES:
-                events.append((batch.index, cause.value))
+                events.append(FailOpenEvent(batch.index, cause))
             if filtered.verdict.retained:
                 retained.append(filtered)
             else:
@@ -475,7 +471,7 @@ def filter_findings(
 
     stats = FilterStats(
         batch_count=len(batches),
-        llm_calls=sum(len(o.unavailable) < len(b.findings) for b, o in zip(batches, outcomes)),
+        llm_calls=sum(outcome.called for outcome in outcomes),
         fail_open_events=tuple(events),
         total_latency=sum(o.latency for o in outcomes),
         wall_time=time.perf_counter() - started,

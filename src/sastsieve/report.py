@@ -186,14 +186,6 @@ def _codec(tp: object) -> tuple[Callable, Callable]:
             lambda value: [encode(item) for item in value],
             lambda doc: tuple(decode(item) for item in _expect(doc, list)),
         )
-    if origin is tuple:  # fixed length, such as a (batch_index, cause) event
-        codecs = [_codec(arg) for arg in args]
-        return (
-            lambda value: [encode(item) for (encode, _), item in zip(codecs, value)],
-            lambda doc: tuple(
-                decode(item) for (_, decode), item in zip(codecs, _expect(doc, list), strict=True)
-            ),
-        )
     if origin is abc.Mapping:
         key, (encode, decode) = args[0], _codec(args[1])
         return (
@@ -233,9 +225,7 @@ def _record_codec(cls: type) -> tuple[Callable, Callable]:
     return encode, decode
 
 
-# Where each Report field sits in the document, as (document path, field
-# path). A fail-open event, a (batch_index, cause) pair in the stats, is
-# written as an object with those two keys.
+# Where each Report field sits in the document: (document path, field path).
 _LAYOUT = (
     (("run_id",), ("run_id",)),
     (("plan",), ("plan_summary",)),
@@ -270,9 +260,6 @@ def render_json(report: Report) -> bytes:
     """Canonical JSON rendering: sorted keys, versioned, newline-terminated."""
     fields = _codec(Report)[0](report)
     doc = _move(fields, {"schema_version": SCHEMA_VERSION}, ((f, d) for d, f in _LAYOUT))
-    doc["fail_open_events"] = [
-        {"batch_index": index, "cause": cause} for index, cause in doc["fail_open_events"]
-    ]
     return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
@@ -292,9 +279,6 @@ def load_report(payload: bytes | str) -> Report:
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ReportFormatError("unsupported or missing report schema_version")
     try:
-        doc["fail_open_events"] = [
-            [event["batch_index"], event["cause"]] for event in doc["fail_open_events"]
-        ]
         return _codec(Report)[1](_move(doc, {}, _LAYOUT))
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc

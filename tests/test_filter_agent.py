@@ -21,6 +21,7 @@ from sastsieve.backends import (
 from sastsieve.filter_agent import (
     Batch,
     BatchOutcome,
+    FailOpenEvent,
     FilterError,
     LlmRequest,
     apply_verdicts,
@@ -355,10 +356,9 @@ def test_missing_record_retains_fail_open():
 
 
 def test_batch_outcome_validation():
-    with pytest.raises(ValueError):
-        BatchOutcome(records=None, cause=None, latency=0.0)
-    with pytest.raises(ValueError):
-        BatchOutcome.failed(FailOpenCause.MISSING_ENTRY)
+    for cause in (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE):
+        with pytest.raises(ValueError, match="per-finding cause"):
+            BatchOutcome.failed(cause)
 
 
 # --- filter_findings --------------------------------------------------------
@@ -559,7 +559,7 @@ def test_missing_source_file_retains_only_its_findings(tmp_path):
     assert retained[0].verdict.cause is FailOpenCause.SOURCE_UNAVAILABLE
     assert [ff.finding for ff in suppressed] == [findings[0], findings[2]]
     assert findings[1].id not in spy.requests[0].user_text
-    assert stats.fail_open_events == ((0, "source_unavailable"),)
+    assert stats.fail_open_events == (FailOpenEvent(0, FailOpenCause.SOURCE_UNAVAILABLE),)
 
 
 def test_batch_without_any_source_skips_the_call(tmp_path):

@@ -32,7 +32,7 @@ from sastsieve.report import (
     render_json,
     render_text,
 )
-from sastsieve.filter_agent import FilterStats
+from sastsieve.filter_agent import FailOpenEvent, FilterStats
 from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
@@ -72,7 +72,7 @@ def golden_report() -> Report:
         stats=FilterStats(
             batch_count=2,
             llm_calls=2,
-            fail_open_events=((1, "missing_entry"),),
+            fail_open_events=(FailOpenEvent(1, FailOpenCause.MISSING_ENTRY),),
             total_latency=0.75,
             wall_time=0.5,
         ),
@@ -181,7 +181,11 @@ def test_text_report_zero_suppressed_reads_none():
 
 
 def test_text_report_lists_fail_open_causes():
-    events = ((0, "timeout"), (2, "malformed_response"), (3, "timeout"))
+    events = (
+        FailOpenEvent(0, FailOpenCause.TIMEOUT),
+        FailOpenEvent(2, FailOpenCause.MALFORMED_RESPONSE),
+        FailOpenEvent(3, FailOpenCause.TIMEOUT),
+    )
     stats = FilterStats(batch_count=4, llm_calls=4, fail_open_events=events, total_latency=1.0)
     finding = make_finding(1)
     retained = tuple(
@@ -236,7 +240,8 @@ def test_fail_open_events_survive_round_trip(tmp_path):
     report = mission_report(tmp_path, backend=FailingBackend())
     doc = json.loads(render_json(report))
     assert doc["fail_open_events"] == [{"batch_index": 0, "cause": "transport_error"}]
-    assert load_report(render_json(report)).stats.fail_open_events == ((0, "transport_error"),)
+    events = load_report(render_json(report)).stats.fail_open_events
+    assert events == (FailOpenEvent(0, FailOpenCause.TRANSPORT_ERROR),)
 
 
 def test_detections_of_uses_kept_findings_with_test_ids():
