@@ -397,3 +397,24 @@ assert "requests" in sys.modules
 def test_building_a_live_backend_loads_the_http_client():
     proc = run_python(BUILD_THEN_CHECK)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_live_run_records_the_model_it_took_from_the_environment(
+    tmp_path, chat_server, monkeypatch, capsys
+):
+    scan = saved_scan(tmp_path, benchmark_results(1))
+    answer = {"results": [{"finding_id": only_finding_id(scan), "classification": "true_positive"}]}
+    chat_server.plan = [("ok", json.dumps(answer))]
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", f"http://127.0.0.1:{chat_server.server_address[1]}")
+    monkeypatch.setenv("QSC_MODEL", "env-model")
+    cassette = tmp_path / "c.json"
+    common = ["--scan-json", scan, "--cassette", str(cassette), "--out-text", str(tmp_path / "r.txt")]
+    live, replayed = tmp_path / "live.json", tmp_path / "replay.json"
+    assert main(["run", "--backend", "live", *common, "--out-json", str(live)]) == 0
+    assert chat_server.last_body["model"] == "env-model"
+    assert json.loads(live.read_bytes())["plan"]["model_id"] == "env-model"
+    monkeypatch.delenv("QSC_MODEL")
+    assert main(["replay", *common, "--model", "env-model", "--out-json", str(replayed)]) == 0
+    assert json.loads(replayed.read_bytes())["fail_open_events"] == []
+    assert chat_server.hits == 1

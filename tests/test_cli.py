@@ -710,3 +710,85 @@ def test_replay_with_an_undecodable_model_logs_a_cassette_miss(tmp_path, caplog)
     assert code == 0
     assert "no recorded response" in caplog.text
     assert "unexpected backend error" not in caplog.text
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("exit_status", [0, 1])
+@pytest.mark.parametrize(
+    "stdout",
+    [pytest.param("[" * 200_000, id="nested-too-deep"), pytest.param("1" * 5000, id="long-integer")],
+)
+def test_pathological_scanner_output_exits_two_with_one_error_line(
+    tmp_path, capsys, exit_status, stdout
+):
+    from tests.test_pipeline import fake_scanner
+
+    scanner = fake_scanner(tmp_path, exit_code=exit_status, stdout=stdout)
+    code = main(
+        [
+            "run",
+            "--target", str(tmp_path),
+            "--scanner-cmd", scanner,
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    errors = [line for line in err.splitlines() if line.startswith(("scanner error:", "scanner output error:"))]
+    assert len(errors) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, backend",
+    [
+        (["run", "--backend", "scripted"], "--cassette", "scripted"),
+        (["replay"], "--verdicts", "replay"),
+        (["run", "--backend", "live"], "--verdicts", "live"),
+    ],
+)
+def test_a_flag_of_another_backend_exits_one_before_the_scan(
+    tmp_path, monkeypatch, capsys, command, flag, backend
+):
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    files = {"--cassette": tmp_path / "c.json", "--verdicts": tmp_path / "v.json"}
+    files["--cassette"].write_text("[]")
+    files["--verdicts"].write_text("{}")
+    if flag == "--verdicts" and backend == "replay":
+        command = [*command, "--cassette", str(files["--cassette"])]
+    code = exit_code(
+        [
+            *command,
+            "--scan-json", str(tmp_path / "absent.json"),
+            flag, str(files[flag]),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert flag in line and backend in line
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-retained", "--max-suppressed"])
+def test_report_refuses_a_negative_list_cap(capsys, flag):
+    from tests.test_report import GOLDEN
+
+    code = exit_code(["report", "--in", str(GOLDEN / "report.json"), flag, "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert flag in line
+    assert "retained (top" not in out

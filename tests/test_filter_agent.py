@@ -19,6 +19,7 @@ from sastsieve.backends import (
     ScriptedBackend,
 )
 from sastsieve.filter_agent import (
+    _TRUNCATION_MARKER,
     Batch,
     BatchOutcome,
     FailOpenEvent,
@@ -151,6 +152,21 @@ def test_window_clamps_lines_beyond_eof(tmp_path):
     window = read_source_context(finding, tmp_path, budget=500)
     assert "row 0299" in window  # clamped to the last line
     assert len(window) <= 500
+
+
+def test_window_splits_lines_only_at_lf_cr_and_crlf(tmp_path):
+    # Java ends a line only at LF, CR or CRLF (JLS 3.4), and scanner line
+    # numbers count the same way: a form feed, vertical tab, \x1c-\x1e, NEL,
+    # U+2028 or U+2029 is part of its line.
+    odd = "\f\x0b\x1c\x1d\x1e\x85\u2028\u2029"
+    lines = [f"row {n:03d} {odd[n % 8] if 11 <= n <= 30 else ''}{'x' * 40}\n" for n in range(1, 301)]
+    (tmp_path / "Odd.java").write_text("".join(lines), encoding="utf-8")
+    finding = make_finding(1, file_path="Odd.java", start_line=200, end_line=200)
+    window = read_source_context(finding, tmp_path, budget=2000)
+    shown = window.replace(_TRUNCATION_MARKER, "")
+    first = lines.index(shown[: shown.index("\n") + 1])
+    assert shown == "".join(lines[first : first + shown.count("\n")])
+    assert first <= 199 < first + shown.count("\n")
 
 
 # --- build_prompt -----------------------------------------------------------
