@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .backends import (
@@ -67,6 +68,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
+
+
+def _count(text: str) -> int:
+    """A non-negative integer flag value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, scoring: bool = True) -> None:
@@ -129,14 +138,21 @@ def _write(path: Path | str, data: bytes) -> None:
     path.write_bytes(data)
 
 
-def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> LlmBackend:
+def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[LlmBackend, MissionPlan]:
+    """The backend the flags select, and the plan with the model it will ask for."""
+    if args.verdicts and args.backend != "scripted":
+        raise BackendConfigError(f"--verdicts belongs to the scripted backend, not {args.backend}")
     if args.backend == "live":
         live = LiveBackend(model_id=plan.model_id, timeout=plan.timeout)
-        return CassetteRecorder(live, args.cassette) if args.cassette else live
+        # The model may come from the environment; requests, cassette and report name it.
+        plan = replace(plan, model_id=live.model_id)
+        return (CassetteRecorder(live, args.cassette) if args.cassette else live), plan
     if args.backend == "replay":
         if not args.cassette:
             raise BackendConfigError("--cassette is required with the replay backend")
-        return ReplayBackend(args.cassette)
+        return ReplayBackend(args.cassette), plan
+    if args.cassette:
+        raise BackendConfigError("--cassette belongs to the live and replay backends, not scripted")
     verdicts = {}
     if args.verdicts:
         verdicts = read_input("verdicts", args.verdicts, json.loads)
@@ -145,13 +161,12 @@ def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> LlmBackend:
     # With no script the scripted backend behaves as a conservative
     # retain-everything reviewer.
     default = None if verdicts else "true_positive"
-    return ScriptedBackend(verdicts, default=default)
+    return ScriptedBackend(verdicts, default=default), plan
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        plan = plan_mission(_mission_config(args))
-        backend = _build_backend(args, plan)
+        backend, plan = _build_backend(args, plan_mission(_mission_config(args)))
     except (ConfigError, BackendConfigError, CassetteError):
         args.parser.print_usage(sys.stderr)
         raise
@@ -262,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--in", dest="input", required=True, help="JSON report file")
     rep.add_argument("--out-json", help="rewrite canonical JSON here")
     rep.add_argument("--out-text", help="write the text report here instead of stdout")
-    rep.add_argument("--max-retained", type=int, default=20, help="retained findings shown in text")
-    rep.add_argument("--max-suppressed", type=int, default=10, help="suppressed findings shown in text")
+    rep.add_argument("--max-retained", type=_count, default=20, help="retained findings shown in text")
+    rep.add_argument("--max-suppressed", type=_count, default=10, help="suppressed findings shown in text")
     rep.set_defaults(func=cmd_report)
 
     replay = sub.add_parser("replay", help="rerun a mission from a recorded cassette")

@@ -12,6 +12,7 @@ file once.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -207,7 +208,9 @@ def _file_context(text: str, findings: Sequence[Finding], budget: int) -> str:
     """
     if len(text) <= budget:
         return text
-    lines = text.splitlines(keepends=True)
+    # Lines end only at LF, CR and CRLF, as in Java and in scanner line
+    # numbers; str.splitlines would also split at form feeds and U+2028.
+    lines = io.StringIO(text, newline="").readlines()
     parts = []
     shown = 0  # index of the first line not yet shown
     for lo, hi in sorted(_line_window(lines, f, budget) for f in findings):

@@ -8,7 +8,6 @@ faults never abort a mission while fail-open is enabled.
 
 from __future__ import annotations
 
-import json
 import logging
 import subprocess
 import typing
@@ -26,7 +25,7 @@ from .filter_agent import (
     default_template,
     filter_findings,
 )
-from .ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
+from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 from .model import FilteredFinding, Finding, Verdict, replace_surrogates
 
 log = logging.getLogger(__name__)
@@ -196,15 +195,12 @@ def run_scanner(plan: MissionPlan) -> bytes:
         raise ScannerError(f"scanner timed out: {exc}") from exc
     if proc.returncode != 0:
         try:
-            document = json.loads(proc.stdout.decode("utf-8", errors="replace"))
-            parseable = isinstance(document, dict) and isinstance(document.get("results"), list)
-        except json.JSONDecodeError:
-            parseable = False
-        if not parseable:
+            parse_scanner_output(proc.stdout)
+        except ScannerOutputError as exc:
             stderr_tail = proc.stderr.decode("utf-8", errors="replace")[-2000:]
             raise ScannerError(
                 f"scanner exited with {proc.returncode} and no parseable output:\n{stderr_tail}"
-            )
+            ) from exc
         log.info("scanner exited %d but produced parseable output; continuing", proc.returncode)
     return proc.stdout
 

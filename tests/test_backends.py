@@ -334,6 +334,7 @@ def test_live_answer_with_a_lone_surrogate_is_recorded_and_replayed(
                 "run",
                 "--scan-json", scan,
                 "--backend", backend,
+                "--model", "m",  # a replay asks for the model the recording used
                 "--cassette", str(cassette),
                 "--out-json", str(out_json),
                 "--out-text", str(tmp_path / "r.txt"),
