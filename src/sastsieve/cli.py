@@ -70,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _count(text: str) -> int:
+def non_negative_int(text: str) -> int:
     """A non-negative integer flag value."""
     value = int(text)
     if value < 0:
@@ -277,8 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--in", dest="input", required=True, help="JSON report file")
     rep.add_argument("--out-json", help="rewrite canonical JSON here")
     rep.add_argument("--out-text", help="write the text report here instead of stdout")
-    rep.add_argument("--max-retained", type=_count, default=20, help="retained findings shown in text")
-    rep.add_argument("--max-suppressed", type=_count, default=10, help="suppressed findings shown in text")
+    rep.add_argument(
+        "--max-retained", type=non_negative_int, default=20, help="retained findings shown in text"
+    )
+    rep.add_argument(
+        "--max-suppressed", type=non_negative_int, default=10, help="suppressed findings shown in text"
+    )
     rep.set_defaults(func=cmd_report)
 
     replay = sub.add_parser("replay", help="rerun a mission from a recorded cassette")
