@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -24,7 +25,8 @@ from sastsieve.backends import (
     request_digest,
 )
 from sastsieve.cli import main
-from sastsieve.filter_agent import LlmRequest, build_prompt, default_template
+from sastsieve.filter_agent import LlmRequest, build_prompt, default_template, filter_findings
+from sastsieve.pipeline import MissionPlan
 from tests.conftest import make_finding
 from tests.test_cli import only_finding_id, record_cassette
 from tests.test_filter_agent import StaticBackend, batch_of
@@ -51,6 +53,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.server.last_headers = dict(self.headers)
         length = int(self.headers.get("Content-Length", 0))
         self.server.last_body = json.loads(self.rfile.read(length) or b"{}")
+        self.server.bodies.append(self.server.last_body)
 
         step = plan.pop(0) if plan else ("ok", None)
         kind, value = step
@@ -86,6 +89,7 @@ def chat_server():
     server.hits = 0
     server.last_headers = {}
     server.last_body = {}
+    server.bodies = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -146,6 +150,17 @@ def test_live_backend_bounded_retries(chat_server):
     with pytest.raises(BackendError):
         backend.complete(request_for())
     assert chat_server.hits == 3  # initial call + 2 retries, never more
+
+
+def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server):
+    # One slot: batch 0's 503 must not keep it through the backoff.
+    chat_server.plan = [("status", 503)]
+    backend = live_backend(chat_server, backoff=(0.3,))
+    findings = [make_finding(0), make_finding(1)]
+    plan = MissionPlan(batch_size=1, parallelism=1)
+    filter_findings(findings, backend, plan, default_template())
+    sent = [re.findall(r"### Finding (\S+)", body["messages"][1]["content"]) for body in chat_server.bodies]
+    assert sent == [["f000000"], ["f000001"], ["f000000"]]
 
 
 def test_live_backend_no_retry_on_4xx(chat_server):
