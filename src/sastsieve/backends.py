@@ -4,7 +4,9 @@ Every backend exposes one method, ``complete(request) -> str``, returning
 the model's raw text. Failures raise BackendError (transport) or
 BackendTimeoutError; callers in the filter absorb both as fail-open. All
 backends are safe to call from multiple threads. ``LlmRequest`` is what the
-filter sends; ``request_digest`` keys it in cassettes.
+filter sends; ``request_digest`` keys it in cassettes. A thread that calls a
+backend may hold a model slot (``holding_slot``); ``backoff`` gives the slot
+up while it waits to retry.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .model import Classification, replace_surrogates
 
@@ -32,6 +35,41 @@ DEFAULT_TIMEOUT = 60.0
 MAX_OUTPUT_TOKENS = 4096  # sent as max_tokens; in every request digest, so fixed
 MAX_RETRIES = 2
 BACKOFF_SECONDS = (1.0, 4.0)
+
+# The model slot the calling thread holds, if any (see holding_slot).
+_slot = threading.local()
+
+
+@contextmanager
+def holding_slot(slot: threading.Semaphore) -> Iterator[None]:
+    """Run the body on a slot the caller already took; give it back at the end.
+
+    While the body waits out a retry backoff, the slot is free for another
+    request.
+    """
+    _slot.held = slot
+    try:
+        yield
+    finally:
+        _slot.held = None
+        slot.release()
+
+
+def backoff(seconds: float) -> None:
+    """Wait ``seconds`` before a retry without holding the thread's model slot.
+
+    The slot is taken again before the next attempt. A thread holding no
+    slot, such as a backend used outside the filter, just sleeps.
+    """
+    slot = getattr(_slot, "held", None)
+    if slot is None:
+        time.sleep(seconds)
+        return
+    slot.release()
+    try:
+        time.sleep(seconds)
+    finally:
+        slot.acquire()
 
 
 @dataclass(frozen=True)
@@ -147,7 +185,7 @@ class LiveBackend(LlmBackend):
         last_error: BackendError | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff[min(attempt - 1, len(self.backoff) - 1)])
+                backoff(self.backoff[min(attempt - 1, len(self.backoff) - 1)])
             try:
                 response = requests.post(
                     self._url(), json=body, headers=headers, timeout=self.timeout

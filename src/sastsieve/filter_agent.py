@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .backends import BackendError, BackendTimeoutError, LlmRequest
+from .backends import BackendError, BackendTimeoutError, LlmRequest, holding_slot
 from .model import (
     Classification,
     FailOpenCause,
@@ -440,6 +441,9 @@ def filter_findings(
 
     The plan gives the batch size, parallelism, source root, context budget,
     model and fail-open setting; ``template`` is the prompt template's text.
+    The findings are planned into batches, dispatched with at most
+    ``plan.parallelism`` model requests in flight, and collected in batch
+    order.
     The union of retained and suppressed is exactly the input; ordering
     follows the original finding order regardless of batch completion
     order. All backend failures are absorbed as fail-open retention unless
@@ -449,8 +453,21 @@ def filter_findings(
     started = time.perf_counter()
     batches = partition_batches(findings, plan.batch_size)
 
-    with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
-        outcomes = list(pool.map(lambda b: _review(b, backend, template, plan), batches))
+    # Parallelism bounds the model requests in flight, not the threads: each
+    # batch is submitted holding one of the slots, and a batch waiting out a
+    # retry backoff lends its slot to the next one.
+    slots = threading.Semaphore(plan.parallelism)
+
+    def review(batch: Batch) -> BatchOutcome:
+        with holding_slot(slots):
+            return _review(batch, backend, template, plan)
+
+    with ThreadPoolExecutor(max_workers=max(1, len(batches))) as pool:
+        futures = []
+        for batch in batches:
+            slots.acquire()
+            futures.append(pool.submit(review, batch))
+        outcomes = [future.result() for future in futures]
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []

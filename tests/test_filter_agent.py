@@ -462,20 +462,27 @@ def test_scripted_backend_without_entry_yields_missing_entry():
 
 def test_conservation_and_order_with_concurrency():
     class JitterBackend:
+        def __init__(self):
+            self.threads = set()
+
         def complete(self, request):
+            self.threads.add(threading.get_ident())
             time.sleep(random.random() * 0.01)
             return json.dumps({"results": []})
 
     findings = [make_finding(i) for i in range(64)]
+    backend = JitterBackend()
     retained, suppressed, stats = filter_findings(
         findings,
-        JitterBackend(),
+        backend,
         MissionPlan(batch_size=5, parallelism=4),
         BARE_TEMPLATE,
     )
     assert [ff.finding for ff in retained] == findings  # original order, all kept
     assert suppressed == []
     assert stats.batch_count == 13
+    # Without a backoff, no batch waits on a slot, so no thread beyond the four starts.
+    assert len(backend.threads) <= 4
 
 
 def test_fail_open_disabled_raises_on_batch_failure():

@@ -2,12 +2,14 @@
 
 A seeded backend injects a fault chosen per request (a good answer, an
 omitted, duplicated or unknown entry, malformed JSON, a lone surrogate in
-a rationale, a transport error or a timeout) over a source tree with missing
-files, an out-of-root symlink and files over the context budget. The
-oracle reads only that log and the tree: a finding is suppressed exactly
-when a well-formed answer for a request that listed it named it a false
-positive first, and every other finding is retained under the cause the
-injector chose.
+a rationale, a transport error or a timeout), sometimes after waiting out
+one or two retry backoffs, over a source tree with missing files, an
+out-of-root symlink and files over the context budget. The oracle reads
+only that log and the tree: a finding is suppressed exactly when a
+well-formed answer for a request that listed it named it a false positive
+first, and every other finding is retained under the cause the injector
+chose. The model attempts in flight, outside a backoff, never exceed the
+plan's parallelism.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 
-from sastsieve.backends import BackendError, BackendTimeoutError
+from sastsieve.backends import BackendError, BackendTimeoutError, backoff
 from sastsieve.filter_agent import default_template, filter_findings
 from sastsieve.model import Classification, FailOpenCause, Provenance
 from sastsieve.pipeline import MissionPlan
@@ -29,25 +32,47 @@ SEEDS = range(60)
 RAISES = {"transport": FailOpenCause.TRANSPORT_ERROR, "timeout": FailOpenCause.TIMEOUT}
 WELL_FORMED = ("good", "omit", "duplicate", "unknown", "surrogate")
 ACTIONS = WELL_FORMED + ("malformed",) + tuple(RAISES)
+# Not an answer: wait out a backoff, then draw again (at most twice).
+BACKOFF = "backoff"
 
 
 class FaultInjector:
     """Answers each request by a fault drawn from the seed and the request's ids.
 
     Every call is logged as (request, action, answer text or None), so the
-    oracle sees exactly what the filter was told.
+    oracle sees exactly what the filter was told. ``peak`` is the most
+    attempts that were ever in flight at once, counted outside backoffs.
     """
 
     def __init__(self, seed: int, all_ids: list[str]):
         self.seed = seed
         self.all_ids = all_ids
         self.log: list[tuple[object, str, str | None]] = []
+        self.in_flight = 0
+        self.peak = 0
         self._lock = threading.Lock()
+
+    def _count(self, change: int) -> None:
+        with self._lock:
+            self.in_flight += change
+            self.peak = max(self.peak, self.in_flight)
 
     def complete(self, request):
         rng = random.Random(f"{self.seed}:{','.join(request.finding_ids)}")
-        action = rng.choice(ACTIONS)
-        text = None if action in RAISES else self._answer(rng, action, list(request.finding_ids))
+        self._count(1)
+        try:
+            action = rng.choice(ACTIONS + (BACKOFF,))
+            waits = 0
+            while action == BACKOFF:
+                waits += 1
+                self._count(-1)
+                backoff(rng.uniform(0.001, 0.004))
+                self._count(1)
+                action = rng.choice(ACTIONS + (BACKOFF,) * (waits < 2))
+            time.sleep(0.001)  # an attempt takes a while, so attempts overlap
+            text = None if action in RAISES else self._answer(rng, action, list(request.finding_ids))
+        finally:
+            self._count(-1)
         with self._lock:
             self.log.append((request, action, text))
         if action == "transport":
@@ -166,3 +191,4 @@ def test_filter_keeps_its_promise_under_injected_faults(tmp_path):
                 assert "\ud800" not in verdict.rationale
 
         assert stats.llm_calls == len(backend.log), seed
+        assert backend.peak <= plan.parallelism, (seed, backend.peak)
