@@ -1,3 +1,4 @@
+import email.utils
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from sastsieve import backends
 from sastsieve.backends import (
     BackendConfigError,
     BackendError,
@@ -61,7 +63,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
             time.sleep(value)
             kind, value = "ok", None
         if kind == "status":
-            self.send_response(value)
+            code, headers = value if isinstance(value, tuple) else (value, {})
+            self.send_response(code)
+            for name, text in headers.items():
+                self.send_header(name, text)
             self.end_headers()
             self.wfile.write(b"upstream error")
             return
@@ -161,6 +166,56 @@ def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server):
     filter_findings(findings, backend, plan, default_template())
     sent = [re.findall(r"### Finding (\S+)", body["messages"][1]["content"]) for body in chat_server.bodies]
     assert sent == [["f000000"], ["f000001"], ["f000000"]]
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The backoffs a live backend asks for, recorded instead of slept."""
+    asked = []
+    monkeypatch.setattr(backends, "backoff", asked.append)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, wait",
+    [
+        (503, "3", 3.0),  # delay-seconds longer than the scheduled backoff
+        (429, "30", 30.0),  # the cap itself is still waited out
+        (429, "0", 0.5),  # the scheduled backoff when it is longer
+        (503, "Thu, 01 Jan 1970 00:00:00 GMT", 0.5),  # a date in the past
+        (503, "soon", 0.5),  # unparseable: ignored
+        (503, "-3", 0.5),
+        (500, "3", 0.5),  # only 429 and 503 are read
+    ],
+)
+def test_live_backend_waits_out_retry_after(chat_server, waits, status, retry_after, wait):
+    chat_server.plan = [("status", (status, {"Retry-After": retry_after})), ("ok", "fine")]
+    backend = live_backend(chat_server, backoff=(0.5,))
+    assert backend.complete(request_for()) == "fine"
+    assert waits == [wait]
+
+
+def test_live_backend_reads_retry_after_as_an_http_date(chat_server, waits):
+    date = email.utils.formatdate(time.time() + 10, usegmt=True)
+    chat_server.plan = [("status", (503, {"Retry-After": date})), ("ok", "fine")]
+    backend = live_backend(chat_server, backoff=(0.5,))
+    assert backend.complete(request_for()) == "fine"
+    [wait] = waits
+    assert 8.0 <= wait <= 10.0
+
+
+@pytest.mark.parametrize(
+    "retry_after",
+    ["31", "9" * 5000, email.utils.formatdate(time.time() + 3600, usegmt=True)],
+    ids=["31", "5000-digits", "an-hour-ahead"],
+)
+def test_live_backend_gives_up_when_retry_after_is_over_the_cap(chat_server, waits, retry_after):
+    chat_server.plan = [("status", (429, {"Retry-After": retry_after})), ("ok", "fine")]
+    backend = live_backend(chat_server)
+    with pytest.raises(BackendError, match="Retry-After") as raised:
+        backend.complete(request_for())
+    assert type(raised.value) is BackendError  # a transport error, not a timeout
+    assert chat_server.hits == 1 and waits == []
 
 
 def test_live_backend_no_retry_on_4xx(chat_server):
@@ -269,8 +324,9 @@ def test_replay_miss_fails_the_call(tmp_path):
     cassette = tmp_path / "cassette.json"
     cassette.write_text("[]")
     replay = ReplayBackend(cassette)
-    with pytest.raises(CassetteMissError):
-        replay.complete(request_for())
+    # A cassette replays only under the model it was recorded with; say which was asked for.
+    with pytest.raises(CassetteMissError, match="model 'other-model'"):
+        replay.complete(request_for(model="other-model"))
 
 
 def test_replay_missing_or_malformed_cassette(tmp_path):
