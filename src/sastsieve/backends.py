@@ -35,6 +35,7 @@ DEFAULT_TIMEOUT = 60.0
 MAX_OUTPUT_TOKENS = 4096  # sent as max_tokens; in every request digest, so fixed
 MAX_RETRIES = 2
 BACKOFF_SECONDS = (1.0, 4.0)
+MAX_RETRY_AFTER = 30.0  # seconds; a longer Retry-After ends the batch instead
 
 # The model slot the calling thread holds, if any (see holding_slot).
 _slot = threading.local()
@@ -129,6 +130,28 @@ def request_digest(request: LlmRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _retry_after(value: str | None) -> float:
+    """The wait a Retry-After header asks for, in seconds (RFC 9110 §10.2.3).
+
+    The value is delay-seconds or an HTTP-date; a date in the past asks for
+    no wait, and a missing or unparseable value is ignored (0).
+    """
+    value = (value or "").strip()
+    if value.isascii() and value.isdigit():
+        return float(value)  # inf for an absurd number of digits, never an error
+    # Imported here, like requests, to keep them out of every run's set-up.
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        date = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if date.tzinfo is None:  # "-0000" and asctime dates; HTTP dates are in GMT
+        date = date.replace(tzinfo=timezone.utc)
+    return max(0.0, date.timestamp() - time.time())
+
+
 class LiveBackend(LlmBackend):
     """OpenAI-compatible chat-completion client.
 
@@ -137,7 +160,8 @@ class LiveBackend(LlmBackend):
     any of the three is missing. Each attempt may take ``timeout`` seconds.
     Transient transport failures (connection errors, 429, 5xx) are retried at
     most twice with 1s/4s backoff; timeouts and malformed output are never
-    retried.
+    retried. A 429 or 503 may ask for a longer wait with Retry-After; one over
+    MAX_RETRY_AFTER fails the call at once.
     """
 
     def __init__(
@@ -183,9 +207,11 @@ class LiveBackend(LlmBackend):
         headers = {"Authorization": f"Bearer {self.api_key}"}
         requests = self._requests
         last_error: BackendError | None = None
+        retry_after = 0.0
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                backoff(self.backoff[min(attempt - 1, len(self.backoff) - 1)])
+                backoff(max(retry_after, self.backoff[min(attempt - 1, len(self.backoff) - 1)]))
+                retry_after = 0.0
             try:
                 response = requests.post(
                     self._url(), json=body, headers=headers, timeout=self.timeout
@@ -201,6 +227,13 @@ class LiveBackend(LlmBackend):
                     f"transient HTTP {response.status_code}: {response.text[:200]}"
                 )
                 log.warning("attempt %d/%d: %s", attempt + 1, MAX_RETRIES + 1, last_error)
+                if response.status_code in (429, 503):
+                    retry_after = _retry_after(response.headers.get("Retry-After"))
+                    if retry_after > MAX_RETRY_AFTER:
+                        raise BackendError(
+                            f"HTTP {response.status_code} with Retry-After "
+                            f"{retry_after:.0f}s, over the {MAX_RETRY_AFTER:.0f}s cap"
+                        )
                 continue
             if response.status_code != 200:
                 raise BackendError(f"HTTP {response.status_code}: {response.text[:500]}")
@@ -290,7 +323,11 @@ class ReplayBackend(LlmBackend):
         try:
             return self._responses[digest]
         except KeyError:
-            raise CassetteMissError(f"no recorded response for request {digest[:12]}...") from None
+            raise CassetteMissError(
+                f"no recorded response for request {digest[:12]}... under model "
+                f"{request.model_id!r}; a cassette replays only under the model it was "
+                f"recorded with"
+            ) from None
 
 
 class CassetteRecorder(LlmBackend):
