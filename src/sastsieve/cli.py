@@ -102,7 +102,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
     parser.add_argument("--cassette", help="cassette file: recorded with live, replayed with replay")
     parser.add_argument("--verdicts", help="scripted backend: JSON file of finding_id -> classification")
     parser.add_argument("--batch-size", type=int, help="findings per LLM call (default 15)")
-    parser.add_argument("--parallelism", type=int, help="concurrent batches (default 4)")
+    parser.add_argument("--parallelism", type=int, help="model requests in flight (default 4)")
     parser.add_argument(
         "--no-fail-open",
         dest="fail_open",

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 import time
+
+import pytest
 
 from sastsieve.backends import BackendError, BackendTimeoutError, backoff
 from sastsieve.filter_agent import default_template, filter_findings
@@ -139,7 +142,18 @@ def first_classifications(text: str, listed: tuple[str, ...]) -> dict[str, str]:
     return first
 
 
-def test_filter_keeps_its_promise_under_injected_faults(tmp_path):
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often than the interpreter's default 5 ms."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching):
     for seed in SEEDS:
         rng = random.Random(seed)
         root, readable, paths = build_tree(rng, tmp_path / f"case{seed}")
