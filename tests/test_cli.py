@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -557,6 +560,61 @@ def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, 
         assert json.loads((tmp_path / "r.json").read_bytes())["scorecard"] is not None
     else:
         assert "3 test cases" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--config", "--verdicts", "--cwe-map"])
+def test_an_input_file_starting_with_a_bom_is_read(tmp_path, capsys, flag):
+    scan = saved_scan(tmp_path, benchmark_results(1, cwe="CWE-200"))
+    content = {
+        "--config": "batch_size = 2\n",
+        "--verdicts": json.dumps({only_finding_id(scan): "false_positive"}),
+        "--cwe-map": "200 -> 22\n",
+    }[flag]
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "run",
+            "--scan-json", scan,
+            flag, str(path),
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out_json.read_bytes())
+    if flag == "--config":
+        assert doc["plan"]["batch_size"] == 2
+    elif flag == "--verdicts":
+        assert len(doc["suppressed"]) == 1
+    else:
+        assert [f["finding"]["cwe_code"] for f in doc["retained"]] == [22]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_in_the_target_is_source_unavailable(tmp_path):
+    # Opening a FIFO for reading blocks until a writer comes, so the run goes
+    # in a child process that the timeout kills if it hangs.
+    (tmp_path / "src").mkdir()
+    os.mkfifo(tmp_path / "src" / "BenchmarkTest00001.java")
+    out_json = tmp_path / "r.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sastsieve.cli", "run",
+            "--scan-json", saved_scan(tmp_path, benchmark_results(1)),
+            "--target", str(tmp_path),
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [kept] = json.loads(out_json.read_bytes())["retained"]
+    assert kept["verdict"]["cause"] == "source_unavailable"
 
 
 @pytest.mark.parametrize("command", ["run", "score"])

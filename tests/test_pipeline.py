@@ -111,6 +111,8 @@ def test_plan_coerces_each_value_by_its_field_type(tmp_path):
         ("timeout", "soon", "expected a number"),
         ("timeout", "0", "must be positive"),
         ("timeout", "nan", "must be positive"),
+        ("timeout", "inf", "must be positive and at most"),
+        ("timeout", "1e300", "must be positive and at most"),
         ("match_any_cwe", "maybe", "expected a boolean"),
     ):
         with pytest.raises(ConfigError, match=f"{key}: {message}"):
@@ -121,6 +123,8 @@ def test_plan_coerces_each_value_by_its_field_type(tmp_path):
         ("parallelism", 0),
         ("context_budget", -3),
         ("timeout", float("nan")),
+        ("timeout", float("inf")),
+        ("timeout", 1e300),
     ):
         with pytest.raises(ConfigError) as direct:
             MissionPlan(**{key: value})
