@@ -39,6 +39,8 @@ from .pipeline import (
     run_scanner,
 )
 from .report import (
+    DEFAULT_RETAINED_DISPLAY,
+    DEFAULT_SUPPRESSED_DISPLAY,
     ReportFormatError,
     build_report,
     detections_of,
@@ -101,8 +103,12 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
         )
     parser.add_argument("--cassette", help="cassette file: recorded with live, replayed with replay")
     parser.add_argument("--verdicts", help="scripted backend: JSON file of finding_id -> classification")
-    parser.add_argument("--batch-size", type=int, help="findings per LLM call (default 15)")
-    parser.add_argument("--parallelism", type=int, help="model requests in flight (default 4)")
+    parser.add_argument(
+        "--batch-size", type=int, help=f"findings per LLM call (default {MissionPlan.batch_size})"
+    )
+    parser.add_argument(
+        "--parallelism", type=int, help=f"model requests in flight (default {MissionPlan.parallelism})"
+    )
     parser.add_argument(
         "--no-fail-open",
         dest="fail_open",
@@ -113,9 +119,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
     parser.add_argument("--model", help="model identifier (overrides QSC_MODEL)")
     parser.add_argument("--template", help="prompt template file with {{findings_block}}")
     parser.add_argument("--cwe-map", help="CWE alias table file (alias -> category lines)")
-    parser.add_argument("--scanner-cmd", help="scanner executable (default semgrep)")
-    parser.add_argument("--out-json", help="JSON report path (default report.json)")
-    parser.add_argument("--out-text", help="text report path (default report.txt)")
+    parser.add_argument("--scanner-cmd", help=f"scanner executable (default {MissionPlan.scanner_cmd})")
+    parser.add_argument("--out-json", help=f"JSON report path (default {MissionPlan.out_json})")
+    parser.add_argument("--out-text", help=f"text report path (default {MissionPlan.out_text})")
     parser.add_argument("--detections-out", help="also write kept detections (TestCaseId,CWE lines)")
 
 
@@ -143,9 +149,9 @@ def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[LlmBack
     if args.verdicts and args.backend != "scripted":
         raise BackendConfigError(f"--verdicts belongs to the scripted backend, not {args.backend}")
     if args.backend == "live":
-        live = LiveBackend(model_id=plan.model_id, timeout=plan.timeout)
+        live = LiveBackend(model_id=plan.model, timeout=plan.timeout)
         # The model may come from the environment; requests, cassette and report name it.
-        plan = replace(plan, model_id=live.model_id)
+        plan = replace(plan, model=live.model_id)
         return (CassetteRecorder(live, args.cassette) if args.cassette else live), plan
     if args.backend == "replay":
         if not args.cassette:
@@ -171,10 +177,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.parser.print_usage(sys.stderr)
         raise
     gt = baseline = None
-    if plan.ground_truth_path is not None:
-        gt = load_ground_truth(plan.ground_truth_path.read_bytes())
-    if plan.baseline_path is not None:
-        baseline = load_detections(plan.baseline_path.read_bytes())
+    if plan.ground_truth is not None:
+        gt = load_ground_truth(plan.ground_truth.read_bytes())
+    if plan.baseline is not None:
+        baseline = load_detections(plan.baseline.read_bytes())
 
     succeeded = False
     try:
@@ -259,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="run the external scanner and emit its JSON")
     scan.add_argument("--target", required=True, help="source tree to scan")
-    scan.add_argument("--scanner-cmd", help="scanner executable (default semgrep)")
+    scan.add_argument("--scanner-cmd", help=f"scanner executable (default {MissionPlan.scanner_cmd})")
     scan.add_argument("--out", help="write scanner JSON here instead of stdout")
     scan.set_defaults(func=cmd_scan)
 
@@ -278,10 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out-json", help="rewrite canonical JSON here")
     rep.add_argument("--out-text", help="write the text report here instead of stdout")
     rep.add_argument(
-        "--max-retained", type=non_negative_int, default=20, help="retained findings shown in text"
+        "--max-retained",
+        type=non_negative_int,
+        default=DEFAULT_RETAINED_DISPLAY,
+        help="retained findings shown in text",
     )
     rep.add_argument(
-        "--max-suppressed", type=non_negative_int, default=10, help="suppressed findings shown in text"
+        "--max-suppressed",
+        type=non_negative_int,
+        default=DEFAULT_SUPPRESSED_DISPLAY,
+        help="suppressed findings shown in text",
     )
     rep.set_defaults(func=cmd_report)
 

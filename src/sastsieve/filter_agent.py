@@ -411,7 +411,7 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
         template,
         sources=sources,
         context_budget=plan.context_budget,
-        model_id=plan.model_id,
+        model_id=plan.model,
     )
     started = time.perf_counter()
     try:
@@ -477,7 +477,7 @@ def filter_findings(
             events.append(FailOpenEvent(batch.index, outcome.cause))
         for filtered in apply_verdicts(batch, outcome):
             cause = filtered.verdict.cause
-            if cause is not None and not plan.fail_open_enabled:
+            if cause is not None and not plan.fail_open:
                 raise FilterError(
                     f"batch {batch.index}: finding {filtered.finding.id} failed "
                     f"({cause.value}) with fail-open disabled"

@@ -12,7 +12,7 @@ import logging
 import subprocess
 import typing
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -32,9 +32,6 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-SCANNER_MODE_INVOKE = "invoke_external"
-SCANNER_MODE_LOAD = "load_saved"
-
 
 class ConfigError(ValueError):
     """Invalid mission configuration; the message names the offending field."""
@@ -46,25 +43,25 @@ class ScannerError(RuntimeError):
 
 @dataclass(frozen=True)
 class MissionPlan:
-    """Fully resolved run parameters.
+    """Fully resolved run parameters; each field name is its config key.
 
     Every int field is at least 1 and every float field is positive.
     """
 
     target_root: Path | None = None
-    scan_json_path: Path | None = None
+    scan_json: Path | None = None
     batch_size: int = 15
     parallelism: int = 4
-    fail_open_enabled: bool = True
-    ground_truth_path: Path | None = None
-    baseline_path: Path | None = None
+    fail_open: bool = True
+    ground_truth: Path | None = None
+    baseline: Path | None = None
     out_json: Path = Path("report.json")
     out_text: Path = Path("report.txt")
     scanner_cmd: str = "semgrep"
     scanner_name: str = "semgrep"
-    cwe_map_path: Path | None = None
-    template_path: Path | None = None
-    model_id: str = ""
+    cwe_map: Path | None = None
+    template: Path | None = None
+    model: str = ""
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     timeout: float = DEFAULT_TIMEOUT
     match_any_cwe: bool = False
@@ -72,8 +69,7 @@ class MissionPlan:
     def __post_init__(self) -> None:
         # A model id names no file, so one from non-UTF-8 argv is repaired here:
         # the request, its digest and the report then carry the same text.
-        object.__setattr__(self, "model_id", replace_surrogates(self.model_id))
-        # The int and float fields have no aliases: each name is its config key.
+        object.__setattr__(self, "model", replace_surrogates(self.model))
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is int and not value >= 1:
@@ -81,25 +77,9 @@ class MissionPlan:
             if kind is float and not value > 0:  # also refuses nan
                 raise ConfigError(f"{name}: must be positive, got {value}")
 
-    @property
-    def scanner_mode(self) -> str:
-        """Load the saved scanner document when one is given, else run the scanner."""
-        return SCANNER_MODE_INVOKE if self.scan_json_path is None else SCANNER_MODE_LOAD
 
-
-# Every MissionPlan field is a config key: under its own name or under one of
-# these aliases.
-_ALIASES = {
-    "scan_json_path": "scan_json",
-    "ground_truth_path": "ground_truth",
-    "baseline_path": "baseline",
-    "cwe_map_path": "cwe_map",
-    "template_path": "template",
-    "fail_open_enabled": "fail_open",
-    "model_id": "model",
-}
-CONFIG_KEYS = {_ALIASES.get(f.name, f.name): f.name for f in fields(MissionPlan)}
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
+CONFIG_KEYS = tuple(_FIELD_TYPES)
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -135,11 +115,10 @@ def _coerce(key: str, kind: object, value: object) -> object:
         raise ConfigError(f"{key}: expected a boolean, got {value!r}")
     if kind in (int, float):
         try:
-            number = kind(str(value))
+            return kind(str(value))
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
-        return number
     if kind is str:
         return str(value)
     return Path(str(value))  # Path, or Path | None
@@ -159,29 +138,28 @@ def plan_mission(config: Mapping[str, object]) -> MissionPlan:
 
     plan = MissionPlan(
         **{
-            name: _coerce(key, _FIELD_TYPES[name], config[key])
-            for key, name in CONFIG_KEYS.items()
+            key: _coerce(key, kind, config[key])
+            for key, kind in _FIELD_TYPES.items()
             if config.get(key) is not None
         }
     )
-    if plan.scan_json_path is None and plan.target_root is None:
+    if plan.scan_json is None and plan.target_root is None:
         raise ConfigError("target_root: a target directory or scan_json is required")
     return plan
 
 
 def run_scanner(plan: MissionPlan) -> bytes:
-    """Obtain the scanner's JSON document per the plan's scanner mode.
+    """Load the saved scanner document when the plan names one, else run the scanner.
 
     External invocation treats a nonzero exit as success when stdout still
     parses as a results document (scanners commonly signal "findings found"
     through the exit code).
     """
-    if plan.scanner_mode == SCANNER_MODE_LOAD:
-        path = plan.scan_json_path
+    if plan.scan_json is not None:
         try:
-            return path.read_bytes()
+            return plan.scan_json.read_bytes()
         except OSError as exc:
-            raise ScannerError(f"saved scanner output unreadable: {path}: {exc}") from exc
+            raise ScannerError(f"saved scanner output unreadable: {plan.scan_json}: {exc}") from exc
 
     argv = [plan.scanner_cmd, "scan", "--config", "auto", "--json", str(plan.target_root)]
     log.info("invoking scanner: %s", " ".join(argv))
@@ -285,12 +263,12 @@ def run_mission(
     so a bad one raises ConfigError before the scanner runs.
     """
     started = _utcnow()
-    if plan.cwe_map_path is not None:
-        table = read_input("cwe_map", plan.cwe_map_path, CweMappingTable.load)
+    if plan.cwe_map is not None:
+        table = read_input("cwe_map", plan.cwe_map, CweMappingTable.load)
     else:
         table = CweMappingTable.default()
-    if plan.template_path is not None:
-        template = read_input("template", plan.template_path, str)
+    if plan.template is not None:
+        template = read_input("template", plan.template, str)
     else:
         template = default_template()
     if FINDINGS_PLACEHOLDER not in template:

@@ -79,15 +79,15 @@ def build_report(
     plan = mission.plan
     summary = {
         "target_root": str(plan.target_root) if plan.target_root else None,
-        "scanner_mode": plan.scanner_mode,
-        "scan_json": str(plan.scan_json_path) if plan.scan_json_path else None,
+        "scanner_mode": "invoke_external" if plan.scan_json is None else "load_saved",
+        "scan_json": str(plan.scan_json) if plan.scan_json else None,
         "scanner_cmd": plan.scanner_cmd,
         "batch_size": plan.batch_size,
         "parallelism": plan.parallelism,
-        "fail_open_enabled": plan.fail_open_enabled,
-        "ground_truth": str(plan.ground_truth_path) if plan.ground_truth_path else None,
-        "baseline": str(plan.baseline_path) if plan.baseline_path else None,
-        "model_id": plan.model_id,
+        "fail_open_enabled": plan.fail_open,
+        "ground_truth": str(plan.ground_truth) if plan.ground_truth else None,
+        "baseline": str(plan.baseline) if plan.baseline else None,
+        "model_id": plan.model,
         "match_any_cwe": plan.match_any_cwe,
         "scanner_finding_count": mission.scanner_finding_count,
         "skipped_results": mission.skipped_results,

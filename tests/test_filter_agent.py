@@ -487,7 +487,7 @@ def test_conservation_and_order_with_concurrency():
 
 def test_fail_open_disabled_raises_on_batch_failure():
     findings = [make_finding(i) for i in range(3)]
-    strict = quiet_config(fail_open_enabled=False)
+    strict = quiet_config(fail_open=False)
     with pytest.raises(FilterError):
         filter_findings(findings, FailingBackend(), strict, BARE_TEMPLATE)
     # A finding the answer omits fails open on its own; that aborts too.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from sastsieve.pipeline import (
     run_mission,
     run_scanner,
 )
+from sastsieve.report import build_report
 from tests.conftest import make_finding
 from tests.test_filter_agent import FailingBackend
 from tests.test_ingest import result_doc, scan_doc
@@ -41,12 +43,19 @@ def benchmark_results(count=10, cwe="CWE-89: SQL Injection"):
 # --- plan_mission -----------------------------------------------------------
 
 
+def scanner_mode(plan):
+    """The scanner mode the report records for a run of ``plan``."""
+    mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
+    return build_report(mission).plan_summary["scanner_mode"]
+
+
 def test_plan_defaults(tmp_path):
     plan = plan_mission({"target_root": str(tmp_path)})
     assert plan.batch_size == 15
     assert plan.parallelism == 4
-    assert plan.fail_open_enabled is True
-    assert plan.scanner_mode == "invoke_external"
+    assert plan.fail_open is True
+    assert plan.scan_json is None
+    assert scanner_mode(dataclasses.replace(plan, scanner_cmd=fake_scanner(tmp_path))) == "invoke_external"
 
 
 def test_plan_rejects_zero_batch_size(tmp_path):
@@ -57,7 +66,7 @@ def test_plan_rejects_zero_batch_size(tmp_path):
 def test_plan_applies_overrides(tmp_path):
     plan = plan_mission({"target_root": str(tmp_path), "batch_size": 10, "fail_open": "false"})
     assert plan.batch_size == 10
-    assert plan.fail_open_enabled is False
+    assert plan.fail_open is False
 
 
 def test_plan_requires_target_or_saved_scan():
@@ -79,7 +88,11 @@ CONFIG_KEYS = {
 
 def test_config_keys_are_exactly_the_documented_ones(tmp_path):
     # A new MissionPlan field becomes a config key; this pins the set so
-    # that never happens silently.
+    # that never happens silently, and holds README's list to it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The keys:(.*?)\.", readme, re.DOTALL).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == CONFIG_KEYS
+
     def accepted(key):
         try:
             plan_mission({"target_root": str(tmp_path), key: "1"})
@@ -104,7 +117,7 @@ def test_plan_coerces_each_value_by_its_field_type(tmp_path):
         }
     )
     assert (plan.context_budget, plan.timeout, plan.match_any_cwe) == (800, 2.5, True)
-    assert plan.model_id == "7" and plan.cwe_map_path == Path("map.txt")
+    assert plan.model == "7" and plan.cwe_map == Path("map.txt")
     for key, value, message in (
         ("parallelism", "four", "expected an integer"),
         ("context_budget", "-3", "must be >= 1"),
@@ -135,19 +148,28 @@ def test_plan_coerces_each_value_by_its_field_type(tmp_path):
 
 
 def test_plan_saved_scan_switches_mode(tmp_path):
-    plan = plan_mission({"scan_json": saved_scan(tmp_path, [])})
-    assert plan.scanner_mode == "load_saved"
+    plan = plan_mission(
+        {
+            "scan_json": saved_scan(tmp_path, benchmark_results(2)),
+            "target_root": str(tmp_path),
+            "scanner_cmd": "/no/such/scanner",
+        }
+    )
+    # The saved scan is loaded and the scanner is never started.
+    assert len(parse_scanner_output(run_scanner(plan)).findings) == 2
+    assert scanner_mode(plan) == "load_saved"
 
 
 def test_scanner_mode_follows_the_saved_scan_path(tmp_path):
-    # The mode is derived, so it cannot contradict scan_json_path.
+    # The mode is derived from scan_json, so it cannot contradict it.
     with pytest.raises(TypeError):
         MissionPlan(target_root=tmp_path, scanner_mode="load_saved")
     with pytest.raises(ConfigError, match="unknown config key"):
         plan_mission({"target_root": str(tmp_path), "scanner_mode": "load_saved"})
-    plan = MissionPlan(target_root=tmp_path, scan_json_path=tmp_path / "scan.json")
-    assert plan.scanner_mode == "load_saved"
-    assert dataclasses.replace(plan, scan_json_path=None).scanner_mode == "invoke_external"
+    scanner = fake_scanner(tmp_path, results=benchmark_results(1))
+    plan = MissionPlan(target_root=tmp_path, scan_json=Path(saved_scan(tmp_path, [])), scanner_cmd=scanner)
+    assert scanner_mode(plan) == "load_saved"
+    assert scanner_mode(dataclasses.replace(plan, scan_json=None)) == "invoke_external"
 
 
 def test_parse_config_file_format():

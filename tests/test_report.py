@@ -58,7 +58,7 @@ def golden_report() -> Report:
     dropped = make_finding(3, cwe=79, test_num=8)
     missing = make_finding(4, cwe=22, test_num=9, start_line=5, end_line=5)
     mission = MissionResult(
-        plan=MissionPlan(scan_json_path=Path("scan.json"), model_id="m-1"),
+        plan=MissionPlan(scan_json=Path("scan.json"), model="m-1"),
         scanner_finding_count=5,
         skipped_results=1,
         verified=(FilteredFinding(verified, Verdict.evidence("trace:42")),),
