@@ -301,7 +301,7 @@ class ReplayBackend(LlmBackend):
     def __init__(self, cassette_path: Path | str):
         path = Path(cassette_path)
         try:
-            records = json.loads(path.read_text(encoding="utf-8"))
+            records = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError as exc:
             raise CassetteError(f"cassette not found: {path}") from exc
         except (OSError, ValueError, RecursionError) as exc:

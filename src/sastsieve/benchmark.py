@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import CweCategory, TestCaseId
+from .model import CweCategory, TestCaseId, record_lines
 
 
 class GroundTruthError(ValueError):
@@ -54,10 +54,7 @@ def load_ground_truth(payload: bytes | str) -> GroundTruth:
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8-sig", errors="replace")
     entries: dict[TestCaseId, GroundTruthEntry] = {}
-    for lineno, line in enumerate(payload.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in record_lines(payload):
         fields = [part.strip() for part in stripped.split(",")]
         if len(fields) < 4:
             raise GroundTruthError(

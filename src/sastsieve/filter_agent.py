@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import re
+import stat
 import threading
 import time
 from collections import Counter
@@ -166,10 +167,14 @@ def _read_source(real_root: str, file_path: str) -> str:
 
     Symlinks and ``..`` are resolved first; a path that lands outside the
     root raises PermissionError, so only files inside the root are read.
+    Anything but a regular file raises OSError unopened: opening a FIFO
+    would block until a writer came.
     """
     path = os.path.realpath(os.path.join(real_root, file_path))
     if path != real_root and not path.startswith(os.path.join(real_root, "")):
         raise PermissionError(f"{file_path!r} resolves outside the source root {real_root}")
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{file_path!r} is not a regular file")
     with open(path, encoding="utf-8", errors="replace") as fh:
         return fh.read()
 

@@ -20,6 +20,7 @@ from .model import (
     Severity,
     TestCaseId,
     finding_id,
+    record_lines,
     replace_surrogates,
     test_id_from_path,
 )
@@ -89,10 +90,7 @@ class CweMappingTable:
     def load(cls, text: str) -> "CweMappingTable":
         """Parse an alias override file: one ``alias_code -> category_code`` per line."""
         aliases = dict(cls.default().aliases)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        for lineno, stripped in record_lines(text):
             left, sep, right = stripped.partition("->")
             if not sep:
                 raise ScannerOutputError(
@@ -135,7 +133,7 @@ def parse_scanner_output(payload: bytes | str) -> ParsedScan:
     Lone surrogates in the rule id, path and message become U+FFFD.
     """
     if isinstance(payload, bytes):
-        payload = payload.decode("utf-8", errors="replace")
+        payload = payload.decode("utf-8-sig", errors="replace")
     try:
         document = json.loads(payload)
     except (ValueError, RecursionError) as exc:  # ValueError also covers over-long integers

@@ -10,6 +10,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 TEST_CASE_PATTERN = re.compile(r"BenchmarkTest\d{5}")
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -52,6 +53,14 @@ def replace_surrogates(text: str) -> str:
     passes through here before anything needs to write it.
     """
     return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+
+def record_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def test_id_from_path(file_path: str) -> TestCaseId | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import subprocess
+import threading
 import typing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .filter_agent import (
     filter_findings,
 )
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
-from .model import FilteredFinding, Finding, Verdict, replace_surrogates
+from .model import FilteredFinding, Finding, Verdict, record_lines, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +46,8 @@ class ScannerError(RuntimeError):
 class MissionPlan:
     """Fully resolved run parameters; each field name is its config key.
 
-    Every int field is at least 1 and every float field is positive.
+    Every int field is at least 1, and every float field is positive and at
+    most ``threading.TIMEOUT_MAX``, the longest wait a request can be given.
     """
 
     target_root: Path | None = None
@@ -74,8 +76,10 @@ class MissionPlan:
             value = getattr(self, name)
             if kind is int and not value >= 1:
                 raise ConfigError(f"{name}: must be >= 1, got {value}")
-            if kind is float and not value > 0:  # also refuses nan
-                raise ConfigError(f"{name}: must be positive, got {value}")
+            if kind is float and not 0 < value <= threading.TIMEOUT_MAX:  # also refuses nan
+                raise ConfigError(
+                    f"{name}: must be positive and at most {threading.TIMEOUT_MAX:.0f}, got {value}"
+                )
 
 
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
@@ -85,10 +89,7 @@ CONFIG_KEYS = tuple(_FIELD_TYPES)
 def parse_config_file(text: str) -> dict[str, str]:
     """Parse the ``key = value`` mission config format (# comments allowed)."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in record_lines(text):
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
@@ -97,9 +98,9 @@ def parse_config_file(text: str) -> dict[str, str]:
 
 
 def read_input(key: str, path: Path | str, parse: Callable[[str], T]) -> T:
-    """Parse a UTF-8 input file; ConfigError, naming the key, when that fails."""
+    """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key, when that fails."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{key} {path}: {exc}") from exc
 

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
 from .benchmark import GroundTruth, GroundTruthEntry
-from .model import TestCaseId
+from .model import TestCaseId, record_lines
 
 log = logging.getLogger(__name__)
 
@@ -192,10 +192,7 @@ def load_detections(payload: bytes | str) -> set[Detection]:
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8-sig", errors="replace")
     detections: set[Detection] = set()
-    for lineno, line in enumerate(payload.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in record_lines(payload):
         name, sep, code_raw = stripped.partition(",")
         if not sep:
             raise DetectionsError(f"line {lineno}: expected 'TestCaseId,CWE', got {stripped!r}")

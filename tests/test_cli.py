@@ -562,22 +562,26 @@ def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, 
         assert "3 test cases" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--config", "--verdicts", "--cwe-map"])
+@pytest.mark.parametrize("flag", ["--config", "--verdicts", "--cwe-map", "--scan-json", "--cassette"])
 def test_an_input_file_starting_with_a_bom_is_read(tmp_path, capsys, flag):
     scan = saved_scan(tmp_path, benchmark_results(1, cwe="CWE-200"))
+    path = tmp_path / "input"
+    if flag == "--cassette":
+        record_cassette(tmp_path, scan, path, default="false_positive")
     content = {
         "--config": "batch_size = 2\n",
         "--verdicts": json.dumps({only_finding_id(scan): "false_positive"}),
         "--cwe-map": "200 -> 22\n",
+        "--scan-json": Path(scan).read_text(),
+        "--cassette": path.read_text() if path.exists() else "",
     }[flag]
-    path = tmp_path / "input"
     path.write_bytes(b"\xef\xbb\xbf" + content.encode())
     out_json = tmp_path / "r.json"
     code = main(
         [
-            "run",
+            "replay" if flag == "--cassette" else "run",
             "--scan-json", scan,
-            flag, str(path),
+            flag, str(path),  # a second --scan-json replaces the first
             "--out-json", str(out_json),
             "--out-text", str(tmp_path / "r.txt"),
         ]
@@ -586,10 +590,12 @@ def test_an_input_file_starting_with_a_bom_is_read(tmp_path, capsys, flag):
     doc = json.loads(out_json.read_bytes())
     if flag == "--config":
         assert doc["plan"]["batch_size"] == 2
-    elif flag == "--verdicts":
+    elif flag in ("--verdicts", "--cassette"):
         assert len(doc["suppressed"]) == 1
-    else:
+    elif flag == "--cwe-map":
         assert [f["finding"]["cwe_code"] for f in doc["retained"]] == [22]
+    else:
+        assert doc["plan"]["scan_json"] == str(path) and len(doc["retained"]) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")

@@ -1,6 +1,7 @@
 """The filter's one promise, checked against a log of every model answer.
 
-A seeded backend injects a fault chosen per request (a good answer, an
+It is checked on the filter stage alone and on a whole run over a saved
+scanner document. A seeded backend injects a fault chosen per request (a good answer, an
 omitted, duplicated or unknown entry, malformed JSON, a lone surrogate in
 a rationale, a transport error or a timeout), sometimes after waiting out
 one or two retry backoffs, over a source tree with missing files, an
@@ -19,14 +20,17 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from sastsieve.backends import BackendError, BackendTimeoutError, backoff
 from sastsieve.filter_agent import default_template, filter_findings
+from sastsieve.ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
 from sastsieve.model import Classification, FailOpenCause, Provenance
-from sastsieve.pipeline import MissionPlan
+from sastsieve.pipeline import MissionPlan, run_mission
 from tests.conftest import make_finding
+from tests.test_ingest import result_doc
 
 SEEDS = range(60)
 
@@ -142,6 +146,34 @@ def first_classifications(text: str, listed: tuple[str, ...]) -> dict[str, str]:
     return first
 
 
+def through_filter(rng, findings, plan, base):
+    """The filter stage alone, over the findings as given."""
+    return findings, lambda backend: filter_findings(findings, backend, plan, default_template())
+
+
+def through_mission(rng, findings, plan, base):
+    """A whole run over a saved scanner document of the findings.
+
+    The document repeats one result and has one without a path, so the
+    findings the filter reviews are its results normalized and deduped.
+    """
+    results = [result_doc(f.file_path, f.start_line, f.end_line, check_id=f.id) for f in findings]
+    if results:
+        results.insert(rng.randint(0, len(results)), dict(rng.choice(results)))
+    results.insert(rng.randint(0, len(results)), {"check_id": "no.path", "start": {"line": 1}})
+    scan = base / "scan.json"
+    scan.write_text(json.dumps({"results": results}))
+    raws = parse_scanner_output(scan.read_bytes()).findings
+    reviewed = dedupe_by_testcase([normalize(raw, CweMappingTable.default()) for raw in raws])
+
+    def run(backend):
+        mission = run_mission(replace(plan, scan_json=scan), backend)
+        assert mission.verified == ()
+        return list(mission.retained), list(mission.suppressed), mission.stats
+
+    return reviewed, run
+
+
 @pytest.fixture
 def fast_switching():
     """Switch threads far more often than the interpreter's default 5 ms."""
@@ -153,10 +185,12 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
-def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching):
+@pytest.mark.parametrize("entry", [through_filter, through_mission])
+def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching, entry):
     for seed in SEEDS:
         rng = random.Random(seed)
-        root, readable, paths = build_tree(rng, tmp_path / f"case{seed}")
+        base = tmp_path / f"case{seed}"
+        root, readable, paths = build_tree(rng, base)
         findings = []
         for n in range(rng.randint(0, 40)):
             start = rng.randint(1, 320)
@@ -168,8 +202,9 @@ def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching
             parallelism=rng.randint(1, 8),
             context_budget=rng.randint(200, 3000),
         )
+        findings, run = entry(rng, findings, plan, base)
         backend = FaultInjector(seed, [f.id for f in findings])
-        retained, suppressed, stats = filter_findings(findings, backend, plan, default_template())
+        retained, suppressed, stats = run(backend)
 
         # Retained plus suppressed is the input, each finding once, in input order.
         order = {f.id: i for i, f in enumerate(findings)}
