@@ -1,16 +1,16 @@
 """The filter's one promise, checked against a log of every model answer.
 
 It is checked on the filter stage alone and on a whole run over a saved
-scanner document. A seeded backend injects a fault chosen per request (a good answer, an
-omitted, duplicated or unknown entry, malformed JSON, a lone surrogate in
-a rationale, a transport error or a timeout), sometimes after waiting out
-one or two retry backoffs, over a source tree with missing files, an
-out-of-root symlink and files over the context budget. The oracle reads
-only that log and the tree: a finding is suppressed exactly when a
-well-formed answer for a request that listed it named it a false positive
-first, and every other finding is retained under the cause the injector
-chose. The model attempts in flight, outside a backoff, never exceed the
-plan's parallelism.
+scanner document. A seeded backend injects a fault chosen per request (a
+good answer, an omitted, duplicated or unknown entry, malformed JSON, a
+lone surrogate in a rationale, a transport error or a timeout), sometimes
+after waiting out one or two retry backoffs, over a source tree with
+missing files, an out-of-root symlink and files over the context budget.
+The oracle reads only that log and the tree: a finding is suppressed
+exactly when a well-formed answer for a request that listed it named it a
+false positive first, and every other finding is retained under the cause
+the injector chose. The model attempts in flight, outside a backoff, never
+exceed the plan's parallelism.
 """
 
 from __future__ import annotations
