@@ -57,6 +57,9 @@ def test_load_reports_line_numbers_on_malformed_records():
         load_ground_truth(b"BenchmarkTest00001,sqli,true,eighty-nine\n")
     with pytest.raises(GroundTruthError, match="line 2"):
         load_ground_truth(b"BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,true,-89\n")
+    # Lines end only at LF, CR and CRLF; a form feed in a comment starts no line.
+    with pytest.raises(GroundTruthError, match="^line 3:"):
+        load_ground_truth(b"# page\x0c\nBenchmarkTest00001,sqli,true,89\rBenchmarkTest00002,sqli,maybe,89\n")
 
 
 def test_load_rejects_duplicate_test_ids():

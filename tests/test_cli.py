@@ -856,3 +856,86 @@ def test_report_refuses_a_negative_list_cap(capsys, flag):
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
     assert flag in line
     assert "retained (top" not in out
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--out-json="], "out_json"),
+        (["--out-text="], "out_text"),
+        (["--target="], "target_root"),
+        (["--scan-json="], "scan_json"),
+        (["--config", "CONFIG"], "out_json"),
+    ],
+    ids=["out-json", "out-text", "target", "scan-json", "config-out_json"],
+)
+def test_an_empty_path_value_exits_one_before_the_scan(tmp_path, monkeypatch, capsys, args, key):
+    # An empty path is the working directory; the absent scan file shows
+    # that the run stops before the scan, which would exit 2.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "mission.conf"
+    config.write_text("out_json =\n")
+    args = [str(config) if arg == "CONFIG" else arg for arg in args]
+    code = main(["run", "--scan-json", str(tmp_path / "absent.json"), *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith(f"error: {key}: ") and "empty" in line, line
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_out_json_and_out_text_on_one_path_exit_one_before_the_scan(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = main(
+        [
+            "run",
+            "--scan-json", str(tmp_path / "absent.json"),
+            "--out-json", str(out),
+            "--out-text", str(tmp_path / "." / "o.json"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "out_text" in line and "out_json" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [
+        ("run", "--ground-truth", "ground_truth"),
+        ("run", "--baseline", "baseline"),
+        ("score", "--ground-truth", "ground_truth"),
+        ("score", "--detections", "detections"),
+        ("score", "--baseline", "baseline"),
+        ("report", "--in", "report"),
+    ],
+)
+def test_every_input_error_names_its_file(tmp_path, capsys, command, flag, key):
+    gt = tmp_path / "gt.csv"
+    gt.write_text("BenchmarkTest00001,sqli,true,89\n")
+    detections = tmp_path / "detections.txt"
+    detections.write_text("BenchmarkTest00001,89\n")
+    bad = tmp_path / "bad.input"
+    bad.write_text(
+        {"--ground-truth": "BenchmarkTest00001,sqli,maybe,89\n", "--in": '{"schema_version": "0"}\n'}.get(
+            flag, "not a detection line\n"
+        )
+    )
+    if command == "run":
+        argv = [
+            "run",
+            "--scan-json", saved_scan(tmp_path, benchmark_results(1)),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    elif command == "score":
+        argv = ["score", "--detections", str(detections), "--ground-truth", str(gt)]
+    else:
+        argv = ["report"]
+    code = main([*argv, flag, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith(f"error: {key} {bad}: "), line

@@ -177,6 +177,13 @@ def test_parse_config_file_format():
     assert values == {"batch_size": "7", "fail_open": "false"}
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_file("not a key value line\n")
+    with pytest.raises(ConfigError, match="config line 5:"):
+        parse_config_file("batch_size = 2\n\x0c\n# note\u2028\nparallelism = 1\nnot a key value line\n")
+
+
+def test_a_plan_built_in_code_refuses_one_path_for_both_reports(tmp_path):
+    with pytest.raises(ConfigError, match="out_text"):
+        MissionPlan(out_json=tmp_path / "r", out_text=tmp_path / "." / "r")
 
 
 # --- run_scanner ------------------------------------------------------------
