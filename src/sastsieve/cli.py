@@ -24,7 +24,7 @@ from .backends import (
     ReplayBackend,
     ScriptedBackend,
 )
-from .benchmark import GroundTruthError, load_ground_truth
+from .benchmark import load_ground_truth
 from .filter_agent import FilterError
 from .ingest import ScannerOutputError
 from .pipeline import (
@@ -41,7 +41,6 @@ from .pipeline import (
 from .report import (
     DEFAULT_RETAINED_DISPLAY,
     DEFAULT_SUPPRESSED_DISPLAY,
-    ReportFormatError,
     build_report,
     detections_of,
     format_comparison_text,
@@ -50,15 +49,14 @@ from .report import (
     render_json,
     render_text,
 )
-from .scoring import DetectionsError, compare, load_detections, score_per_cwe, serialize_detections
+from .scoring import compare, load_detections, score_per_cwe, serialize_detections
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SCANNER = 2
 
 # Unusable configuration, input files and output paths: one "error:" line, exit 1.
-_INPUT_ERRORS = (ConfigError, BackendConfigError, CassetteError, GroundTruthError, DetectionsError,
-                 ReportFormatError, OSError)
+_INPUT_ERRORS = (ConfigError, BackendConfigError, CassetteError, OSError)
 # The config keys only a scoring command (run, replay) takes.
 _SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
 
@@ -178,9 +176,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise
     gt = baseline = None
     if plan.ground_truth is not None:
-        gt = load_ground_truth(plan.ground_truth.read_bytes())
+        gt = read_input("ground_truth", plan.ground_truth, load_ground_truth, errors="replace")
     if plan.baseline is not None:
-        baseline = load_detections(plan.baseline.read_bytes())
+        baseline = read_input("baseline", plan.baseline, load_detections, errors="replace")
 
     succeeded = False
     try:
@@ -219,9 +217,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    detections = load_detections(Path(args.detections).read_bytes())
-    gt = load_ground_truth(Path(args.ground_truth).read_bytes())
-    baseline = load_detections(Path(args.baseline).read_bytes()) if args.baseline else None
+    detections = read_input("detections", args.detections, load_detections, errors="replace")
+    gt = read_input("ground_truth", args.ground_truth, load_ground_truth, errors="replace")
+    baseline = None
+    if args.baseline:
+        baseline = read_input("baseline", args.baseline, load_detections, errors="replace")
 
     card = score_per_cwe(detections, gt, match_any_cwe=args.match_any_cwe)
     print(f"metrics vs ground truth ({card.overall[0].total} test cases):")
@@ -239,7 +239,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = load_report(Path(args.input).read_bytes())
+    report = read_input("report", args.input, load_report)
     if args.out_json:
         _write(args.out_json, render_json(report))
     text = render_text(

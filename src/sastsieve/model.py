@@ -7,6 +7,7 @@ freely between threads.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,7 +58,8 @@ def replace_surrogates(text: str) -> str:
 
 def record_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line that is neither blank nor a ``#`` comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end only at LF, CR and CRLF; str.splitlines also splits at form feeds.
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped

@@ -80,6 +80,8 @@ class MissionPlan:
                 raise ConfigError(
                     f"{name}: must be positive and at most {threading.TIMEOUT_MAX:.0f}, got {value}"
                 )
+        if Path(self.out_json).resolve() == Path(self.out_text).resolve():
+            raise ConfigError(f"out_text: must differ from out_json, both are {self.out_json}")
 
 
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
@@ -97,10 +99,14 @@ def parse_config_file(text: str) -> dict[str, str]:
     return values
 
 
-def read_input(key: str, path: Path | str, parse: Callable[[str], T]) -> T:
-    """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key, when that fails."""
+def read_input(key: str, path: Path | str, parse: Callable[[str], T], errors: str = "strict") -> T:
+    """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key, when that fails.
+
+    ``errors`` is the decoder's error handler: "replace" reads bytes that are
+    not UTF-8 as U+FFFD instead of failing.
+    """
     try:
-        return parse(Path(path).read_text(encoding="utf-8-sig"))
+        return parse(Path(path).read_text(encoding="utf-8-sig", errors=errors))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{key} {path}: {exc}") from exc
 
@@ -122,6 +128,8 @@ def _coerce(key: str, kind: object, value: object) -> object:
             raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     if kind is str:
         return str(value)
+    if not str(value):  # Path("") would be the working directory
+        raise ConfigError(f"{key}: expected a path, got an empty value")
     return Path(str(value))  # Path, or Path | None
 
 
