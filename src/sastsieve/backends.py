@@ -1,9 +1,10 @@
 """LLM backend implementations: live HTTP, scripted, and record/replay.
 
-Every backend exposes one method, ``complete(request) -> str``, returning
-the model's raw text. Failures raise BackendError (transport) or
-BackendTimeoutError; callers in the filter absorb both as fail-open. All
-backends are safe to call from multiple threads. ``LlmRequest`` is what the
+A backend is any object with one method, ``complete(request) -> str``,
+returning the model's raw text; no base class is needed. Failures raise
+BackendError (transport) or BackendTimeoutError; callers in the filter
+absorb both, and any other exception, as fail-open. All backends here are
+safe to call from multiple threads. ``LlmRequest`` is what the
 filter sends; ``request_digest`` keys it in cassettes. A thread that calls a
 backend may hold a model slot (``holding_slot``); ``backoff`` gives the slot
 up while it waits to retry.
@@ -17,7 +18,6 @@ import logging
 import os
 import threading
 import time
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,14 +107,6 @@ class CassetteMissError(BackendError):
     """Replay found no recorded response for the request."""
 
 
-class LlmBackend(ABC):
-    """Contract every backend satisfies."""
-
-    @abstractmethod
-    def complete(self, request: LlmRequest) -> str:
-        """Return the model's raw text; raise BackendError on failure."""
-
-
 def request_digest(request: LlmRequest) -> str:
     """Cryptographic hash of the normalized request."""
     payload = json.dumps(
@@ -152,14 +144,14 @@ def _retry_after(value: str | None) -> float:
     return max(0.0, date.timestamp() - time.time())
 
 
-class LiveBackend(LlmBackend):
+class LiveBackend:
     """OpenAI-compatible chat-completion client.
 
     Credentials come from the environment (QSC_API_KEY bearer token,
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
     any of the three is missing. Each attempt may take ``timeout`` seconds.
     Transient transport failures (connection errors, 429, 5xx) are retried at
-    most twice with 1s/4s backoff; timeouts and malformed output are never
+    most twice with the BACKOFF_SECONDS waits (1s, then 4s); timeouts and malformed output are never
     retried. A 429 or 503 may ask for a longer wait with Retry-After; one over
     MAX_RETRY_AFTER fails the call at once.
     """
@@ -170,13 +162,11 @@ class LiveBackend(LlmBackend):
         api_key: str | None = None,
         model_id: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        backoff: tuple[float, ...] = BACKOFF_SECONDS,
     ):
         self.api_base = (api_base or os.environ.get(ENV_API_BASE, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_MODEL, "")
         self.timeout = timeout
-        self.backoff = backoff
         if not self.api_key:
             raise BackendConfigError(f"{ENV_API_KEY} is not set (bearer token required)")
         if not self.api_base:
@@ -210,7 +200,8 @@ class LiveBackend(LlmBackend):
         retry_after = 0.0
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                backoff(max(retry_after, self.backoff[min(attempt - 1, len(self.backoff) - 1)]))
+                scheduled = BACKOFF_SECONDS[min(attempt - 1, len(BACKOFF_SECONDS) - 1)]
+                backoff(max(retry_after, scheduled))
                 retry_after = 0.0
             try:
                 response = requests.post(
@@ -247,7 +238,7 @@ class LiveBackend(LlmBackend):
         raise last_error if last_error else BackendError("no attempts made")
 
 
-class ScriptedBackend(LlmBackend):
+class ScriptedBackend:
     """Returns canned verdicts keyed by finding id.
 
     Finding ids are taken from the request, never from its text, so source
@@ -295,7 +286,7 @@ class ScriptedBackend(LlmBackend):
         return json.dumps({"results": results})
 
 
-class ReplayBackend(LlmBackend):
+class ReplayBackend:
     """Replays recorded responses byte for byte; a cache miss fails the call."""
 
     def __init__(self, cassette_path: Path | str):
@@ -330,14 +321,14 @@ class ReplayBackend(LlmBackend):
             ) from None
 
 
-class CassetteRecorder(LlmBackend):
+class CassetteRecorder:
     """Wraps another backend and persists every successful exchange.
 
     Records accumulate in memory and are written by ``save()``, sorted by
     digest so the cassette file is independent of batch completion order.
     """
 
-    def __init__(self, inner: LlmBackend, cassette_path: Path | str):
+    def __init__(self, inner, cassette_path: Path | str):
         self._inner = inner
         self._path = Path(cassette_path)
         self._records: dict[str, dict[str, str]] = {}

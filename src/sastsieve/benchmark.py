@@ -26,14 +26,8 @@ class GroundTruthEntry:
     cwe: CweCategory
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """The benchmark label set, immutable after load."""
-
-    entries: Mapping[TestCaseId, GroundTruthEntry]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# The benchmark label set: each test case's entry, keyed by its id.
+GroundTruth = Mapping[TestCaseId, GroundTruthEntry]
 
 
 def _parse_flag(raw: str, lineno: int) -> bool:
@@ -46,7 +40,7 @@ def _parse_flag(raw: str, lineno: int) -> bool:
 
 
 def load_ground_truth(payload: bytes | str) -> GroundTruth:
-    """Parse the expected-results document into a GroundTruth.
+    """Parse the expected-results document into its entries by test case id.
 
     Raises GroundTruthError with the offending line number on malformed
     records, on a repeated test name, and on a document with no records.
@@ -84,4 +78,4 @@ def load_ground_truth(payload: bytes | str) -> GroundTruth:
         )
     if not entries:
         raise GroundTruthError("ground-truth document contains no records")
-    return GroundTruth(entries=entries)
+    return entries

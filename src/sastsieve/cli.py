@@ -20,7 +20,6 @@ from .backends import (
     CassetteError,
     CassetteRecorder,
     LiveBackend,
-    LlmBackend,
     ReplayBackend,
     ScriptedBackend,
 )
@@ -142,7 +141,7 @@ def _write(path: Path | str, data: bytes) -> None:
     path.write_bytes(data)
 
 
-def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[LlmBackend, MissionPlan]:
+def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object, MissionPlan]:
     """The backend the flags select, and the plan with the model it will ask for."""
     if args.verdicts and args.backend != "scripted":
         raise BackendConfigError(f"--verdicts belongs to the scripted backend, not {args.backend}")
@@ -194,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write(plan.out_json, render_json(report))
     _write(plan.out_text, render_text(report).encode("utf-8"))
     if args.detections_out:
-        _write(args.detections_out, serialize_detections(detections_of(mission.kept)))
+        _write(args.detections_out, serialize_detections(detections_of(mission.retained)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "

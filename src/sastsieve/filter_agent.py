@@ -93,25 +93,15 @@ class BatchOutcome:
     ``records`` maps finding ids to decided verdicts: the model's parsed
     verdicts, and source_unavailable for findings left out of the prompt.
     A finding without a record is retained fail-open under ``cause``: the
-    batch's failure, or missing_entry when the answer parsed. ``called``
+    batch's failure, or missing_entry (the default) when the answer parsed,
+    never a per-finding cause such as source_unavailable. ``called``
     says whether the backend was asked; ``latency`` is that call's time.
     """
 
     records: Mapping[str, Verdict]
-    cause: FailOpenCause
+    cause: FailOpenCause = FailOpenCause.MISSING_ENTRY
     called: bool = True
     latency: float = 0.0
-
-    @classmethod
-    def parsed(cls, records: Mapping[str, Verdict]) -> "BatchOutcome":
-        return cls(dict(records), FailOpenCause.MISSING_ENTRY)
-
-    @classmethod
-    def failed(cls, cause: FailOpenCause | str) -> "BatchOutcome":
-        cause = FailOpenCause(cause)
-        if cause in _PER_FINDING_CAUSES:
-            raise ValueError(f"{cause.value} is a per-finding cause, not a batch failure")
-        return cls({}, cause)
 
     @property
     def ok(self) -> bool:
@@ -333,25 +323,26 @@ def parse_llm_response(raw: str, batch: Batch) -> BatchOutcome:
     finding ids outside the batch are dropped with a warning. Lone surrogates
     in a rationale become U+FFFD.
     """
+    malformed = BatchOutcome({}, FailOpenCause.MALFORMED_RESPONSE)
     try:
         document = json.loads(_strip_fences(raw))
     except (ValueError, RecursionError):  # ValueError also covers over-long integers
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
+        return malformed
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
-        return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
+        return malformed
 
     known_ids = {finding.id for finding in batch.findings}
     records: dict[str, Verdict] = {}
     for item in document["results"]:
         if not isinstance(item, dict) or not isinstance(item.get("finding_id"), str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
+            return malformed
         try:
             classification = Classification(item.get("classification"))
         except ValueError:
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
+            return malformed
         rationale = item.get("rationale", "")
         if not isinstance(rationale, str):
-            return BatchOutcome.failed(FailOpenCause.MALFORMED_RESPONSE)
+            return malformed
         fid = item["finding_id"]
         if fid not in known_ids:
             log.warning("batch %d: dropping verdict for unknown finding id %r", batch.index, fid)
@@ -360,7 +351,7 @@ def parse_llm_response(raw: str, batch: Batch) -> BatchOutcome:
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
         records[fid] = Verdict.llm(classification, replace_surrogates(rationale))
-    return BatchOutcome.parsed(records)
+    return BatchOutcome(records)
 
 
 def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]:
@@ -409,7 +400,7 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
     sources, left_out = _read_sources(batch, plan.target_root)
     sent = tuple(f for f in batch.findings if f.id not in left_out)
     if not sent:
-        return BatchOutcome(left_out, FailOpenCause.MISSING_ENTRY, called=False)
+        return BatchOutcome(left_out, called=False)
     batch = Batch(batch.index, sent)
     request = build_prompt(
         batch,
@@ -432,7 +423,7 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
         log.error("batch %d: unexpected backend error: %s", batch.index, exc)
         cause = FailOpenCause.TRANSPORT_ERROR
     latency = time.perf_counter() - started
-    outcome = BatchOutcome.failed(cause) if cause else parse_llm_response(raw, batch)
+    outcome = BatchOutcome({}, cause) if cause else parse_llm_response(raw, batch)
     return replace(outcome, records={**outcome.records, **left_out}, latency=latency)
 
 

@@ -12,7 +12,6 @@ import logging
 import subprocess
 import threading
 import typing
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -192,30 +191,18 @@ def run_scanner(plan: MissionPlan) -> bytes:
     return proc.stdout
 
 
-class EvidenceProvider(ABC):
-    """Source of runtime evidence (UI traces, API logs, ...) for findings.
-
-    ``query`` must be side-effect-free with respect to the finding set.
-    No live provider ships; the routing interface exists so one can be
-    plugged in.
-    """
-
-    name: str = "evidence"
-
-    @abstractmethod
-    def query(self, finding: Finding) -> str | None:
-        """Return an evidence reference for the finding, or None."""
-
-
 def correlate_evidence(
     findings: Sequence[Finding],
-    providers: Sequence[EvidenceProvider] = (),
+    providers: Sequence = (),
 ) -> tuple[list[FilteredFinding], list[Finding]]:
     """Split findings into evidence-verified and unverified.
 
-    A finding is verified iff some provider returns evidence for it;
-    provider failures are logged and treated as no evidence. With zero
-    providers everything is unverified.
+    A provider is a source of runtime evidence (UI traces, API logs, ...):
+    any object with a ``name`` and a ``query(finding)`` that returns an
+    evidence reference or None, without side effects on the finding set.
+    No provider ships. A finding is verified iff some provider returns
+    evidence for it; provider failures are logged and treated as no
+    evidence. With zero providers everything is unverified.
     """
     verified: list[FilteredFinding] = []
     unverified: list[Finding] = []
@@ -244,17 +231,11 @@ class MissionResult:
     plan: MissionPlan
     scanner_finding_count: int
     skipped_results: int
-    verified: tuple[FilteredFinding, ...]
-    retained: tuple[FilteredFinding, ...]
+    retained: tuple[FilteredFinding, ...]  # evidence-verified findings first
     suppressed: tuple[FilteredFinding, ...]
     stats: FilterStats
     started_at: str = ""
     finished_at: str = ""
-
-    @property
-    def kept(self) -> tuple[FilteredFinding, ...]:
-        """Verified plus retained findings: everything not suppressed."""
-        return self.verified + self.retained
 
 
 def _utcnow() -> str:
@@ -264,7 +245,7 @@ def _utcnow() -> str:
 def run_mission(
     plan: MissionPlan,
     backend,
-    providers: Sequence[EvidenceProvider] = (),
+    providers: Sequence = (),
 ) -> MissionResult:
     """Execute scan, parse, normalize, dedupe, correlate, filter, assemble.
 
@@ -305,8 +286,7 @@ def run_mission(
         plan=plan,
         scanner_finding_count=len(parsed.findings),
         skipped_results=parsed.skipped,
-        verified=tuple(verified),
-        retained=tuple(retained),
+        retained=tuple(verified + retained),
         suppressed=tuple(suppressed),
         stats=stats,
         started_at=started,

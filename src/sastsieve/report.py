@@ -100,7 +100,7 @@ def build_report(
     deltas = None
     if gt is not None:
         scorecard = score_per_cwe(
-            detections_of(mission.kept), gt, match_any_cwe=plan.match_any_cwe
+            detections_of(mission.retained), gt, match_any_cwe=plan.match_any_cwe
         )
         if baseline_detections is not None:
             baseline_card = score_per_cwe(
@@ -112,7 +112,7 @@ def build_report(
         {
             "plan": plan_summary,
             "findings": sorted(
-                ff.finding.id for ff in mission.kept + mission.suppressed
+                ff.finding.id for ff in mission.retained + mission.suppressed
             ),
         },
         sort_keys=True,
@@ -122,7 +122,7 @@ def build_report(
     return Report(
         run_id=run_id,
         plan_summary=plan_summary,
-        retained=mission.kept,
+        retained=mission.retained,
         suppressed=mission.suppressed,
         stats=mission.stats,
         scorecard=scorecard,

@@ -104,16 +104,6 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricSet:
     return MetricSet(precision=precision, recall=recall, f1=f1, fpr=fpr, youden_j=youden)
 
 
-def score(
-    detections: Collection[Detection],
-    gt: GroundTruth,
-    *,
-    match_any_cwe: bool = False,
-) -> ConfusionMatrix:
-    """The overall confusion matrix of ``score_per_cwe``."""
-    return score_per_cwe(detections, gt, match_any_cwe=match_any_cwe).overall[0]
-
-
 def score_per_cwe(
     detections: Collection[Detection],
     gt: GroundTruth,
@@ -127,7 +117,7 @@ def score_per_cwe(
     ground truth are ignored (counted and logged).
     """
     pairs = set(detections)
-    unknown = sum(1 for tid, _ in pairs if tid not in gt.entries)
+    unknown = sum(1 for tid, _ in pairs if tid not in gt)
     if unknown:
         log.info("ignoring %d detection pairs absent from the ground truth", unknown)
     detected_ids = {tid for tid, _ in pairs}
@@ -137,7 +127,7 @@ def score_per_cwe(
             return entry.test_id in detected_ids
         return (entry.test_id, entry.cwe.code) in pairs
 
-    counts = Counter((e.cwe.code, e.is_vulnerable, hit(e)) for e in gt.entries.values())
+    counts = Counter((e.cwe.code, e.is_vulnerable, hit(e)) for e in gt.values())
     per_cwe: dict[int, tuple[ConfusionMatrix, MetricSet]] = {}
     for code in sorted({code for code, _, _ in counts}):
         cm = ConfusionMatrix(

@@ -35,7 +35,6 @@ from sastsieve.scoring import (
     compare,
     compute_metrics,
     round_display,
-    score,
     score_per_cwe,
 )
 from tests.conftest import (
@@ -123,7 +122,7 @@ def test_criterion_2_ground_truth_fidelity():
     with criterion(2, "ground-truth fidelity over the full distribution"):
         gt = load_ground_truth(distribution_csv_bytes())
         assert len(gt) == 2740
-        counts = Counter((e.cwe.code, e.is_vulnerable) for e in gt.entries.values())
+        counts = Counter((e.cwe.code, e.is_vulnerable) for e in gt.values())
         per_cwe = {code: (counts[code, True], counts[code, False]) for code, _ in counts}
         assert sum(vulnerable for vulnerable, _ in per_cwe.values()) == 1415
         assert sum(safe for _, safe in per_cwe.values()) == 1325
@@ -178,7 +177,7 @@ def _random_ground_truth(rng: random.Random, findings) -> GroundTruth:
     if not entries:
         tid = TestCaseId("BenchmarkTest00001")
         entries[tid] = GroundTruthEntry(tid, "cat", True, CweCategory(89))
-    return GroundTruth(entries)
+    return entries
 
 
 def _detections(findings) -> set[tuple[TestCaseId, int]]:
@@ -199,8 +198,8 @@ def test_criterion_4_fail_open_soundness():
             assert suppressed == []
             assert all(ff.verdict.provenance is Provenance.FAIL_OPEN for ff in retained)
             gt = _random_ground_truth(rng, findings)
-            pipeline_cm = score(_detections([ff.finding for ff in retained]), gt)
-            baseline_cm = score(_detections(findings), gt)
+            pipeline_cm = score_per_cwe(_detections([ff.finding for ff in retained]), gt).overall[0]
+            baseline_cm = score_per_cwe(_detections(findings), gt).overall[0]
             assert pipeline_cm == baseline_cm
 
 
@@ -254,16 +253,16 @@ def test_criterion_7_scoring_oracle_equivalence():
                 entries[tid] = GroundTruthEntry(
                     tid, "cat", rng.random() < 0.5, CweCategory(rng.choice(codes))
                 )
-            gt = GroundTruth(entries)
+            gt = entries
             detections = set()
-            for entry in gt.entries.values():
+            for entry in gt.values():
                 if rng.random() < 0.5:
                     code = entry.cwe.code if rng.random() < 0.7 else rng.choice(codes)
                     detections.add((entry.test_id, code))
 
-            cm = score(detections, gt)
+            cm = score_per_cwe(detections, gt).overall[0]
             tp = fp = tn = fn = 0
-            for entry in gt.entries.values():
+            for entry in gt.values():
                 detected = (entry.test_id, entry.cwe.code) in detections
                 if entry.is_vulnerable and detected:
                     tp += 1

@@ -88,7 +88,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def chat_server():
+def chat_server(monkeypatch):
+    # Retries against the test server wait 10 and 20 ms, not 1 and 4 s.
+    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.01, 0.02))
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     server.plan = []
     server.hits = 0
@@ -106,7 +108,6 @@ def live_backend(server, **kwargs):
     kwargs.setdefault("api_base", f"http://127.0.0.1:{server.server_address[1]}")
     kwargs.setdefault("api_key", "test-key")
     kwargs.setdefault("model_id", "test-model")
-    kwargs.setdefault("backoff", (0.01, 0.02))
     return LiveBackend(**kwargs)
 
 
@@ -136,7 +137,7 @@ def test_live_backend_reads_environment(monkeypatch, chat_server):
     monkeypatch.setenv("QSC_API_KEY", "env-key")
     monkeypatch.setenv("QSC_API_BASE", f"http://127.0.0.1:{port}")
     monkeypatch.setenv("QSC_MODEL", "env-model")
-    backend = LiveBackend(backoff=(0.01,))
+    backend = LiveBackend()
     backend.complete(request_for(model=""))
     assert chat_server.last_headers.get("Authorization") == "Bearer env-key"
     assert chat_server.last_body["model"] == "env-model"
@@ -157,10 +158,11 @@ def test_live_backend_bounded_retries(chat_server):
     assert chat_server.hits == 3  # initial call + 2 retries, never more
 
 
-def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server):
+def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server, monkeypatch):
     # One slot: batch 0's 503 must not keep it through the backoff.
     chat_server.plan = [("status", 503)]
-    backend = live_backend(chat_server, backoff=(0.3,))
+    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.3,))
+    backend = live_backend(chat_server)
     findings = [make_finding(0), make_finding(1)]
     plan = MissionPlan(batch_size=1, parallelism=1)
     filter_findings(findings, backend, plan, default_template())
@@ -188,17 +190,19 @@ def waits(monkeypatch):
         (500, "3", 0.5),  # only 429 and 503 are read
     ],
 )
-def test_live_backend_waits_out_retry_after(chat_server, waits, status, retry_after, wait):
+def test_live_backend_waits_out_retry_after(chat_server, waits, monkeypatch, status, retry_after, wait):
     chat_server.plan = [("status", (status, {"Retry-After": retry_after})), ("ok", "fine")]
-    backend = live_backend(chat_server, backoff=(0.5,))
+    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.5,))
+    backend = live_backend(chat_server)
     assert backend.complete(request_for()) == "fine"
     assert waits == [wait]
 
 
-def test_live_backend_reads_retry_after_as_an_http_date(chat_server, waits):
+def test_live_backend_reads_retry_after_as_an_http_date(chat_server, waits, monkeypatch):
     date = email.utils.formatdate(time.time() + 10, usegmt=True)
     chat_server.plan = [("status", (503, {"Retry-After": date})), ("ok", "fine")]
-    backend = live_backend(chat_server, backoff=(0.5,))
+    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.5,))
+    backend = live_backend(chat_server)
     assert backend.complete(request_for()) == "fine"
     [wait] = waits
     assert 8.0 <= wait <= 10.0

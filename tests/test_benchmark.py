@@ -9,7 +9,7 @@ from tests.conftest import TOTAL_CASES, TOTAL_SAFE, TOTAL_VULNERABLE
 
 def test_load_single_record():
     gt = load_ground_truth(b"BenchmarkTest00001, pathtraver, true, 22\n")
-    entry = gt.entries[TestCaseId("BenchmarkTest00001")]
+    entry = gt[TestCaseId("BenchmarkTest00001")]
     assert entry.is_vulnerable is True
     assert entry.cwe.code == 22
     assert entry.category_name == "pathtraver"
@@ -18,7 +18,7 @@ def test_load_single_record():
 def test_load_full_distribution(distribution_csv):
     gt = load_ground_truth(distribution_csv)
     assert len(gt) == TOTAL_CASES
-    vulnerable = Counter(e.is_vulnerable for e in gt.entries.values())
+    vulnerable = Counter(e.is_vulnerable for e in gt.values())
     assert (vulnerable[True], vulnerable[False]) == (TOTAL_VULNERABLE, TOTAL_SAFE)
 
 
@@ -32,7 +32,7 @@ def test_load_empty_payload_is_an_error():
 def test_load_flag_is_case_insensitive():
     for flag in ("true", "TRUE", "True"):
         gt = load_ground_truth(f"BenchmarkTest00001,x,{flag},89".encode())
-        assert gt.entries[TestCaseId("BenchmarkTest00001")].is_vulnerable
+        assert gt[TestCaseId("BenchmarkTest00001")].is_vulnerable
 
 
 def test_load_accepts_crlf_and_field_whitespace():
@@ -43,7 +43,7 @@ def test_load_accepts_crlf_and_field_whitespace():
 
 def test_load_ignores_extra_trailing_columns():
     gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89,extra,columns\n")
-    assert gt.entries[TestCaseId("BenchmarkTest00001")].cwe.code == 89
+    assert gt[TestCaseId("BenchmarkTest00001")].cwe.code == 89
 
 
 def test_load_reports_line_numbers_on_malformed_records():
@@ -70,5 +70,5 @@ def test_load_rejects_duplicate_test_ids():
 
 def test_load_accepts_unknown_cwe_codes_as_other():
     gt = load_ground_truth(b"BenchmarkTest00001,custom,true,9999\n")
-    entry = gt.entries[TestCaseId("BenchmarkTest00001")]
+    entry = gt[TestCaseId("BenchmarkTest00001")]
     assert entry.cwe.code == 9999 and entry.cwe.name == "Other"

@@ -338,7 +338,7 @@ def test_parse_never_raises_and_never_suppresses_outside_the_batch(raw):
 def test_failed_outcome_retains_entire_batch():
     findings = [make_finding(i) for i in range(15)]
     batch = batch_of(findings, index=3)
-    out = apply_verdicts(batch, BatchOutcome.failed("timeout"))
+    out = apply_verdicts(batch, BatchOutcome({}, FailOpenCause.TIMEOUT))
     assert len(out) == 15
     assert all(ff.verdict.provenance is Provenance.FAIL_OPEN for ff in out)
     assert all(ff.verdict.cause is FailOpenCause.TIMEOUT for ff in out)
@@ -354,7 +354,7 @@ def test_mixed_verdicts_suppress_only_named_false_positives():
         )
         for i, f in enumerate(findings)
     }
-    out = apply_verdicts(batch_of(findings), BatchOutcome.parsed(records))
+    out = apply_verdicts(batch_of(findings), BatchOutcome(records))
     retained = [ff for ff in out if ff.verdict.retained]
     assert len(retained) == 9
     assert len(out) == 15
@@ -363,18 +363,12 @@ def test_mixed_verdicts_suppress_only_named_false_positives():
 def test_missing_record_retains_fail_open():
     findings = [make_finding(i) for i in range(15)]
     records = {f.id: Verdict.llm(Classification.TRUE_POSITIVE, "r") for f in findings[:14]}
-    out = apply_verdicts(batch_of(findings), BatchOutcome.parsed(records))
+    out = apply_verdicts(batch_of(findings), BatchOutcome(records))
     missing = [ff for ff in out if ff.verdict.provenance is Provenance.FAIL_OPEN]
     assert len(missing) == 1
     assert missing[0].finding == findings[14]
     assert missing[0].verdict.cause is FailOpenCause.MISSING_ENTRY
     assert all(ff.verdict.retained for ff in out)
-
-
-def test_batch_outcome_validation():
-    for cause in (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE):
-        with pytest.raises(ValueError, match="per-finding cause"):
-            BatchOutcome.failed(cause)
 
 
 # --- filter_findings --------------------------------------------------------

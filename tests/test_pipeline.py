@@ -12,7 +12,6 @@ from sastsieve.ingest import parse_scanner_output
 from sastsieve.model import Provenance
 from sastsieve.pipeline import (
     ConfigError,
-    EvidenceProvider,
     MissionPlan,
     ScannerError,
     correlate_evidence,
@@ -241,7 +240,7 @@ def test_run_scanner_missing_executable(tmp_path):
 # --- correlate_evidence -----------------------------------------------------
 
 
-class MatchingProvider(EvidenceProvider):
+class MatchingProvider:
     name = "apilog"
 
     def __init__(self, matching_ids):
@@ -251,7 +250,7 @@ class MatchingProvider(EvidenceProvider):
         return "hit-42" if finding.id in self.matching_ids else None
 
 
-class ThrowingProvider(EvidenceProvider):
+class ThrowingProvider:
     name = "broken"
 
     def query(self, finding):
@@ -290,33 +289,33 @@ def test_mission_with_failing_backend_retains_all_deduped(tmp_path):
     assert mission.scanner_finding_count == 10
     assert len(mission.retained) == 9  # duplicate removed by dedupe
     assert mission.suppressed == ()
-    assert mission.verified == ()
+    assert {ff.verdict.provenance for ff in mission.retained} == {Provenance.FAIL_OPEN}
 
 
 def test_mission_scripted_suppress_everything_keeps_verified_only(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(6))})
     backend = ScriptedBackend({}, default="false_positive")
 
-    class FirstFindingProvider(EvidenceProvider):
+    class FirstFindingProvider:
         name = "trace"
 
         def query(self, finding):
             return "seen" if finding.file_path.endswith("BenchmarkTest00001.java") else None
 
     mission = run_mission(plan, backend, [FirstFindingProvider()])
-    assert len(mission.verified) == 1
-    assert mission.retained == ()
+    [verified] = mission.retained
+    assert verified.verdict.provenance is Provenance.EVIDENCE_VERIFIED
+    assert verified.verdict.evidence_ref == "trace:seen"
     assert len(mission.suppressed) == 5
-    assert mission.kept == mission.verified
 
 
 def test_mission_partitions_deduped_findings(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(12))})
     verdicts_backend = ScriptedBackend({}, default="false_positive")
     mission = run_mission(plan, verdicts_backend)
-    total = len(mission.verified) + len(mission.retained) + len(mission.suppressed)
+    total = len(mission.retained) + len(mission.suppressed)
     assert total == 12
-    ids = [ff.finding.id for ff in mission.verified + mission.retained + mission.suppressed]
+    ids = [ff.finding.id for ff in mission.retained + mission.suppressed]
     assert len(set(ids)) == total
 
 
@@ -334,7 +333,7 @@ def test_mission_stage_monotonicity(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, results)})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
     assert mission.scanner_finding_count == 11
-    kept_and_suppressed = len(mission.kept) + len(mission.suppressed)
+    kept_and_suppressed = len(mission.retained) + len(mission.suppressed)
     assert kept_and_suppressed <= mission.scanner_finding_count
     assert kept_and_suppressed == 8
 

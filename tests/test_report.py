@@ -61,8 +61,8 @@ def golden_report() -> Report:
         plan=MissionPlan(scan_json=Path("scan.json"), model="m-1"),
         scanner_finding_count=5,
         skipped_results=1,
-        verified=(FilteredFinding(verified, Verdict.evidence("trace:42")),),
         retained=(
+            FilteredFinding(verified, Verdict.evidence("trace:42")),
             FilteredFinding(llm_kept, Verdict.llm("true_positive", "reaches the sink"), 0),
             FilteredFinding(missing, Verdict.fail_open(FailOpenCause.MISSING_ENTRY), 1),
         ),

@@ -16,7 +16,6 @@ from sastsieve.scoring import (
     compute_metrics,
     load_detections,
     round_display,
-    score,
     score_per_cwe,
     serialize_detections,
 )
@@ -95,17 +94,17 @@ def test_metric_bounds_on_random_matrices():
 
 
 def test_score_published_pipeline_detections(ground_truth, pipeline_detections):
-    cm = score(pipeline_detections, ground_truth)
+    cm = score_per_cwe(pipeline_detections, ground_truth).overall[0]
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == PIPELINE_OVERALL
 
 
 def test_score_published_baseline_detections(ground_truth, baseline_detections):
-    cm = score(baseline_detections, ground_truth)
+    cm = score_per_cwe(baseline_detections, ground_truth).overall[0]
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == BASELINE_OVERALL
 
 
 def test_score_empty_detections(ground_truth):
-    cm = score(set(), ground_truth)
+    cm = score_per_cwe(set(), ground_truth).overall[0]
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, TOTAL_SAFE, TOTAL_VULNERABLE)
 
 
@@ -115,7 +114,7 @@ def test_score_ignores_pairs_absent_from_ground_truth(caplog):
         (TestCaseId("BenchmarkTest00001"), 89),
         (TestCaseId("BenchmarkTest09999"), 89),
     }
-    cm = score(detections, gt)
+    cm = score_per_cwe(detections, gt).overall[0]
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 0, 0)
     caplog.clear()
     with caplog.at_level("INFO", logger="sastsieve.scoring"):
@@ -128,8 +127,8 @@ def test_score_ignores_pairs_absent_from_ground_truth(caplog):
 def test_score_requires_cwe_match_by_default():
     gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\n")
     wrong_cwe = {(TestCaseId("BenchmarkTest00001"), 79)}
-    assert score(wrong_cwe, gt).tp == 0
-    assert score(wrong_cwe, gt, match_any_cwe=True).tp == 1
+    assert score_per_cwe(wrong_cwe, gt).overall[0].tp == 0
+    assert score_per_cwe(wrong_cwe, gt, match_any_cwe=True).overall[0].tp == 1
 
 
 def _random_gt(rng: random.Random, max_entries: int = 50, codes=(22, 79, 89, 330)) -> GroundTruth:
@@ -142,7 +141,7 @@ def _random_gt(rng: random.Random, max_entries: int = 50, codes=(22, 79, 89, 330
             is_vulnerable=rng.random() < 0.5,
             cwe=CweCategory(rng.choice(codes)),
         )
-    return GroundTruth(entries)
+    return entries
 
 
 def _brute_force(detections, entries, match_any_cwe=False) -> tuple[int, int, int, int]:
@@ -168,12 +167,12 @@ def test_score_matches_brute_force_oracle():
     for _ in range(1000):
         gt = _random_gt(rng)
         detections = set()
-        for entry in gt.entries.values():
+        for entry in gt.values():
             if rng.random() < 0.5:
                 code = entry.cwe.code if rng.random() < 0.7 else rng.choice([22, 79, 89, 330])
                 detections.add((entry.test_id, code))
-        cm = score(detections, gt)
-        assert (cm.tp, cm.fp, cm.tn, cm.fn) == _brute_force(detections, gt.entries.values())
+        cm = score_per_cwe(detections, gt).overall[0]
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == _brute_force(detections, gt.values())
         assert cm.total == len(gt)
 
 
@@ -189,7 +188,7 @@ def test_per_cwe_matrices_match_brute_force_counts(match_any_cwe):
             for n in rng.sample(range(1, 300), rng.randint(0, 60))
         }
         card = score_per_cwe(detections, gt, match_any_cwe=match_any_cwe)
-        entries = list(gt.entries.values())
+        entries = list(gt.values())
         assert list(card.per_cwe) == sorted({e.cwe.code for e in entries})
         for code, (cm, metrics) in card.per_cwe.items():
             in_cwe = [e for e in entries if e.cwe.code == code]
@@ -235,14 +234,14 @@ def test_score_monotonicity_under_detection_removal():
     for _ in range(200):
         gt = _random_gt(rng, max_entries=20)
         detections = {
-            (e.test_id, e.cwe.code) for e in gt.entries.values() if rng.random() < 0.6
+            (e.test_id, e.cwe.code) for e in gt.values() if rng.random() < 0.6
         }
-        cm = score(detections, gt)
+        cm = score_per_cwe(detections, gt).overall[0]
         if not detections:
             continue
         smaller = set(detections)
         smaller.remove(rng.choice(sorted(smaller)))
-        cm2 = score(smaller, gt)
+        cm2 = score_per_cwe(smaller, gt).overall[0]
         assert cm2.tp <= cm.tp and cm2.fp <= cm.fp
         assert cm2.fn >= cm.fn and cm2.tn >= cm.tn
 
