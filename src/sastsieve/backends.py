@@ -151,9 +151,9 @@ class LiveBackend:
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
     any of the three is missing. Each attempt may take ``timeout`` seconds.
     Transient transport failures (connection errors, 429, 5xx) are retried at
-    most twice with the BACKOFF_SECONDS waits (1s, then 4s); timeouts and malformed output are never
-    retried. A 429 or 503 may ask for a longer wait with Retry-After; one over
-    MAX_RETRY_AFTER fails the call at once.
+    most twice after the BACKOFF_SECONDS waits (1s, then 4s); timeouts and
+    malformed output are never retried. A 429 or 503 may ask for a longer
+    wait with Retry-After; one over MAX_RETRY_AFTER fails the call at once.
     """
 
     def __init__(

@@ -45,8 +45,9 @@ class ScannerError(RuntimeError):
 class MissionPlan:
     """Fully resolved run parameters; each field name is its config key.
 
-    Every int field is at least 1, and every float field is positive and at
-    most ``threading.TIMEOUT_MAX``, the longest wait a request can be given.
+    Every int field is at least 1, every float field is positive and at
+    most ``threading.TIMEOUT_MAX``, the longest wait a request can be given,
+    and out_json and out_text name different files.
     """
 
     target_root: Path | None = None
@@ -79,7 +80,7 @@ class MissionPlan:
                 raise ConfigError(
                     f"{name}: must be positive and at most {threading.TIMEOUT_MAX:.0f}, got {value}"
                 )
-        if Path(self.out_json).resolve() == Path(self.out_text).resolve():
+        if Path(self.out_json).absolute() == Path(self.out_text).absolute():
             raise ConfigError(f"out_text: must differ from out_json, both are {self.out_json}")
 
 
@@ -101,8 +102,7 @@ def parse_config_file(text: str) -> dict[str, str]:
 def read_input(key: str, path: Path | str, parse: Callable[[str], T], errors: str = "strict") -> T:
     """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key, when that fails.
 
-    ``errors`` is the decoder's error handler: "replace" reads bytes that are
-    not UTF-8 as U+FFFD instead of failing.
+    With ``errors="replace"``, bytes that are not UTF-8 read as U+FFFD.
     """
     try:
         return parse(Path(path).read_text(encoding="utf-8-sig", errors=errors))

@@ -309,6 +309,24 @@ def test_mission_scripted_suppress_everything_keeps_verified_only(tmp_path):
     assert len(mission.suppressed) == 5
 
 
+def test_mission_lists_evidence_verified_findings_first(tmp_path):
+    plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(3))})
+
+    class LastFindingProvider:
+        name = "trace"
+
+        def query(self, finding):
+            return "seen" if finding.file_path.endswith("BenchmarkTest00003.java") else None
+
+    mission = run_mission(plan, ScriptedBackend({}, default="true_positive"), [LastFindingProvider()])
+    assert [ff.finding.file_path for ff in mission.retained] == [
+        "src/BenchmarkTest00003.java", "src/BenchmarkTest00001.java", "src/BenchmarkTest00002.java"
+    ]
+    assert [ff.verdict.provenance for ff in mission.retained] == [
+        Provenance.EVIDENCE_VERIFIED, Provenance.LLM_DECISION, Provenance.LLM_DECISION
+    ]
+
+
 def test_mission_partitions_deduped_findings(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(12))})
     verdicts_backend = ScriptedBackend({}, default="false_positive")
