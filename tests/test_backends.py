@@ -62,6 +62,14 @@ class _ChatHandler(BaseHTTPRequestHandler):
         if kind == "sleep":
             time.sleep(value)
             kind, value = "ok", None
+        if kind == "stall":  # the headers and part of the body, then silence
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b'{"choices": ')
+            time.sleep(value)
+            return
         if kind == "status":
             code, headers = value if isinstance(value, tuple) else (value, {})
             self.send_response(code)
@@ -91,6 +99,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server(monkeypatch):
     # Retries against the test server wait 10 and 20 ms, not 1 and 4 s.
     monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.01, 0.02))
+    yield from serve_chat()
+
+
+@pytest.fixture
+def second_server():
+    yield from serve_chat()
+
+
+def serve_chat():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     server.plan = []
     server.hits = 0
@@ -237,6 +254,43 @@ def test_live_backend_enforces_timeout(chat_server):
     with pytest.raises(BackendTimeoutError):
         backend.complete(request_for())
     assert time.perf_counter() - started < 0.9  # did not wait for the server
+
+
+def test_live_backend_times_out_on_a_stalled_body_without_retrying(chat_server):
+    chat_server.plan = [("stall", 1.0)]
+    backend = live_backend(chat_server, timeout=0.2)
+    started = time.perf_counter()
+    with pytest.raises(BackendTimeoutError):
+        backend.complete(request_for())
+    assert time.perf_counter() - started < 0.9
+    assert chat_server.hits == 1
+
+
+def test_live_backend_sends_its_bearer_token_despite_a_netrc_entry(chat_server, monkeypatch, tmp_path):
+    netrc = tmp_path / ".netrc"
+    netrc.write_text("machine 127.0.0.1 login someone password hunter2\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("NETRC", str(netrc))
+    live_backend(chat_server).complete(request_for())
+    assert chat_server.last_headers.get("Authorization") == "Bearer test-key"
+
+
+def test_live_backend_follows_no_redirect(chat_server, second_server):
+    target = f"http://127.0.0.1:{second_server.server_address[1]}/chat/completions"
+    chat_server.plan = [("status", (307, {"Location": target}))]
+    backend = live_backend(chat_server)
+    with pytest.raises(BackendError, match="307") as raised:
+        backend.complete(request_for())
+    assert type(raised.value) is BackendError
+    assert chat_server.hits == 1  # a redirect is not retried
+    assert second_server.hits == 0  # and the bearer token went nowhere else
+
+
+@pytest.mark.parametrize("api_base", ["localhost:9/v1", "ftp://127.0.0.1/v1", "127.0.0.1:9"])
+def test_live_backend_refuses_an_endpoint_that_is_not_http(api_base):
+    with pytest.raises(BackendConfigError, match="QSC_API_BASE"):
+        LiveBackend(api_base=api_base, api_key="k", model_id="m")
 
 
 def test_live_backend_rejects_bad_envelope(chat_server):

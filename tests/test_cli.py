@@ -82,6 +82,30 @@ def test_run_live_without_api_key_names_the_variable(tmp_path, monkeypatch, caps
     assert "QSC_API_KEY" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("api_base", ["localhost:9/v1", "ftp://127.0.0.1/v1"])
+def test_run_live_with_an_endpoint_that_is_not_http_exits_one_before_the_scan(
+    tmp_path, monkeypatch, capsys, api_base
+):
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", api_base)
+    monkeypatch.setenv("QSC_MODEL", "m")
+    out_json = tmp_path / "r.json"
+    code = main(
+        [
+            "run",
+            "--backend", "live",
+            "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
+            "--out-json", str(out_json),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "QSC_API_BASE" in line and api_base in line, line
+    assert not out_json.exists()
+
+
 def test_run_missing_scan_file_is_scanner_failure(tmp_path, capsys):
     code = main(
         [
