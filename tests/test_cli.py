@@ -963,3 +963,87 @@ def test_every_input_error_names_its_file(tmp_path, capsys, command, flag, key):
     assert code == 1, err
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
     assert line.startswith(f"error: {key} {bad}: "), line
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command", ["run", "filter", "replay"])
+@pytest.mark.parametrize("report_flag, key", [("--out-json", "out_json"), ("--out-text", "out_text")])
+def test_detections_out_on_a_report_path_exits_one_before_the_scan(
+    tmp_path, capsys, command, report_flag, key
+):
+    cassette = tmp_path / "c.json"
+    cassette.write_text("[]")
+    outputs = {"--out-json": tmp_path / "r.json", "--out-text": tmp_path / "r.txt", report_flag: tmp_path / "b.json"}
+    argv = [
+        command,
+        "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
+        *(str(x) for pair in outputs.items() for x in pair),
+        "--detections-out", str(tmp_path / "." / "b.json"),
+    ]
+    if command == "replay":
+        argv += ["--cassette", str(cassette)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith("error: detections_out: ") and key in line, line
+    assert list(tmp_path.iterdir()) == [cassette]
+
+
+def test_report_on_one_path_for_both_outputs_exits_one_before_writing(tmp_path, capsys):
+    from tests.test_report import GOLDEN
+
+    out = tmp_path / "x.json"
+    code = main(["report", "--in", str(GOLDEN / "report.json"), "--out-json", str(out), "--out-text", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith("error: out_text: ") and "out_json" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["run", "--detections-out="], "detections_out"),
+        (["filter", "--detections-out="], "detections_out"),
+        (["replay", "--cassette", "c.json", "--detections-out="], "detections_out"),
+        (["report", "--out-json="], "out_json"),
+        (["report", "--out-text="], "out_text"),
+        (["scan", "--target", ".", "--scanner-cmd", "absent-scanner", "--out="], "out"),
+    ],
+    ids=["run", "filter", "replay", "report-out-json", "report-out-text", "scan"],
+)
+def test_an_empty_output_path_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+    from tests.test_report import GOLDEN
+
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text("[]")
+    if argv[0] == "report":
+        argv = [*argv, "--in", str(GOLDEN / "report.json")]
+    elif argv[0] != "scan":  # an absent scan file: a scan would exit 2
+        argv = [*argv, "--scan-json", "absent.json", "--out-json", "r.json", "--out-text", "r.txt"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {key}: ") and "empty" in line, line
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("key", ["out_json", "scan_json", "target_root"])
+def test_a_nul_in_a_config_path_value_exits_one_before_the_scan(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    values = {"scan_json": "absent.json", "out_json": "r.json", "out_text": "r.txt", key: "r\0.json"}
+    config = tmp_path / "mission.conf"
+    config.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+    code = main(["run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {key}: ") and "NUL" in line, line
+    assert list(tmp_path.iterdir()) == [config]
