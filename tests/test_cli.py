@@ -1047,3 +1047,24 @@ def test_a_nul_in_a_config_path_value_exits_one_before_the_scan(tmp_path, monkey
     [line] = error_lines(err)
     assert line.startswith(f"error: {key}: ") and "NUL" in line, line
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_live_cassette_on_a_report_path_exits_one_before_the_scan(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    code = main(
+        [
+            "run",
+            "--backend", "live",
+            "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+            "--cassette", str(tmp_path / "r.json"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith("error: cassette: ") and "out_json" in line, line
+    assert list(tmp_path.iterdir()) == []
