@@ -131,7 +131,7 @@ def _retry_after(value: str | None) -> float:
     value = (value or "").strip()
     if value.isascii() and value.isdigit():
         return float(value)  # inf for an absurd number of digits, never an error
-    # Imported here, like requests, to keep them out of every run's set-up.
+    # Imported here, like the HTTP client, to keep them out of every run's set-up.
     from datetime import timezone
     from email.utils import parsedate_to_datetime
 
@@ -175,14 +175,29 @@ class LiveBackend:
             raise BackendConfigError(f"{ENV_MODEL} is not set and no model was given")
         # Imported here, not at module level, so only a run that builds a live
         # backend loads the HTTP stack; building it is part of set-up.
-        import requests
+        import urllib.request
 
-        self._requests = requests
+        if urllib.parse.urlsplit(self.api_base).scheme not in ("http", "https"):
+            raise BackendConfigError(f"{ENV_API_BASE} must be an http(s) URL, got {self.api_base!r}")
+        self._url = self.api_base.removesuffix("/chat/completions") + "/chat/completions"
+        self._headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
+        # No redirect or error handler: every status is the answer; the token goes to no other host.
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler, urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+            self._opener.add_handler(handler())
 
-    def _url(self) -> str:
-        if self.api_base.endswith("/chat/completions"):
-            return self.api_base
-        return self.api_base + "/chat/completions"
+    def _send(self, data: bytes) -> tuple[int, Mapping[str, str], bytes]:
+        """One attempt's status, headers and body; a timeout anywhere is BackendTimeoutError."""
+        from http.client import HTTPException
+        from urllib.request import Request
+
+        try:
+            with self._opener.open(Request(self._url, data, self._headers), timeout=self.timeout) as answer:
+                return answer.status, answer.headers, answer.read()
+        except (OSError, HTTPException) as exc:
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):  # a URLError wraps the cause
+                raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
+            raise BackendError(f"transport error: {exc}") from exc
 
     def complete(self, request: LlmRequest) -> str:
         body = {
@@ -194,8 +209,7 @@ class LiveBackend:
             "temperature": 0,
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        requests = self._requests
+        data = json.dumps(body).encode("utf-8")
         last_error: BackendError | None = None
         retry_after = 0.0
         for attempt in range(MAX_RETRIES + 1):
@@ -204,32 +218,30 @@ class LiveBackend:
                 backoff(max(retry_after, scheduled))
                 retry_after = 0.0
             try:
-                response = requests.post(
-                    self._url(), json=body, headers=headers, timeout=self.timeout
-                )
-            except requests.Timeout as exc:
-                raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
-            except requests.RequestException as exc:
-                last_error = BackendError(f"transport error: {exc}")
+                status, headers, payload = self._send(data)
+            except BackendTimeoutError:
+                raise
+            except BackendError as exc:
+                last_error = exc
                 log.warning("attempt %d/%d failed: %s", attempt + 1, MAX_RETRIES + 1, exc)
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
+            if status == 429 or status >= 500:
                 last_error = BackendError(
-                    f"transient HTTP {response.status_code}: {response.text[:200]}"
+                    f"transient HTTP {status}: {payload[:200].decode(errors='replace')}"
                 )
                 log.warning("attempt %d/%d: %s", attempt + 1, MAX_RETRIES + 1, last_error)
-                if response.status_code in (429, 503):
-                    retry_after = _retry_after(response.headers.get("Retry-After"))
+                if status in (429, 503):
+                    retry_after = _retry_after(headers.get("Retry-After"))
                     if retry_after > MAX_RETRY_AFTER:
                         raise BackendError(
-                            f"HTTP {response.status_code} with Retry-After "
+                            f"HTTP {status} with Retry-After "
                             f"{retry_after:.0f}s, over the {MAX_RETRY_AFTER:.0f}s cap"
                         )
                 continue
-            if response.status_code != 200:
-                raise BackendError(f"HTTP {response.status_code}: {response.text[:500]}")
+            if status != 200:
+                raise BackendError(f"HTTP {status}: {payload[:500].decode(errors='replace')}")
             try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(payload)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"unexpected completion envelope: {exc}") from exc
             if not isinstance(content, str):

@@ -492,7 +492,7 @@ import json, sys
 from sastsieve import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-assert "requests" not in sys.modules
+assert "urllib.request" not in sys.modules
 """
 
 
@@ -518,14 +518,33 @@ def test_commands_without_a_live_backend_never_load_the_http_client(tmp_path):
 BUILD_THEN_CHECK = """
 import sys
 from sastsieve.backends import LiveBackend
-assert "requests" not in sys.modules
+assert "urllib.request" not in sys.modules
 LiveBackend(api_key="k", api_base="http://127.0.0.1:9", model_id="m")
-assert "requests" in sys.modules
+assert "urllib.request" in sys.modules
 """
 
 
 def test_building_a_live_backend_loads_the_http_client():
     proc = run_python(BUILD_THEN_CHECK)
+    assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_EVERYTHING_THEN_CHECK = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import sastsieve
+for module in pkgutil.iter_modules(sastsieve.__path__):
+    importlib.import_module(f"sastsieve.{module.name}")
+from sastsieve.backends import LiveBackend
+LiveBackend(api_key="k", api_base="https://127.0.0.1:9", model_id="m")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"sastsieve"})
+assert not foreign, foreign
+"""
+
+
+def test_the_package_and_a_live_backend_need_only_the_standard_library():
+    proc = run_python(IMPORT_EVERYTHING_THEN_CHECK)
     assert proc.returncode == 0, proc.stderr
 
 
