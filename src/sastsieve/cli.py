@@ -31,6 +31,7 @@ from .pipeline import (
     ConfigError,
     MissionPlan,
     ScannerError,
+    check_outputs,
     parse_config_file,
     plan_mission,
     read_input,
@@ -169,7 +170,14 @@ def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object,
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        backend, plan = _build_backend(args, plan_mission(_mission_config(args)))
+        plan = plan_mission(_mission_config(args))
+        check_outputs(
+            out_json=plan.out_json,
+            out_text=plan.out_text,
+            detections_out=args.detections_out,
+            cassette=args.cassette if args.backend == "live" else None,
+        )
+        backend, plan = _build_backend(args, plan)
     except (ConfigError, BackendConfigError, CassetteError):
         args.parser.print_usage(sys.stderr)
         raise
@@ -192,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = build_report(mission, gt, baseline)
     _write(plan.out_json, render_json(report))
     _write(plan.out_text, render_text(report).encode("utf-8"))
-    if args.detections_out:
+    if args.detections_out is not None:
         _write(args.detections_out, serialize_detections(detections_of(mission.retained)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
@@ -204,10 +212,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    check_outputs(out=args.out)
     payload = run_scanner(
         plan_mission({"target_root": args.target, "scanner_cmd": args.scanner_cmd or None})
     )
-    if args.out:
+    if args.out is not None:
         _write(args.out, payload)
         print(f"scanner output written to {args.out}")
     else:
@@ -238,13 +247,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    check_outputs(out_json=args.out_json, out_text=args.out_text)
     report = read_input("report", args.input, load_report)
-    if args.out_json:
+    if args.out_json is not None:
         _write(args.out_json, render_json(report))
     text = render_text(
         report, max_retained=args.max_retained, max_suppressed=args.max_suppressed
     )
-    if args.out_text:
+    if args.out_text is not None:
         _write(args.out_text, text.encode("utf-8"))
     else:
         print(text, end="")

@@ -80,8 +80,7 @@ class MissionPlan:
                 raise ConfigError(
                     f"{name}: must be positive and at most {threading.TIMEOUT_MAX:.0f}, got {value}"
                 )
-        if Path(self.out_json).absolute() == Path(self.out_text).absolute():
-            raise ConfigError(f"out_text: must differ from out_json, both are {self.out_json}")
+        check_outputs(out_json=self.out_json, out_text=self.out_text)
 
 
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
@@ -127,9 +126,32 @@ def _coerce(key: str, kind: object, value: object) -> object:
             raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     if kind is str:
         return str(value)
-    if not str(value):  # Path("") would be the working directory
+    return as_path(key, value)  # Path, or Path | None
+
+
+def as_path(key: str, value: object) -> Path:
+    """``value`` as a path; ConfigError naming ``key`` when it is empty or holds a NUL."""
+    text = str(value)
+    if not text:  # Path("") would be the working directory
         raise ConfigError(f"{key}: expected a path, got an empty value")
-    return Path(str(value))  # Path, or Path | None
+    if "\0" in text:  # no file name holds one
+        raise ConfigError(f"{key}: a path cannot hold a NUL character, got {text!r}")
+    return Path(text)
+
+
+def check_outputs(**paths: Path | str | None) -> None:
+    """Refuse an empty output path, and two outputs of one command on one file.
+
+    Paths are compared as absolute paths, without touching the file system.
+    """
+    seen: dict[Path, str] = {}
+    for key, value in paths.items():
+        if value is None:
+            continue
+        path = as_path(key, value).absolute()
+        if path in seen:
+            raise ConfigError(f"{key}: must differ from {seen[path]}, both are {value}")
+        seen[path] = key
 
 
 def plan_mission(config: Mapping[str, object]) -> MissionPlan:
