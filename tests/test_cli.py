@@ -1068,3 +1068,124 @@ def test_a_live_cassette_on_a_report_path_exits_one_before_the_scan(tmp_path, mo
     [line] = error_lines(err)
     assert line.startswith("error: cassette: ") and "out_json" in line, line
     assert list(tmp_path.iterdir()) == []
+
+
+# The key each input flag names in an error line, and valid contents for it.
+INPUT_FILES = {
+    "--config": ("config", b"batch_size = 2\n"),
+    "--scan-json": ("scan_json", b'{"results": []}\n'),
+    "--ground-truth": ("ground_truth", b"BenchmarkTest00001,sqli,true,89\n"),
+    "--baseline": ("baseline", b"BenchmarkTest00001,89\n"),
+    "--cwe-map": ("cwe_map", b"200 -> 22\n"),
+    "--template": ("template", b"{{findings_block}}\n"),
+    "--verdicts": ("verdicts", b"{}\n"),
+    "--cassette": ("cassette", b"[]\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, input_flag, output_flag, output_key",
+    [
+        ("run", "--scan-json", "--out-json", "out_json"),
+        ("run", "--ground-truth", "--out-text", "out_text"),
+        ("run", "--baseline", "--detections-out", "detections_out"),
+        ("run", "--config", "--out-json", "out_json"),
+        ("run", "--cwe-map", "--out-text", "out_text"),
+        ("run", "--template", "--out-json", "out_json"),
+        ("run", "--verdicts", "--detections-out", "detections_out"),
+        ("replay", "--cassette", "--out-text", "out_text"),
+        ("live", "--scan-json", "--cassette", "cassette"),
+        ("report", "--in", "--out-text", "out_text"),
+        ("report", "--in", "--out-json", "out_json"),
+    ],
+)
+def test_an_output_on_an_input_of_the_same_command_exits_one_before_any_work(
+    tmp_path, monkeypatch, capsys, command, input_flag, output_flag, output_key
+):
+    from tests.test_report import GOLDEN
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    if command == "report":
+        input_key, content = "report", (GOLDEN / "report.json").read_bytes()
+        argv = ["report", "--in", "shared", output_flag, "shared"]
+    else:
+        input_key, content = INPUT_FILES[input_flag]
+        argv = [
+            "run" if command == "live" else command,
+            "--scan-json", "absent.json",  # a scan would exit 2
+            "--out-json", "r.json",
+            "--out-text", "r.txt",
+            input_flag, "shared",
+            output_flag, "shared",
+        ]
+        if command == "live":
+            argv += ["--backend", "live"]
+    Path("shared").write_bytes(content)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {output_key}: ") and input_key in line, line
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "shared"]
+    assert Path("shared").read_bytes() == content
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["run", "--out-json", "DIR"], "out_json"),
+        (["run", "--out-text", "DIR"], "out_text"),
+        (["run", "--detections-out", "DIR"], "detections_out"),
+        (["run", "--backend", "live", "--cassette", "DIR"], "cassette"),
+        (["scan", "--target", ".", "--scanner-cmd", "absent-scanner", "--out", "DIR"], "out"),
+        (["report", "--in", "absent.json", "--out-json", "DIR"], "out_json"),
+        (["report", "--in", "absent.json", "--out-text", "DIR"], "out_text"),
+    ],
+    ids=["run-out-json", "run-out-text", "detections-out", "live-cassette", "scan-out", "report-out-json", "report-out-text"],
+)
+def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+    # Each command would fail later otherwise: an absent scan file or scanner
+    # exits 2, and an absent report exits 1 naming the report.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    (tmp_path / "DIR").mkdir()
+    if argv[0] == "run":
+        argv = [*argv[:1], "--scan-json", "absent.json", "--out-json", "r.json", "--out-text", "r.txt", *argv[1:]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {key}: ") and "directory" in line, line
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "DIR"]
+    assert list((tmp_path / "DIR").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["retained"][0]["finding"].update(unknown=1),
+        lambda doc: doc["plan"].update(unknown=1),
+        lambda doc: doc["retained"][0]["finding"].update(cwe_name="Bogus"),
+    ],
+    ids=["unknown-finding-key", "unknown-plan-key", "wrong-cwe-name"],
+)
+def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, capsys, mutate):
+    from tests.test_report import GOLDEN
+
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code = main(["report", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: report {path}: "), line
+    assert out == ""

@@ -314,3 +314,8 @@ def test_load_detections_rejects_malformed_lines():
         load_detections(b"BenchmarkTest00001 89\n")
     with pytest.raises(DetectionsError, match="line 2"):
         load_detections(b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n")
+
+
+def test_load_detections_refuses_a_negative_cwe_code():
+    with pytest.raises(DetectionsError, match="^line 2: .*non-negative"):
+        load_detections("BenchmarkTest00001,89\nBenchmarkTest00002,-89\n")
