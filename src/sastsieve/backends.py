@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .model import Classification, replace_surrogates
+from .model import Classification, read_input, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -97,10 +97,6 @@ class BackendTimeoutError(BackendError):
 
 class BackendConfigError(ValueError):
     """Backend construction failed; the message names what is missing."""
-
-
-class CassetteError(ValueError):
-    """The cassette file is missing or malformed."""
 
 
 class CassetteMissError(BackendError):
@@ -298,28 +294,28 @@ class ScriptedBackend:
         return json.dumps({"results": results})
 
 
+def _recorded_responses(text: str) -> dict[str, str]:
+    """Each response text of a cassette document by its request digest."""
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise ValueError("must be a JSON array of records")
+    responses: dict[str, str] = {}
+    for record in records:
+        if (
+            not isinstance(record, dict)
+            or not isinstance(record.get("request_digest"), str)
+            or not isinstance(record.get("response_text"), str)
+        ):
+            raise ValueError("malformed record")
+        responses[record["request_digest"]] = record["response_text"]
+    return responses
+
+
 class ReplayBackend:
     """Replays recorded responses byte for byte; a cache miss fails the call."""
 
     def __init__(self, cassette_path: Path | str):
-        path = Path(cassette_path)
-        try:
-            records = json.loads(path.read_text(encoding="utf-8-sig"))
-        except FileNotFoundError as exc:
-            raise CassetteError(f"cassette not found: {path}") from exc
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CassetteError(f"cassette unreadable: {path}: {exc}") from exc
-        if not isinstance(records, list):
-            raise CassetteError(f"cassette must be a JSON array: {path}")
-        self._responses: dict[str, str] = {}
-        for record in records:
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("request_digest"), str)
-                or not isinstance(record.get("response_text"), str)
-            ):
-                raise CassetteError(f"malformed cassette record in {path}")
-            self._responses[record["request_digest"]] = record["response_text"]
+        self._responses = read_input("cassette", cassette_path, _recorded_responses)
 
     def complete(self, request: LlmRequest) -> str:
         digest = request_digest(request)

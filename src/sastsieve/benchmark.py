@@ -30,50 +30,31 @@ class GroundTruthEntry:
 GroundTruth = Mapping[TestCaseId, GroundTruthEntry]
 
 
-def _parse_flag(raw: str, lineno: int) -> bool:
-    lowered = raw.strip().lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise GroundTruthError(f"line {lineno}: vulnerability flag must be true/false, got {raw!r}")
-
-
-def load_ground_truth(payload: bytes | str) -> GroundTruth:
+def load_ground_truth(text: str) -> GroundTruth:
     """Parse the expected-results document into its entries by test case id.
 
     Raises GroundTruthError with the offending line number on malformed
     records, on a repeated test name, and on a document with no records.
     """
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8-sig", errors="replace")
     entries: dict[TestCaseId, GroundTruthEntry] = {}
-    for lineno, stripped in record_lines(payload):
-        fields = [part.strip() for part in stripped.split(",")]
-        if len(fields) < 4:
-            raise GroundTruthError(
-                f"line {lineno}: expected at least 4 comma-separated fields, got {len(fields)}"
-            )
-        name, category, flag_raw, code_raw = fields[:4]
+    for lineno, stripped in record_lines(text):
         try:
+            fields = [part.strip() for part in stripped.split(",")]
+            if len(fields) < 4:
+                raise ValueError(f"expected at least 4 comma-separated fields, got {len(fields)}")
+            name, category, flag, code = fields[:4]
             test_id = TestCaseId(name)
+            if flag.lower() not in ("true", "false"):
+                raise ValueError(f"vulnerability flag must be true/false, got {flag!r}")
+            cwe = CweCategory(int(code))
+            if test_id in entries:
+                raise ValueError(f"duplicate test case {test_id}")
         except ValueError as exc:
             raise GroundTruthError(f"line {lineno}: {exc}") from exc
-        is_vulnerable = _parse_flag(flag_raw, lineno)
-        try:
-            code = int(code_raw)
-        except ValueError as exc:
-            raise GroundTruthError(f"line {lineno}: CWE code is not numeric: {code_raw!r}") from exc
-        try:
-            cwe = CweCategory(code)
-        except ValueError as exc:
-            raise GroundTruthError(f"line {lineno}: {exc}") from exc
-        if test_id in entries:
-            raise GroundTruthError(f"line {lineno}: duplicate test case {test_id}")
         entries[test_id] = GroundTruthEntry(
             test_id=test_id,
             category_name=category,
-            is_vulnerable=is_vulnerable,
+            is_vulnerable=flag.lower() == "true",
             cwe=cwe,
         )
     if not entries:

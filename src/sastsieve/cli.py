@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .backends import (
     BackendConfigError,
-    CassetteError,
     CassetteRecorder,
     LiveBackend,
     ReplayBackend,
@@ -56,7 +55,7 @@ EXIT_CONFIG = 1
 EXIT_SCANNER = 2
 
 # Unusable configuration, input files and output paths: one "error:" line, exit 1.
-_INPUT_ERRORS = (ConfigError, BackendConfigError, CassetteError, OSError)
+_INPUT_ERRORS = (ConfigError, BackendConfigError, OSError)
 # The config keys only a scoring command (run, replay) takes.
 _SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
 
@@ -157,15 +156,20 @@ def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object,
         return ReplayBackend(args.cassette), plan
     if args.cassette:
         raise BackendConfigError("--cassette belongs to the live and replay backends, not scripted")
-    verdicts = {}
     if args.verdicts:
-        verdicts = read_input("verdicts", args.verdicts, json.loads)
-        if not isinstance(verdicts, dict):
-            raise BackendConfigError("--verdicts file must hold a JSON object")
-    # With no script the scripted backend behaves as a conservative
-    # retain-everything reviewer.
-    default = None if verdicts else "true_positive"
-    return ScriptedBackend(verdicts, default=default), plan
+        return read_input("verdicts", args.verdicts, _scripted_backend), plan
+    return _scripted_backend("{}"), plan
+
+
+def _scripted_backend(text: str) -> ScriptedBackend:
+    """The scripted backend a JSON object of finding_id -> classification describes.
+
+    With no script it behaves as a conservative retain-everything reviewer.
+    """
+    verdicts = json.loads(text)
+    if not isinstance(verdicts, dict):
+        raise ValueError("must hold a JSON object")
+    return ScriptedBackend(verdicts, default=None if verdicts else "true_positive")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -178,14 +182,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             cassette=args.cassette if args.backend == "live" else None,
         )
         backend, plan = _build_backend(args, plan)
-    except (ConfigError, BackendConfigError, CassetteError):
+    except (ConfigError, BackendConfigError):
         args.parser.print_usage(sys.stderr)
         raise
-    gt = baseline = None
-    if plan.ground_truth is not None:
-        gt = read_input("ground_truth", plan.ground_truth, load_ground_truth, errors="replace")
-    if plan.baseline is not None:
-        baseline = read_input("baseline", plan.baseline, load_detections, errors="replace")
+    gt = read_input("ground_truth", plan.ground_truth, load_ground_truth, errors="replace")
+    baseline = read_input("baseline", plan.baseline, load_detections, errors="replace")
 
     succeeded = False
     try:
@@ -227,9 +228,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     detections = read_input("detections", args.detections, load_detections, errors="replace")
     gt = read_input("ground_truth", args.ground_truth, load_ground_truth, errors="replace")
-    baseline = None
-    if args.baseline:
-        baseline = read_input("baseline", args.baseline, load_detections, errors="replace")
+    baseline = read_input("baseline", args.baseline, load_detections, errors="replace")
 
     card = score_per_cwe(detections, gt, match_any_cwe=args.match_any_cwe)
     print(f"metrics vs ground truth ({card.overall[0].total} test cases):")

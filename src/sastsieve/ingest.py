@@ -91,15 +91,13 @@ class CweMappingTable:
         """Parse an alias override file: one ``alias_code -> category_code`` per line."""
         aliases = dict(cls.default().aliases)
         for lineno, stripped in record_lines(text):
-            left, sep, right = stripped.partition("->")
-            if not sep:
-                raise ScannerOutputError(
-                    f"mapping table line {lineno}: expected 'alias -> category', got {stripped!r}"
-                )
             try:
+                left, sep, right = stripped.partition("->")
+                if not sep:
+                    raise ValueError(f"expected 'alias -> category', got {stripped!r}")
                 aliases[int(left.strip())] = CweCategory(int(right.strip())).code
             except ValueError as exc:
-                raise ScannerOutputError(f"mapping table line {lineno}: {exc}") from exc
+                raise ScannerOutputError(f"line {lineno}: {exc}") from exc
         return cls(aliases=aliases)
 
 

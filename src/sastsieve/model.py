@@ -11,10 +11,13 @@ import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 TEST_CASE_PATTERN = re.compile(r"BenchmarkTest\d{5}")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+T = TypeVar("T")
 
 # The eleven benchmark categories with their canonical names. Any other code
 # is rendered as "Other".
@@ -54,6 +57,26 @@ def replace_surrogates(text: str) -> str:
     passes through here before anything needs to write it.
     """
     return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+
+class ConfigError(ValueError):
+    """Invalid mission configuration or input file; the message names the offending field."""
+
+
+def read_input(
+    key: str, path: Path | str | None, parse: Callable[[str], T], errors: str = "strict"
+) -> T | None:
+    """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key and file, when that fails.
+
+    This is the one place an input file is opened and decoded; no path reads
+    as None. With ``errors="replace"``, bytes that are not UTF-8 read as U+FFFD.
+    """
+    if path is None:
+        return None
+    try:
+        return parse(Path(path).read_text(encoding="utf-8-sig", errors=errors))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{key} {path}: {exc}") from exc
 
 
 def record_lines(text: str) -> Iterator[tuple[int, str]]:

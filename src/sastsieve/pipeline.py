@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .backends import DEFAULT_TIMEOUT
 from .filter_agent import (
@@ -26,15 +26,10 @@ from .filter_agent import (
     filter_findings,
 )
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
-from .model import FilteredFinding, Finding, Verdict, record_lines, replace_surrogates
+# ConfigError and read_input are imported from here too.
+from .model import ConfigError, FilteredFinding, Finding, Verdict, read_input, record_lines, replace_surrogates
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
-
-
-class ConfigError(ValueError):
-    """Invalid mission configuration; the message names the offending field."""
 
 
 class ScannerError(RuntimeError):
@@ -93,20 +88,9 @@ def parse_config_file(text: str) -> dict[str, str]:
     for lineno, stripped in record_lines(text):
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         values[key.strip()] = value.strip()
     return values
-
-
-def read_input(key: str, path: Path | str, parse: Callable[[str], T], errors: str = "strict") -> T:
-    """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key, when that fails.
-
-    With ``errors="replace"``, bytes that are not UTF-8 read as U+FFFD.
-    """
-    try:
-        return parse(Path(path).read_text(encoding="utf-8-sig", errors=errors))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"{key} {path}: {exc}") from exc
 
 
 def _coerce(key: str, kind: object, value: object) -> object:
@@ -275,13 +259,9 @@ def run_mission(
     so a bad one raises ConfigError before the scanner runs.
     """
     started = _utcnow()
-    if plan.cwe_map is not None:
-        table = read_input("cwe_map", plan.cwe_map, CweMappingTable.load)
-    else:
-        table = CweMappingTable.default()
-    if plan.template is not None:
-        template = read_input("template", plan.template, str)
-    else:
+    table = read_input("cwe_map", plan.cwe_map, CweMappingTable.load) or CweMappingTable.default()
+    template = read_input("template", plan.template, str)
+    if template is None:
         template = default_template()
     if FINDINGS_PLACEHOLDER not in template:
         log.warning("prompt template lacks %s; appending the findings block", FINDINGS_PLACEHOLDER)

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
 from .benchmark import GroundTruth, GroundTruthEntry
-from .model import TestCaseId, record_lines
+from .model import CweCategory, TestCaseId, record_lines
 
 log = logging.getLogger(__name__)
 
@@ -177,17 +177,15 @@ def round_display(value: float, places: int = 3) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def load_detections(payload: bytes | str) -> set[Detection]:
+def load_detections(text: str) -> set[Detection]:
     """Parse a saved detections file: one ``TestCaseId,CWE`` pair per line."""
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8-sig", errors="replace")
     detections: set[Detection] = set()
-    for lineno, stripped in record_lines(payload):
-        name, sep, code_raw = stripped.partition(",")
-        if not sep:
-            raise DetectionsError(f"line {lineno}: expected 'TestCaseId,CWE', got {stripped!r}")
+    for lineno, stripped in record_lines(text):
         try:
-            detections.add((TestCaseId(name.strip()), int(code_raw.strip())))
+            name, sep, code = stripped.partition(",")
+            if not sep:
+                raise ValueError(f"expected 'TestCaseId,CWE', got {stripped!r}")
+            detections.add((TestCaseId(name.strip()), CweCategory(int(code.strip())).code))
         except ValueError as exc:
             raise DetectionsError(f"line {lineno}: {exc}") from exc
     return detections

@@ -107,8 +107,8 @@ def detections_for(cells: dict[int, tuple[int, int]]) -> set[tuple[TestCaseId, i
 
 
 @pytest.fixture(scope="session")
-def distribution_csv() -> bytes:
-    return distribution_csv_bytes()
+def distribution_csv() -> str:
+    return distribution_csv_bytes().decode()
 
 
 @pytest.fixture(scope="session")

@@ -120,7 +120,7 @@ def test_criterion_1_metric_oracle():
 
 def test_criterion_2_ground_truth_fidelity():
     with criterion(2, "ground-truth fidelity over the full distribution"):
-        gt = load_ground_truth(distribution_csv_bytes())
+        gt = load_ground_truth(distribution_csv_bytes().decode())
         assert len(gt) == 2740
         counts = Counter((e.cwe.code, e.is_vulnerable) for e in gt.values())
         per_cwe = {code: (counts[code, True], counts[code, False]) for code, _ in counts}

@@ -18,7 +18,6 @@ from sastsieve.backends import (
     BackendConfigError,
     BackendError,
     BackendTimeoutError,
-    CassetteError,
     CassetteMissError,
     CassetteRecorder,
     LiveBackend,
@@ -28,6 +27,7 @@ from sastsieve.backends import (
 )
 from sastsieve.cli import main
 from sastsieve.filter_agent import LlmRequest, build_prompt, default_template, filter_findings
+from sastsieve.model import ConfigError
 from sastsieve.pipeline import MissionPlan
 from tests.conftest import make_finding
 from tests.test_cli import only_finding_id, record_cassette
@@ -388,15 +388,15 @@ def test_replay_miss_fails_the_call(tmp_path):
 
 
 def test_replay_missing_or_malformed_cassette(tmp_path):
-    with pytest.raises(CassetteError):
+    with pytest.raises(ConfigError):
         ReplayBackend(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(CassetteError):
+    with pytest.raises(ConfigError):
         ReplayBackend(bad)
     wrong_shape = tmp_path / "wrong.json"
     wrong_shape.write_text('{"a": 1}')
-    with pytest.raises(CassetteError):
+    with pytest.raises(ConfigError):
         ReplayBackend(wrong_shape)
 
 

@@ -18,7 +18,7 @@ from tests.test_pipeline import benchmark_results, saved_scan
 def scored_inputs(tmp_path, distribution_csv, pipeline_detections, baseline_detections):
     """On-disk fixtures: ground truth CSV plus both detections files."""
     gt = tmp_path / "expectedresults.csv"
-    gt.write_bytes(distribution_csv)
+    gt.write_text(distribution_csv)
     candidate = tmp_path / "pipeline-detections.txt"
     candidate.write_bytes(serialize_detections(pipeline_detections))
     baseline = tmp_path / "baseline-detections.txt"

@@ -176,7 +176,7 @@ def test_parse_config_file_format():
     assert values == {"batch_size": "7", "fail_open": "false"}
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_file("not a key value line\n")
-    with pytest.raises(ConfigError, match="config line 5:"):
+    with pytest.raises(ConfigError, match="^line 5:"):
         parse_config_file("batch_size = 2\n\x0c\n# note\u2028\nparallelism = 1\nnot a key value line\n")
 
 

@@ -121,7 +121,7 @@ def mission_report(tmp_path, gt=None, baseline=None, results=None, backend=None)
     plan_config = {"scan_json": saved_scan(tmp_path, results or benchmark_results(10))}
     if gt is not None:
         gt_path = tmp_path / "expected.csv"
-        gt_path.write_bytes(gt)
+        gt_path.write_text(gt)
         plan_config["ground_truth"] = str(gt_path)
     plan = plan_mission(plan_config)
     mission = run_mission(plan, backend or ScriptedBackend({}, default="true_positive"))
@@ -138,9 +138,8 @@ def test_empty_run_renders_with_schema_version():
 
 
 def test_render_load_render_is_byte_identical(tmp_path):
-    gt = b"".join(
-        f"BenchmarkTest{n:05d},sqli,{'true' if n % 2 else 'false'},89\n".encode()
-        for n in range(1, 11)
+    gt = "".join(
+        f"BenchmarkTest{n:05d},sqli,{'true' if n % 2 else 'false'},89\n" for n in range(1, 11)
     )
     baseline = {(make_finding(0, test_num=n).test_id, 89) for n in range(1, 4)}
     report = mission_report(tmp_path, gt=gt, baseline=baseline)

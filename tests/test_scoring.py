@@ -109,7 +109,7 @@ def test_score_empty_detections(ground_truth):
 
 
 def test_score_ignores_pairs_absent_from_ground_truth(caplog):
-    gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\n")
+    gt = load_ground_truth("BenchmarkTest00001,sqli,true,89\n")
     detections = {
         (TestCaseId("BenchmarkTest00001"), 89),
         (TestCaseId("BenchmarkTest09999"), 89),
@@ -125,7 +125,7 @@ def test_score_ignores_pairs_absent_from_ground_truth(caplog):
 
 
 def test_score_requires_cwe_match_by_default():
-    gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\n")
+    gt = load_ground_truth("BenchmarkTest00001,sqli,true,89\n")
     wrong_cwe = {(TestCaseId("BenchmarkTest00001"), 79)}
     assert score_per_cwe(wrong_cwe, gt).overall[0].tp == 0
     assert score_per_cwe(wrong_cwe, gt, match_any_cwe=True).overall[0].tp == 1
@@ -223,7 +223,7 @@ def test_per_cwe_published_baseline_path_traversal_row(ground_truth, baseline_de
 
 
 def test_per_cwe_single_category_equals_overall():
-    gt = load_ground_truth(b"BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,false,89\n")
+    gt = load_ground_truth("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,false,89\n")
     card = score_per_cwe({(TestCaseId("BenchmarkTest00001"), 89)}, gt)
     assert list(card.per_cwe) == [89]
     assert card.per_cwe[89][0] == card.overall[0]
@@ -306,14 +306,14 @@ def test_round_display_uses_half_up():
 
 def test_detections_round_trip(pipeline_detections):
     payload = serialize_detections(pipeline_detections)
-    assert load_detections(payload) == pipeline_detections
+    assert load_detections(payload.decode()) == pipeline_detections
 
 
 def test_load_detections_rejects_malformed_lines():
     with pytest.raises(DetectionsError, match="line 1"):
-        load_detections(b"BenchmarkTest00001 89\n")
+        load_detections("BenchmarkTest00001 89\n")
     with pytest.raises(DetectionsError, match="line 2"):
-        load_detections(b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n")
+        load_detections("BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n")
 
 
 def test_load_detections_refuses_a_negative_cwe_code():
