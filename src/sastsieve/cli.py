@@ -176,6 +176,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = plan_mission(_mission_config(args))
         check_outputs(
+            {
+                "config": args.config,
+                "scan_json": plan.scan_json,
+                "ground_truth": plan.ground_truth,
+                "baseline": plan.baseline,
+                "cwe_map": plan.cwe_map,
+                "template": plan.template,
+                "verdicts": args.verdicts,
+                "cassette": args.cassette if args.backend == "replay" else None,
+            },
             out_json=plan.out_json,
             out_text=plan.out_text,
             detections_out=args.detections_out,
@@ -246,7 +256,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    check_outputs(out_json=args.out_json, out_text=args.out_text)
+    check_outputs({"report": args.input}, out_json=args.out_json, out_text=args.out_text)
     report = read_input("report", args.input, load_report)
     if args.out_json is not None:
         _write(args.out_json, render_json(report))

@@ -123,18 +123,21 @@ def as_path(key: str, value: object) -> Path:
     return Path(text)
 
 
-def check_outputs(**paths: Path | str | None) -> None:
-    """Refuse an empty output path, and two outputs of one command on one file.
+def check_outputs(inputs: Mapping[str, Path | str | None] = {}, /, **outputs: Path | str | None) -> None:
+    """Refuse an output path that is empty, an existing directory, another
+    output of the same command or one of its ``inputs``.
 
-    Paths are compared as absolute paths, without touching the file system.
+    Paths are compared as absolute paths, without resolving links.
     """
-    seen: dict[Path, str] = {}
-    for key, value in paths.items():
+    seen = {Path(value).absolute(): key for key, value in inputs.items() if value}
+    for key, value in outputs.items():
         if value is None:
             continue
         path = as_path(key, value).absolute()
         if path in seen:
             raise ConfigError(f"{key}: must differ from {seen[path]}, both are {value}")
+        if path.is_dir():
+            raise ConfigError(f"{key}: {value} is a directory")
         seen[path] = key
 
 

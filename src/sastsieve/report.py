@@ -70,6 +70,16 @@ def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
     }
 
 
+# The keys of a plan summary; build_report writes them all.
+_PLAN_KEYS = frozenset(
+    (
+        "target_root", "scanner_mode", "scan_json", "scanner_cmd", "batch_size", "parallelism",
+        "fail_open_enabled", "ground_truth", "baseline", "model_id", "match_any_cwe",
+        "scanner_finding_count", "skipped_results",
+    )
+)
+
+
 def build_report(
     mission: MissionResult,
     gt: GroundTruth | None = None,
@@ -279,9 +289,16 @@ def load_report(payload: bytes | str) -> Report:
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ReportFormatError("unsupported or missing report schema_version")
     try:
-        return _codec(Report)[1](_move(doc, {}, _LAYOUT))
+        report = _codec(Report)[1](_move(doc, {}, _LAYOUT))
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc
+    unknown = set(report.plan_summary) - _PLAN_KEYS
+    if unknown:
+        raise ReportFormatError(f"unknown plan key(s): {', '.join(sorted(unknown))}")
+    # Keys the codec drops and values it derives, such as a CWE name, show here.
+    if json.loads(render_json(report)) != doc:
+        raise ReportFormatError("document differs from the rendering of the report it holds")
+    return report
 
 
 # --- text rendering --------------------------------------------------------
