@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1189,3 +1190,53 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
     [line] = error_lines(err)
     assert line.startswith(f"error: report {path}: "), line
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, content, lineno",
+    [
+        ("run", "--config", "config", None, None),
+        ("run", "--config", "config", b"batch_size = 2\n# note\nnot a key value line\n", 3),
+        ("run", "--verdicts", "verdicts", b'["f1"]\n', None),
+        ("run", "--template", "template", b"\xff{{findings_block}}\n", None),
+        ("run", "--cwe-map", "cwe_map", b"200 -> 22\n200 => 22\n", 2),
+        ("run", "--ground-truth", "ground_truth", b"BenchmarkTest00001,sqli,maybe,89\n", 1),
+        ("run", "--baseline", "baseline", b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n", 2),
+        ("score", "--detections", "detections", b"BenchmarkTest00001,89\nBenchmarkTest00002,-89\n", 2),
+        ("report", "--in", "report", b'{"schema_version": "2"}\n', None),
+        ("replay", "--cassette", "cassette", None, None),
+        ("replay", "--cassette", "cassette", b'{"not": "an array"}\n', None),
+    ],
+    ids=[
+        "config-missing", "config-record", "verdicts-not-an-object", "template-not-utf8", "cwe-map-record",
+        "ground-truth-record", "baseline-record", "detections-negative-code", "report-malformed",
+        "cassette-missing", "cassette-not-an-array",
+    ],
+)
+def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, flag, key, content, lineno):
+    bad = tmp_path / "bad.input"
+    if content is not None:
+        bad.write_bytes(content)
+    if command == "score":
+        gt = tmp_path / "gt.csv"
+        gt.write_text("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,true,89\n")
+        argv = ["score", "--ground-truth", str(gt)]
+    elif command == "report":
+        argv = ["report"]
+    else:
+        argv = [
+            command,
+            "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+        ]
+    code = main([*argv, flag, str(bad)])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {key} {bad}: "), line
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+    if lineno is not None:
+        assert re.findall(r"line \d+:", line) == [f"line {lineno}:"], line
+        assert "config line" not in line and "mapping table line" not in line, line
