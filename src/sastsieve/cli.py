@@ -58,6 +58,8 @@ EXIT_SCANNER = 2
 _INPUT_ERRORS = (ConfigError, BackendConfigError, OSError)
 # The config keys only a scoring command (run, replay) takes.
 _SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
+# The config keys that name an input file; no output may name one.
+_PLAN_INPUTS = ("scan_json", "ground_truth", "baseline", "cwe_map", "template")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,17 +177,10 @@ def _scripted_backend(text: str) -> ScriptedBackend:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = plan_mission(_mission_config(args))
+        inputs = {key: getattr(plan, key) for key in _PLAN_INPUTS}
+        replayed = args.cassette if args.backend == "replay" else None
         check_outputs(
-            {
-                "config": args.config,
-                "scan_json": plan.scan_json,
-                "ground_truth": plan.ground_truth,
-                "baseline": plan.baseline,
-                "cwe_map": plan.cwe_map,
-                "template": plan.template,
-                "verdicts": args.verdicts,
-                "cassette": args.cassette if args.backend == "replay" else None,
-            },
+            {"config": args.config, "verdicts": args.verdicts, "cassette": replayed, **inputs},
             out_json=plan.out_json,
             out_text=plan.out_text,
             detections_out=args.detections_out,

@@ -70,13 +70,10 @@ def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
     }
 
 
-# The keys of a plan summary; build_report writes them all.
+# The keys build_report writes in a plan summary; a loaded report holds no other.
 _PLAN_KEYS = frozenset(
-    (
-        "target_root", "scanner_mode", "scan_json", "scanner_cmd", "batch_size", "parallelism",
-        "fail_open_enabled", "ground_truth", "baseline", "model_id", "match_any_cwe",
-        "scanner_finding_count", "skipped_results",
-    )
+    "target_root scanner_mode scan_json scanner_cmd batch_size parallelism fail_open_enabled"
+    " ground_truth baseline model_id match_any_cwe scanner_finding_count skipped_results".split()
 )
 
 
@@ -276,27 +273,27 @@ def render_json(report: Report) -> bytes:
 def load_report(payload: bytes | str) -> Report:
     """Parse a JSON report back into an equal Report.
 
-    Raises ReportFormatError for anything render_json could not have written.
+    Raises ReportFormatError for anything render_json could not have written:
+    the report must render back to the document, and its plan may hold only
+    the keys build_report writes.
     """
     try:
         doc = json.loads(payload)
     except (ValueError, RecursionError) as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
-    try:  # a lone surrogate, say from a \ud800 escape, cannot be written as UTF-8
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ReportFormatError(f"report text is not encodable as UTF-8: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ReportFormatError("unsupported or missing report schema_version")
     try:
         report = _codec(Report)[1](_move(doc, {}, _LAYOUT))
-    except (KeyError, TypeError, ValueError) as exc:
+        # Fails on a lone surrogate, say from a \ud800 escape: UTF-8 cannot encode one.
+        rendered = json.loads(render_json(report))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc
     unknown = set(report.plan_summary) - _PLAN_KEYS
     if unknown:
         raise ReportFormatError(f"unknown plan key(s): {', '.join(sorted(unknown))}")
-    # Keys the codec drops and values it derives, such as a CWE name, show here.
-    if json.loads(render_json(report)) != doc:
+    # A key the codec drops or a value it derives, such as a CWE name, differs here.
+    if rendered != doc:
         raise ReportFormatError("document differs from the rendering of the report it holds")
     return report
 
