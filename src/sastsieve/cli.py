@@ -164,10 +164,7 @@ def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object,
 
 
 def _scripted_backend(text: str) -> ScriptedBackend:
-    """The scripted backend a JSON object of finding_id -> classification describes.
-
-    With no script it behaves as a conservative retain-everything reviewer.
-    """
+    """The scripted backend for a JSON object of finding_id -> verdict; an empty one retains everything."""
     verdicts = json.loads(text)
     if not isinstance(verdicts, dict):
         raise ValueError("must hold a JSON object")

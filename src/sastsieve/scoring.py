@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
 from .benchmark import GroundTruth, GroundTruthEntry
-from .model import CweCategory, TestCaseId, record_lines
+from .model import TestCaseId, record_lines
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +185,10 @@ def load_detections(text: str) -> set[Detection]:
             name, sep, code = stripped.partition(",")
             if not sep:
                 raise ValueError(f"expected 'TestCaseId,CWE', got {stripped!r}")
-            detections.add((TestCaseId(name.strip()), CweCategory(int(code.strip())).code))
+            cwe_code = int(code.strip())
+            if cwe_code < 0:  # as CweCategory refuses one, without building a category per line
+                raise ValueError(f"CWE code must be non-negative, got {cwe_code}")
+            detections.add((TestCaseId(name.strip()), cwe_code))
         except ValueError as exc:
             raise DetectionsError(f"line {lineno}: {exc}") from exc
     return detections

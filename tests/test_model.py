@@ -4,6 +4,7 @@ import pytest
 
 from sastsieve.model import (
     Classification,
+    ConfigError,
     CweCategory,
     FailOpenCause,
     FilteredFinding,
@@ -13,6 +14,7 @@ from sastsieve.model import (
     TestCaseId,
     Verdict,
     finding_id,
+    read_input,
 )
 from sastsieve.model import test_id_from_path as id_from_path
 from tests.conftest import make_finding
@@ -144,3 +146,21 @@ def test_filtered_finding_batch_index_rules():
 
 def test_severity_values_are_the_three_folded_levels():
     assert {s.value for s in Severity} == {"info", "warning", "error"}
+
+
+def test_read_input_drops_a_bom_names_key_and_file_and_reads_no_path_as_none(tmp_path):
+    from sastsieve import pipeline
+
+    assert (pipeline.read_input, pipeline.ConfigError) == (read_input, ConfigError)
+    assert read_input("template", None, str) is None
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\xff")
+    assert read_input("template", path, str, errors="replace") == "a\ufffd"
+    with pytest.raises(ConfigError, match=f"^template {path}: .*utf-8"):
+        read_input("template", path, str)
+    with pytest.raises(ConfigError, match=f"^template {path}: line 1: bad$"):
+        read_input("template", path, refuse, errors="replace")
+
+
+def refuse(text: str) -> None:
+    raise ValueError("line 1: bad")
