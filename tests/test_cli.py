@@ -1240,3 +1240,42 @@ def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, fl
     if lineno is not None:
         assert re.findall(r"line \d+:", line) == [f"line {lineno}:"], line
         assert "config line" not in line and "mapping table line" not in line, line
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["run", "--config="], "config"),
+        (["run", "--verdicts="], "verdicts"),
+        (["replay", "--cassette="], "cassette"),
+        (["run", "--backend", "scripted", "--cassette="], "scripted"),
+        (["score", "--detections="], "detections"),
+        (["score", "--ground-truth="], "ground_truth"),
+        (["score", "--baseline="], "baseline"),
+        (["report", "--in="], "report"),
+    ],
+    ids=[
+        "run-config", "run-verdicts", "replay-cassette", "scripted-cassette",
+        "score-detections", "score-ground-truth", "score-baseline", "report-in",
+    ],
+)
+def test_an_empty_input_path_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+    # An empty path would be the working directory. The absent scan file
+    # shows that run and replay stop before the scan, which would exit 2.
+    monkeypatch.chdir(tmp_path)
+    Path("gt.csv").write_text("BenchmarkTest00001,sqli,true,89\n")
+    Path("d.txt").write_text("BenchmarkTest00001,89\n")
+    if argv[0] == "score":  # the empty value given last replaces the usable one
+        argv = ["score", "--detections", "d.txt", "--ground-truth", "gt.csv", *argv[1:]]
+    elif argv[0] != "report":
+        argv = [*argv, "--scan-json", "absent.json", "--out-json", "r.json", "--out-text", "r.txt"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    if key == "scripted":  # a scripted run takes no cassette, empty or not
+        assert "--cassette" in line and key in line, line
+    else:
+        assert line == f"error: {key}: expected a path, got an empty value", line
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "gt.csv"]
