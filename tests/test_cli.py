@@ -1174,8 +1174,10 @@ def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, 
         lambda doc: doc["retained"][0]["finding"].update(unknown=1),
         lambda doc: doc["plan"].update(unknown=1),
         lambda doc: doc["retained"][0]["finding"].update(cwe_name="Bogus"),
+        lambda doc: doc["plan"].update(batch_size="fifteen"),
+        lambda doc: doc["plan"].update(fail_open_enabled="maybe"),
     ],
-    ids=["unknown-finding-key", "unknown-plan-key", "wrong-cwe-name"],
+    ids=["unknown-finding-key", "unknown-plan-key", "wrong-cwe-name", "plan-int-as-text", "plan-bool-as-text"],
 )
 def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, capsys, mutate):
     from tests.test_report import GOLDEN
@@ -1184,12 +1186,13 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
     mutate(doc)
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
-    code = main(["report", "--in", str(path)])
+    code = main(["report", "--in", str(path), "--out-json", str(tmp_path / "x.json")])
     out, err = capsys.readouterr()
     assert code == 1, err
     [line] = error_lines(err)
     assert line.startswith(f"error: report {path}: "), line
     assert out == ""
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -1279,3 +1282,27 @@ def test_an_empty_input_path_exits_one_before_any_work(tmp_path, monkeypatch, ca
         assert line == f"error: {key}: expected a path, got an empty value", line
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "gt.csv"]
+
+
+@pytest.mark.parametrize("link", ["dotdot", "symlink", "hardlink"])
+def test_an_output_reaching_an_input_by_another_name_exits_one_before_any_work(
+    tmp_path, monkeypatch, capsys, link
+):
+    # The scan is usable, so a run that missed the clash would replace it
+    # with the report and exit 0.
+    monkeypatch.chdir(tmp_path)
+    scan = Path(saved_scan(tmp_path, benchmark_results(1)))
+    content = scan.read_bytes()
+    out_json = {"dotdot": "sub/../scan.json", "symlink": "link.json", "hardlink": "link.json"}[link]
+    if link == "symlink":
+        os.symlink("scan.json", out_json)
+    elif link == "hardlink":
+        os.link("scan.json", out_json)
+    code = main(["run", "--scan-json", "scan.json", "--out-json", out_json, "--out-text", "r.txt"])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith("error: out_json: ") and "scan_json" in line, line
+    assert out == ""
+    assert scan.read_bytes() == content
+    assert not Path("r.txt").exists() and not Path("sub").exists()
