@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .model import Classification, read_input, replace_surrogates
+from .model import Classification, ConfigError, read_input, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -95,10 +95,6 @@ class BackendTimeoutError(BackendError):
     """The request exceeded its timeout."""
 
 
-class BackendConfigError(ValueError):
-    """Backend construction failed; the message names what is missing."""
-
-
 class CassetteMissError(BackendError):
     """Replay found no recorded response for the request."""
 
@@ -164,17 +160,17 @@ class LiveBackend:
         self.model_id = model_id or os.environ.get(ENV_MODEL, "")
         self.timeout = timeout
         if not self.api_key:
-            raise BackendConfigError(f"{ENV_API_KEY} is not set (bearer token required)")
+            raise ConfigError(f"{ENV_API_KEY} is not set (bearer token required)")
         if not self.api_base:
-            raise BackendConfigError(f"{ENV_API_BASE} is not set (endpoint URL required)")
+            raise ConfigError(f"{ENV_API_BASE} is not set (endpoint URL required)")
         if not self.model_id:
-            raise BackendConfigError(f"{ENV_MODEL} is not set and no model was given")
+            raise ConfigError(f"{ENV_MODEL} is not set and no model was given")
         # Imported here, not at module level, so only a run that builds a live
         # backend loads the HTTP stack; building it is part of set-up.
         import urllib.request
 
         if urllib.parse.urlsplit(self.api_base).scheme not in ("http", "https"):
-            raise BackendConfigError(f"{ENV_API_BASE} must be an http(s) URL, got {self.api_base!r}")
+            raise ConfigError(f"{ENV_API_BASE} must be an http(s) URL, got {self.api_base!r}")
         self._url = self.api_base.removesuffix("/chat/completions") + "/chat/completions"
         self._headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         # No redirect or error handler: every status is the answer; the token goes to no other host.
@@ -268,7 +264,7 @@ class ScriptedBackend:
                 classification, rationale = pair
                 normalized[fid] = (Classification(classification), str(rationale))
             except ValueError:
-                raise BackendConfigError(
+                raise ConfigError(
                     f"verdict for {fid!r} is not a classification or a "
                     f"[classification, rationale] pair: {value!r}"
                 ) from None

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import CweCategory, TestCaseId, record_lines
-
-
-class GroundTruthError(ValueError):
-    """Raised on malformed or duplicate ground-truth records."""
+from .model import ConfigError, CweCategory, TestCaseId, record_lines
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ GroundTruth = Mapping[TestCaseId, GroundTruthEntry]
 def load_ground_truth(text: str) -> GroundTruth:
     """Parse the expected-results document into its entries by test case id.
 
-    Raises GroundTruthError with the offending line number on malformed
+    Raises ConfigError with the offending line number on malformed
     records, on a repeated test name, and on a document with no records.
     """
     entries: dict[TestCaseId, GroundTruthEntry] = {}
@@ -50,7 +46,7 @@ def load_ground_truth(text: str) -> GroundTruth:
             if test_id in entries:
                 raise ValueError(f"duplicate test case {test_id}")
         except ValueError as exc:
-            raise GroundTruthError(f"line {lineno}: {exc}") from exc
+            raise ConfigError(f"line {lineno}: {exc}") from exc
         entries[test_id] = GroundTruthEntry(
             test_id=test_id,
             category_name=category,
@@ -58,5 +54,5 @@ def load_ground_truth(text: str) -> GroundTruth:
             cwe=cwe,
         )
     if not entries:
-        raise GroundTruthError("ground-truth document contains no records")
+        raise ConfigError("ground-truth document contains no records")
     return entries

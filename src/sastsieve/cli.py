@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .backends import (
-    BackendConfigError,
     CassetteRecorder,
     LiveBackend,
     ReplayBackend,
@@ -55,7 +54,7 @@ EXIT_CONFIG = 1
 EXIT_SCANNER = 2
 
 # Unusable configuration, input files and output paths: one "error:" line, exit 1.
-_INPUT_ERRORS = (ConfigError, BackendConfigError, OSError)
+_INPUT_ERRORS = (ConfigError, OSError)
 # The config keys only a scoring command (run, replay) takes.
 _SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
 # The config keys that name an input file; no output may name one.
@@ -125,12 +124,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
 
 
 def _mission_config(args: argparse.Namespace) -> dict[str, object]:
-    config: dict[str, object] = {}
-    if args.config:
-        config.update(read_input("config", args.config, parse_config_file))
-        refused = [key for key in _SCORING_KEYS if key in config]
-        if refused and not args.scoring:
-            raise ConfigError(f"config {args.config}: {', '.join(refused)}: filter does not score; use run")
+    config: dict[str, object] = read_input("config", args.config, parse_config_file) or {}
+    refused = [key for key in _SCORING_KEYS if key in config]
+    if refused and not args.scoring:
+        raise ConfigError(f"config {args.config}: {', '.join(refused)}: filter does not score; use run")
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
@@ -145,22 +142,20 @@ def _write(path: Path | str, data: bytes) -> None:
 
 def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object, MissionPlan]:
     """The backend the flags select, and the plan with the model it will ask for."""
-    if args.verdicts and args.backend != "scripted":
-        raise BackendConfigError(f"--verdicts belongs to the scripted backend, not {args.backend}")
+    if args.verdicts is not None and args.backend != "scripted":
+        raise ConfigError(f"--verdicts belongs to the scripted backend, not {args.backend}")
     if args.backend == "live":
         live = LiveBackend(model_id=plan.model, timeout=plan.timeout)
         # The model may come from the environment; requests, cassette and report name it.
         plan = replace(plan, model=live.model_id)
-        return (CassetteRecorder(live, args.cassette) if args.cassette else live), plan
+        return (CassetteRecorder(live, args.cassette) if args.cassette is not None else live), plan
     if args.backend == "replay":
-        if not args.cassette:
-            raise BackendConfigError("--cassette is required with the replay backend")
+        if args.cassette is None:
+            raise ConfigError("--cassette is required with the replay backend")
         return ReplayBackend(args.cassette), plan
-    if args.cassette:
-        raise BackendConfigError("--cassette belongs to the live and replay backends, not scripted")
-    if args.verdicts:
-        return read_input("verdicts", args.verdicts, _scripted_backend), plan
-    return _scripted_backend("{}"), plan
+    if args.cassette is not None:
+        raise ConfigError("--cassette belongs to the live and replay backends, not scripted")
+    return read_input("verdicts", args.verdicts, _scripted_backend) or _scripted_backend("{}"), plan
 
 
 def _scripted_backend(text: str) -> ScriptedBackend:
@@ -184,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             cassette=args.cassette if args.backend == "live" else None,
         )
         backend, plan = _build_backend(args, plan)
-    except (ConfigError, BackendConfigError):
+    except ConfigError:
         args.parser.print_usage(sys.stderr)
         raise
     gt = read_input("ground_truth", plan.ground_truth, load_ground_truth, errors="replace")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
+    ConfigError,
     CweCategory,
     Finding,
     Severity,
@@ -97,7 +98,7 @@ class CweMappingTable:
                     raise ValueError(f"expected 'alias -> category', got {stripped!r}")
                 aliases[int(left.strip())] = CweCategory(int(right.strip())).code
             except ValueError as exc:
-                raise ScannerOutputError(f"line {lineno}: {exc}") from exc
+                raise ConfigError(f"line {lineno}: {exc}") from exc
         return cls(aliases=aliases)
 
 

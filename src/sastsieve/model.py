@@ -60,7 +60,17 @@ def replace_surrogates(text: str) -> str:
 
 
 class ConfigError(ValueError):
-    """Invalid mission configuration or input file; the message names the offending field."""
+    """A refused setting or input file; the message names the offending key."""
+
+
+def as_path(key: str, value: object) -> Path:
+    """``value`` as a path; ConfigError naming ``key`` when it is empty or holds a NUL."""
+    text = str(value)
+    if not text:  # Path("") would be the working directory
+        raise ConfigError(f"{key}: expected a path, got an empty value")
+    if "\0" in text:  # no file name holds one
+        raise ConfigError(f"{key}: a path cannot hold a NUL character, got {text!r}")
+    return Path(text)
 
 
 def read_input(
@@ -69,12 +79,14 @@ def read_input(
     """Parse a UTF-8 input file, less any BOM; ConfigError, naming the key and file, when that fails.
 
     This is the one place an input file is opened and decoded; no path reads
-    as None. With ``errors="replace"``, bytes that are not UTF-8 read as U+FFFD.
+    as None, and ``as_path`` refuses an empty one. With ``errors="replace"``,
+    bytes that are not UTF-8 read as U+FFFD.
     """
     if path is None:
         return None
+    file = as_path(key, path)
     try:
-        return parse(Path(path).read_text(encoding="utf-8-sig", errors=errors))
+        return parse(file.read_text(encoding="utf-8-sig", errors=errors))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{key} {path}: {exc}") from exc
 

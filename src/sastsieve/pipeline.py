@@ -9,6 +9,7 @@ faults never abort a mission while fail-open is enabled.
 from __future__ import annotations
 
 import logging
+import os
 import subprocess
 import threading
 import typing
@@ -27,7 +28,7 @@ from .filter_agent import (
 )
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 # ConfigError and read_input are imported from here too.
-from .model import ConfigError, FilteredFinding, Finding, Verdict, read_input, record_lines, replace_surrogates
+from .model import ConfigError, FilteredFinding, Finding, Verdict, as_path, read_input, record_lines, replace_surrogates
 
 log = logging.getLogger(__name__)
 
@@ -113,32 +114,34 @@ def _coerce(key: str, kind: object, value: object) -> object:
     return as_path(key, value)  # Path, or Path | None
 
 
-def as_path(key: str, value: object) -> Path:
-    """``value`` as a path; ConfigError naming ``key`` when it is empty or holds a NUL."""
-    text = str(value)
-    if not text:  # Path("") would be the working directory
-        raise ConfigError(f"{key}: expected a path, got an empty value")
-    if "\0" in text:  # no file name holds one
-        raise ConfigError(f"{key}: a path cannot hold a NUL character, got {text!r}")
-    return Path(text)
+def _file_key(path: Path) -> object:
+    """What names one file: its device and inode if it exists, else its resolved path."""
+    real = os.path.realpath(path)
+    try:
+        status = os.stat(real)
+    except OSError:
+        return real
+    return status.st_dev, status.st_ino
 
 
 def check_outputs(inputs: Mapping[str, Path | str | None] = {}, /, **outputs: Path | str | None) -> None:
-    """Refuse an output path that is empty, an existing directory, another
-    output of the same command or one of its ``inputs``.
+    """Refuse an empty path, and an output path that is an existing
+    directory, another output of the same command or one of its ``inputs``.
 
-    Paths are compared as absolute paths, without resolving links.
+    Two paths clash when they name one file: through ``..``, a symbolic
+    link or, for a file that exists, a hard link.
     """
-    seen = {Path(value).absolute(): key for key, value in inputs.items() if value}
+    seen = {_file_key(as_path(key, value)): key for key, value in inputs.items() if value is not None}
     for key, value in outputs.items():
         if value is None:
             continue
-        path = as_path(key, value).absolute()
-        if path in seen:
-            raise ConfigError(f"{key}: must differ from {seen[path]}, both are {value}")
+        path = as_path(key, value)
+        file = _file_key(path)
+        if file in seen:
+            raise ConfigError(f"{key}: must differ from {seen[file]}, both are {value}")
         if path.is_dir():
             raise ConfigError(f"{key}: {value} is a directory")
-        seen[path] = key
+        seen[file] = key
 
 
 def plan_mission(config: Mapping[str, object]) -> MissionPlan:

@@ -18,11 +18,11 @@ from collections import abc
 from dataclasses import dataclass
 from enum import Enum
 from types import UnionType
-from typing import Callable, Collection, Mapping, Union
+from typing import Callable, Collection, Union
 
 from .benchmark import GroundTruth
 from .filter_agent import FilterStats
-from .model import CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
+from .model import ConfigError, CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
 from .pipeline import MissionResult
 from .scoring import (
     ConfusionMatrix,
@@ -44,14 +44,29 @@ DEFAULT_SUPPRESSED_DISPLAY = 10
 _SEVERITY_RANK = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
 
 
-class ReportFormatError(ValueError):
-    """Raised when a report document does not match the schema."""
+@dataclass(frozen=True)
+class PlanSummary:
+    """The run parameters and scanner counts a report records, each under its JSON key."""
+
+    target_root: str | None
+    scanner_mode: str  # "invoke_external" or "load_saved"
+    scan_json: str | None
+    scanner_cmd: str
+    batch_size: int
+    parallelism: int
+    fail_open_enabled: bool
+    ground_truth: str | None
+    baseline: str | None
+    model_id: str
+    match_any_cwe: bool
+    scanner_finding_count: int
+    skipped_results: int
 
 
 @dataclass(frozen=True)
 class Report:
     run_id: str
-    plan_summary: Mapping[str, object]
+    plan_summary: PlanSummary
     retained: tuple[FilteredFinding, ...]
     suppressed: tuple[FilteredFinding, ...]
     stats: FilterStats
@@ -68,13 +83,6 @@ def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
         for ff in kept
         if ff.finding.test_id is not None
     }
-
-
-# The keys build_report writes in a plan summary; a loaded report holds no other.
-_PLAN_KEYS = frozenset(
-    "target_root scanner_mode scan_json scanner_cmd batch_size parallelism fail_open_enabled"
-    " ground_truth baseline model_id match_any_cwe scanner_finding_count skipped_results".split()
-)
 
 
 def build_report(
@@ -101,7 +109,9 @@ def build_report(
     }
     # Paths from non-UTF-8 argv keep their lone surrogates so the files still
     # open; only the report's copy is repaired.
-    plan_summary = {k: replace_surrogates(v) if isinstance(v, str) else v for k, v in summary.items()}
+    plan_summary = PlanSummary(
+        **{k: replace_surrogates(v) if isinstance(v, str) else v for k, v in summary.items()}
+    )
 
     scorecard = None
     deltas = None
@@ -117,7 +127,7 @@ def build_report(
 
     identity = json.dumps(
         {
-            "plan": plan_summary,
+            "plan": dataclasses.asdict(plan_summary),
             "findings": sorted(
                 ff.finding.id for ff in mission.retained + mission.suppressed
             ),
@@ -203,8 +213,6 @@ def _codec(tp: object) -> tuple[Callable, Callable]:
         return (lambda value: value.value), tp
     if dataclasses.is_dataclass(tp):
         return _record_codec(tp)
-    if tp is object:
-        return _same, _same
     kind = (int, float) if tp is float else tp
     return _same, lambda doc: _expect(doc, kind)
 
@@ -273,28 +281,24 @@ def render_json(report: Report) -> bytes:
 def load_report(payload: bytes | str) -> Report:
     """Parse a JSON report back into an equal Report.
 
-    Raises ReportFormatError for anything render_json could not have written:
-    the report must render back to the document, and its plan may hold only
-    the keys build_report writes.
+    Raises ConfigError for anything render_json could not have written:
+    the report must render back to the document.
     """
     try:
         doc = json.loads(payload)
     except (ValueError, RecursionError) as exc:
-        raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
+        raise ConfigError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ReportFormatError("unsupported or missing report schema_version")
+        raise ConfigError("unsupported or missing report schema_version")
     try:
         report = _codec(Report)[1](_move(doc, {}, _LAYOUT))
         # Fails on a lone surrogate, say from a \ud800 escape: UTF-8 cannot encode one.
         rendered = json.loads(render_json(report))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ReportFormatError(f"malformed report document: {exc}") from exc
-    unknown = set(report.plan_summary) - _PLAN_KEYS
-    if unknown:
-        raise ReportFormatError(f"unknown plan key(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"malformed report document: {exc}") from exc
     # A key the codec drops or a value it derives, such as a CWE name, differs here.
     if rendered != doc:
-        raise ReportFormatError("document differs from the rendering of the report it holds")
+        raise ConfigError("document differs from the rendering of the report it holds")
     return report
 
 

@@ -16,19 +16,11 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
 from .benchmark import GroundTruth, GroundTruthEntry
-from .model import TestCaseId, record_lines
+from .model import ConfigError, TestCaseId, record_lines
 
 log = logging.getLogger(__name__)
 
 Detection = tuple[TestCaseId, int]
-
-
-class DetectionsError(ValueError):
-    """Raised on malformed saved-detections documents."""
-
-
-class ScorecardMismatchError(ValueError):
-    """Raised when two scorecards do not cover the same CWE codes."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ def compare(baseline: CweScorecard, candidate: CweScorecard) -> ScorecardCompari
     base_codes = set(baseline.per_cwe)
     cand_codes = set(candidate.per_cwe)
     if base_codes != cand_codes:
-        raise ScorecardMismatchError(
+        raise ValueError(
             f"scorecards cover different CWE sets: {sorted(base_codes)} vs {sorted(cand_codes)}"
         )
 
@@ -190,7 +182,7 @@ def load_detections(text: str) -> set[Detection]:
                 raise ValueError(f"CWE code must be non-negative, got {cwe_code}")
             detections.add((TestCaseId(name.strip()), cwe_code))
         except ValueError as exc:
-            raise DetectionsError(f"line {lineno}: {exc}") from exc
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return detections
 
 

@@ -8,7 +8,7 @@ benchmark reads from the processes it starts.
 from hypothesis import strategies as st
 
 from sastsieve.filter_agent import FilterStats
-from sastsieve.report import Report, render_json, render_text
+from sastsieve.report import PlanSummary, Report, render_json, render_text
 
 # Any character, lone surrogates (which UTF-8 cannot encode) included. They
 # are drawn on their own: as a small share of all code points they would
@@ -23,13 +23,20 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
+# The plan summary of a default run over a saved scan.
+PLAN = PlanSummary(
+    target_root=None, scanner_mode="load_saved", scan_json="scan.json", scanner_cmd="semgrep",
+    batch_size=15, parallelism=4, fail_open_enabled=True, ground_truth=None, baseline=None,
+    model_id="", match_any_cwe=False, scanner_finding_count=0, skipped_results=0,
+)
+
 
 def assert_renders(filtered) -> None:
     """A report holding these filtered findings renders as JSON and as UTF-8 text."""
     filtered = tuple(filtered)
     report = Report(
         run_id="r",
-        plan_summary={},
+        plan_summary=PLAN,
         retained=tuple(ff for ff in filtered if ff.verdict.retained),
         suppressed=tuple(ff for ff in filtered if not ff.verdict.retained),
         stats=FilterStats(batch_count=1, llm_calls=1, fail_open_events=(), total_latency=0.0),

@@ -15,7 +15,6 @@ import pytest
 
 from sastsieve import backends
 from sastsieve.backends import (
-    BackendConfigError,
     BackendError,
     BackendTimeoutError,
     CassetteMissError,
@@ -142,10 +141,10 @@ def test_live_backend_happy_path(chat_server):
 def test_live_backend_requires_env_or_args(monkeypatch):
     monkeypatch.delenv("QSC_API_KEY", raising=False)
     monkeypatch.delenv("QSC_API_BASE", raising=False)
-    with pytest.raises(BackendConfigError, match="QSC_API_KEY"):
+    with pytest.raises(ConfigError, match="QSC_API_KEY"):
         LiveBackend()
     monkeypatch.setenv("QSC_API_KEY", "k")
-    with pytest.raises(BackendConfigError, match="QSC_API_BASE"):
+    with pytest.raises(ConfigError, match="QSC_API_BASE"):
         LiveBackend()
 
 
@@ -289,7 +288,7 @@ def test_live_backend_follows_no_redirect(chat_server, second_server):
 
 @pytest.mark.parametrize("api_base", ["localhost:9/v1", "ftp://127.0.0.1/v1", "127.0.0.1:9"])
 def test_live_backend_refuses_an_endpoint_that_is_not_http(api_base):
-    with pytest.raises(BackendConfigError, match="QSC_API_BASE"):
+    with pytest.raises(ConfigError, match="QSC_API_BASE"):
         LiveBackend(api_base=api_base, api_key="k", model_id="m")
 
 
@@ -307,7 +306,7 @@ def test_live_backend_rejects_bad_envelope(chat_server):
 
 def test_live_backend_requires_some_model_id(chat_server, monkeypatch):
     monkeypatch.delenv("QSC_MODEL", raising=False)
-    with pytest.raises(BackendConfigError, match="QSC_MODEL"):
+    with pytest.raises(ConfigError, match="QSC_MODEL"):
         live_backend(chat_server, model_id="")
     assert chat_server.hits == 0
 

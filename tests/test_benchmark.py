@@ -2,8 +2,8 @@ from collections import Counter
 
 import pytest
 
-from sastsieve.benchmark import GroundTruthError, load_ground_truth
-from sastsieve.model import TestCaseId
+from sastsieve.benchmark import load_ground_truth
+from sastsieve.model import ConfigError, TestCaseId
 from tests.conftest import TOTAL_CASES, TOTAL_SAFE, TOTAL_VULNERABLE
 
 
@@ -23,9 +23,9 @@ def test_load_full_distribution(distribution_csv):
 
 
 def test_load_empty_payload_is_an_error():
-    with pytest.raises(GroundTruthError):
+    with pytest.raises(ConfigError):
         load_ground_truth("")
-    with pytest.raises(GroundTruthError):
+    with pytest.raises(ConfigError):
         load_ground_truth("# only a comment\n")
 
 
@@ -47,24 +47,24 @@ def test_load_ignores_extra_trailing_columns():
 
 
 def test_load_reports_line_numbers_on_malformed_records():
-    with pytest.raises(GroundTruthError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2"):
         load_ground_truth("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,maybe,89\n")
-    with pytest.raises(GroundTruthError, match="line 1"):
+    with pytest.raises(ConfigError, match="line 1"):
         load_ground_truth("BenchmarkTest00001,sqli,true\n")
-    with pytest.raises(GroundTruthError, match="line 1"):
+    with pytest.raises(ConfigError, match="line 1"):
         load_ground_truth("NotATest,sqli,true,89\n")
-    with pytest.raises(GroundTruthError, match="line 1"):
+    with pytest.raises(ConfigError, match="line 1"):
         load_ground_truth("BenchmarkTest00001,sqli,true,eighty-nine\n")
-    with pytest.raises(GroundTruthError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2"):
         load_ground_truth("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,true,-89\n")
     # Lines end only at LF, CR and CRLF; a form feed in a comment starts no line.
-    with pytest.raises(GroundTruthError, match="^line 3:"):
+    with pytest.raises(ConfigError, match="^line 3:"):
         load_ground_truth("# page\x0c\nBenchmarkTest00001,sqli,true,89\rBenchmarkTest00002,sqli,maybe,89\n")
 
 
 def test_load_rejects_duplicate_test_ids():
     payload = "BenchmarkTest00001,sqli,true,89\nBenchmarkTest00001,sqli,false,89\n"
-    with pytest.raises(GroundTruthError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate"):
         load_ground_truth(payload)
 
 

@@ -15,7 +15,7 @@ from sastsieve.ingest import (
     normalize,
     parse_scanner_output,
 )
-from sastsieve.model import FailOpenCause, FilteredFinding, Severity, TestCaseId, Verdict
+from sastsieve.model import ConfigError, FailOpenCause, FilteredFinding, Severity, TestCaseId, Verdict
 from tests.conftest import make_finding
 from tests.strategies import any_text, assert_renders, json_values
 
@@ -201,9 +201,9 @@ def test_mapping_table_load_overrides():
     table = CweMappingTable.load("# aliases\n200 -> 22\n326 -> 330\n")
     assert map_cwe(["CWE-200"], table).code == 22
     assert map_cwe(["CWE-326"], table).code == 330  # file wins over default
-    with pytest.raises(ScannerOutputError):
+    with pytest.raises(ConfigError):
         CweMappingTable.load("garbage line\n")
-    with pytest.raises(ScannerOutputError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2"):
         CweMappingTable.load("200 -> 22\n89 -> -1\n")
 
 

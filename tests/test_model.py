@@ -13,6 +13,7 @@ from sastsieve.model import (
     Severity,
     TestCaseId,
     Verdict,
+    as_path,
     finding_id,
     read_input,
 )
@@ -164,3 +165,39 @@ def test_read_input_drops_a_bom_names_key_and_file_and_reads_no_path_as_none(tmp
 
 def refuse(text: str) -> None:
     raise ValueError("line 1: bad")
+
+
+def test_read_input_refuses_an_empty_or_nul_path_before_opening_it(monkeypatch, tmp_path):
+    from sastsieve import pipeline
+
+    assert pipeline.as_path is as_path
+    monkeypatch.chdir(tmp_path)  # an empty path would read the working directory
+    with pytest.raises(ConfigError, match="^verdicts: expected a path, got an empty value$"):
+        read_input("verdicts", "", str)
+    with pytest.raises(ConfigError, match="^verdicts: a path cannot hold a NUL"):
+        read_input("verdicts", "v\0.json", str)
+
+
+def test_every_refused_input_or_setting_raises_config_error(monkeypatch):
+    from sastsieve.backends import ENV_API_BASE, ENV_API_KEY, ENV_MODEL, LiveBackend, ScriptedBackend
+    from sastsieve.benchmark import load_ground_truth
+    from sastsieve.ingest import CweMappingTable
+    from sastsieve.pipeline import parse_config_file, plan_mission
+    from sastsieve.report import load_report
+    from sastsieve.scoring import load_detections
+
+    for name in (ENV_API_BASE, ENV_API_KEY, ENV_MODEL):
+        monkeypatch.delenv(name, raising=False)
+    refusals = [
+        lambda: load_ground_truth("BenchmarkTest00001,sqli,maybe,89\n"),
+        lambda: load_detections("BenchmarkTest00001 89\n"),
+        lambda: CweMappingTable.load("200 => 22\n"),
+        lambda: load_report('{"schema_version": "2"}'),
+        lambda: parse_config_file("not a key value line\n"),
+        lambda: plan_mission({"batch_size": "0", "scan_json": "s.json"}),
+        lambda: ScriptedBackend({"f1": "maybe"}),
+        lambda: LiveBackend(),
+    ]
+    for refusal in refusals:
+        with pytest.raises(ConfigError):
+            refusal()

@@ -45,7 +45,7 @@ def benchmark_results(count=10, cwe="CWE-89: SQL Injection"):
 def scanner_mode(plan):
     """The scanner mode the report records for a run of ``plan``."""
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    return build_report(mission).plan_summary["scanner_mode"]
+    return build_report(mission).plan_summary.scanner_mode
 
 
 def test_plan_defaults(tmp_path):

@@ -11,6 +11,7 @@ from sastsieve.backends import ScriptedBackend
 from sastsieve.benchmark import load_ground_truth
 from sastsieve.model import (
     Classification,
+    ConfigError,
     FailOpenCause,
     FilteredFinding,
     Severity,
@@ -28,7 +29,6 @@ from sastsieve.report import (
     detections_of,
     fmt_metric,
     load_report,
-    ReportFormatError,
     render_json,
     render_text,
 )
@@ -41,7 +41,7 @@ from sastsieve.scoring import (
     compute_metrics,
 )
 from tests.conftest import make_finding
-from tests.strategies import json_values
+from tests.strategies import PLAN, json_values
 from tests.test_filter_agent import FailingBackend
 from tests.test_pipeline import benchmark_results, saved_scan
 
@@ -104,7 +104,7 @@ def test_golden_report_bytes():
 def empty_report(**overrides) -> Report:
     fields = dict(
         run_id="deadbeef0000",
-        plan_summary={"batch_size": 15, "target_root": None},
+        plan_summary=PLAN,
         retained=(),
         suppressed=(),
         stats=FilterStats(batch_count=0, llm_calls=0, fail_open_events=(), total_latency=0.0),
@@ -259,19 +259,19 @@ def test_fmt_metric():
 
 
 def test_load_report_rejects_bad_documents():
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(ConfigError):
         load_report(b"not json")
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(ConfigError):
         load_report(b'{"schema_version": "99"}')
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(ConfigError):
         load_report(b'{"schema_version": "2"}')  # missing sections
     doc = json.loads(render_json(golden_report()))
     doc["scorecard"]["per_cwe"] = []
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(ConfigError):
         load_report(json.dumps(doc))
     doc = json.loads(render_json(golden_report()))
     doc["scorecard"]["overall"]["metrics"]["f1"] = 1e25  # no metric lies outside [-1, 1]
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(ConfigError):
         load_report(json.dumps(doc))
 
 
@@ -300,7 +300,7 @@ def test_misshapen_report_loads_and_renders_or_is_rejected(path, value):
         parent[path[-1]] = value
     try:
         report = load_report(json.dumps(doc))
-    except ReportFormatError:
+    except ConfigError:
         return
     render_json(report)
     render_text(report).encode("utf-8")

@@ -5,13 +5,11 @@ from dataclasses import astuple
 import pytest
 
 from sastsieve.benchmark import GroundTruth, GroundTruthEntry, load_ground_truth
-from sastsieve.model import CweCategory, TestCaseId
+from sastsieve.model import ConfigError, CweCategory, TestCaseId
 from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
-    DetectionsError,
     MetricSet,
-    ScorecardMismatchError,
     compare,
     compute_metrics,
     load_detections,
@@ -284,7 +282,7 @@ def test_compare_identical_scorecards_gives_zero_deltas(ground_truth, pipeline_d
 
 
 def test_compare_rejects_mismatched_cwe_sets():
-    with pytest.raises(ScorecardMismatchError):
+    with pytest.raises(ValueError, match="different CWE sets"):
         compare(_fixture_card({22: 0.5}, 0.5), _fixture_card({79: 0.5}, 0.5))
 
 
@@ -310,12 +308,12 @@ def test_detections_round_trip(pipeline_detections):
 
 
 def test_load_detections_rejects_malformed_lines():
-    with pytest.raises(DetectionsError, match="line 1"):
+    with pytest.raises(ConfigError, match="line 1"):
         load_detections("BenchmarkTest00001 89\n")
-    with pytest.raises(DetectionsError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2"):
         load_detections("BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n")
 
 
 def test_load_detections_refuses_a_negative_cwe_code():
-    with pytest.raises(DetectionsError, match="^line 2: .*non-negative"):
+    with pytest.raises(ConfigError, match="^line 2: .*non-negative"):
         load_detections("BenchmarkTest00001,89\nBenchmarkTest00002,-89\n")
