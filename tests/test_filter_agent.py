@@ -489,6 +489,15 @@ def test_fail_open_disabled_raises_on_batch_failure():
         filter_findings(findings, StaticBackend('{"results": []}'), strict, BARE_TEMPLATE)
 
 
+def test_a_strict_run_sends_no_batch_after_its_first_failed_one():
+    findings = [make_finding(i) for i in range(40)]
+    spy = SpyBackend(StaticBackend('{"results": []}'))
+    message = r"^batch 0: finding f000000 failed \(missing_entry\) with fail-open disabled$"
+    with pytest.raises(FilterError, match=message):
+        filter_findings(findings, spy, quiet_config(batch_size=10, fail_open=False), BARE_TEMPLATE)
+    assert len(spy.requests) == 1
+
+
 def test_parallelism_larger_than_batch_count():
     findings = [make_finding(i) for i in range(6)]
     retained, _, stats = filter_findings(
