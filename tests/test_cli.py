@@ -222,6 +222,27 @@ def test_report_command_rerenders(tmp_path, capsys):
     assert "(+2 more)" in capsys.readouterr().out  # 4 retained, 2 shown
 
 
+def test_a_report_keeps_its_own_run_id(tmp_path, capsys):
+    from tests.test_report import GOLDEN
+
+    golden = (GOLDEN / "report.json").read_bytes()
+    rewritten = tmp_path / "x.json"
+    assert main(["report", "--in", str(GOLDEN / "report.json"), "--out-json", str(rewritten)]) == 0
+    assert rewritten.read_bytes() == golden
+    capsys.readouterr()
+
+    doc = json.loads(golden)
+    doc["run_id"] = "000000000000"
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(doc))
+    code = main(["report", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert line.startswith(f"error: report {path}: "), line
+    assert out == ""
+
+
 def test_replay_command_runs_from_cassette(tmp_path):
     scan = saved_scan(tmp_path, benchmark_results(6))
     cassette = tmp_path / "c.json"
@@ -1302,7 +1323,7 @@ def test_an_output_reaching_an_input_by_another_name_exits_one_before_any_work(
     out, err = capsys.readouterr()
     assert code == 1, err
     [line] = error_lines(err)
-    assert line.startswith("error: out_json: ") and "scan_json" in line, line
+    assert line.startswith(f"error: out_json: {out_json} ") and "scan_json: scan.json" in line, line
     assert out == ""
     assert scan.read_bytes() == content
     assert not Path("r.txt").exists() and not Path("sub").exists()
