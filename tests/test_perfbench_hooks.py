@@ -11,32 +11,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.test_pipeline import benchmark_results, saved_scan
 
 REPO = Path(__file__).resolve().parent.parent
 
-TRACED_RUN = """
+PROBED_RUN = """
 import sys
 
 import spans
 import workloads  # noqa: F401  (its imports of the program must resolve)
 from sastsieve import cli
 
-probe = spans.Probe(traced=True)
+traced = sys.argv[1] == "traced"
+probe = spans.Probe(traced=traced)
 probe.install()
-code = probe.run_cli(cli.main, sys.argv[1:])
+code = probe.run_cli(cli.main, sys.argv[2:])
 assert code == 0, code
-batches = probe.layer_metrics()["filter_agent.batches"]
-assert batches == 1, batches
+# The run window and the per-call counter, which an untraced run reads too.
+assert probe.run_started > 0, probe.run_started
+assert len(probe.prompt_bytes) == 1, probe.prompt_bytes
+if traced:
+    batches = probe.layer_metrics()["filter_agent.batches"]
+    assert batches == 1, batches
 """
 
 
-def test_traced_run_installs_every_probe(tmp_path):
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+def test_a_probed_run_installs_every_probe(tmp_path, traced):
     scan = saved_scan(tmp_path, benchmark_results(1))
     path = os.pathsep.join(str(p) for p in (REPO / "perfbench", REPO / "src", REPO))
     proc = subprocess.run(
         [
-            sys.executable, "-c", TRACED_RUN,
+            sys.executable, "-c", PROBED_RUN,
+            "traced" if traced else "untraced",
             "run",
             "--scan-json", scan,
             "--out-json", str(tmp_path / "r.json"),
