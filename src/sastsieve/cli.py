@@ -187,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     succeeded = False
     try:
-        mission = run_mission(plan, backend)
+        report = run_mission(plan, backend)
         succeeded = True
     finally:
         # Recorded exchanges are kept even when a later stage fails, but a
@@ -195,11 +195,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if isinstance(backend, CassetteRecorder) and (succeeded or backend.record_count):
             backend.save()
 
-    report = build_report(mission, gt, baseline)
+    report = build_report(report, gt, baseline)
     _write(plan.out_json, render_json(report))
     _write(plan.out_text, render_text(report).encode("utf-8"))
     if args.detections_out is not None:
-        _write(args.detections_out, serialize_detections(detections_of(mission.retained)))
+        _write(args.detections_out, serialize_detections(detections_of(report.retained)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "

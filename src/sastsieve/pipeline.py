@@ -1,5 +1,5 @@
 """Mission orchestration: plan a run, obtain scanner output, route findings
-by evidence, filter, and assemble the result.
+by evidence, filter, and assemble the unscored report.
 
 Stages run sequentially (scan, parse, normalize, dedupe, correlate,
 filter); only the filter stage is internally concurrent. Filter-stage
@@ -19,16 +19,11 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backends import DEFAULT_TIMEOUT
-from .filter_agent import (
-    DEFAULT_CONTEXT_BUDGET,
-    FINDINGS_PLACEHOLDER,
-    FilterStats,
-    default_template,
-    filter_findings,
-)
+from .filter_agent import DEFAULT_CONTEXT_BUDGET, FINDINGS_PLACEHOLDER, default_template, filter_findings
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 # ConfigError and read_input are imported from here too.
 from .model import ConfigError, FilteredFinding, Finding, Verdict, as_path, read_input, record_lines, replace_surrogates
+from .report import PlanSummary, Report
 
 log = logging.getLogger(__name__)
 
@@ -236,20 +231,6 @@ def correlate_evidence(
     return verified, unverified
 
 
-@dataclass(frozen=True)
-class MissionResult:
-    """Everything a run produced, immutable once assembled."""
-
-    plan: MissionPlan
-    scanner_finding_count: int
-    skipped_results: int
-    retained: tuple[FilteredFinding, ...]  # evidence-verified findings first
-    suppressed: tuple[FilteredFinding, ...]
-    stats: FilterStats
-    started_at: str = ""
-    finished_at: str = ""
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -258,8 +239,9 @@ def run_mission(
     plan: MissionPlan,
     backend,
     providers: Sequence = (),
-) -> MissionResult:
-    """Execute scan, parse, normalize, dedupe, correlate, filter, assemble.
+) -> Report:
+    """Execute scan, parse, normalize, dedupe, correlate and filter, and
+    return the unscored report.
 
     The CWE alias table and the prompt template are read before the scan,
     so a bad one raises ConfigError before the scanner runs.
@@ -290,10 +272,8 @@ def run_mission(
         len(suppressed),
         stats.batch_count,
     )
-    return MissionResult(
-        plan=plan,
-        scanner_finding_count=len(parsed.findings),
-        skipped_results=parsed.skipped,
+    return Report(
+        plan_summary=PlanSummary.of(plan, len(parsed.findings), parsed.skipped),
         retained=tuple(verified + retained),
         suppressed=tuple(suppressed),
         stats=stats,

@@ -15,15 +15,14 @@ import json
 import math
 import typing
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import UnionType
-from typing import Callable, Collection, Union
+from typing import TYPE_CHECKING, Callable, Collection, Union
 
 from .benchmark import GroundTruth
 from .filter_agent import FilterStats
 from .model import ConfigError, CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
-from .pipeline import MissionResult
 from .scoring import (
     ConfusionMatrix,
     CweScorecard,
@@ -35,6 +34,9 @@ from .scoring import (
     round_display,
     score_per_cwe,
 )
+
+if TYPE_CHECKING:
+    from .pipeline import MissionPlan
 
 SCHEMA_VERSION = "2"
 
@@ -62,18 +64,55 @@ class PlanSummary:
     scanner_finding_count: int
     skipped_results: int
 
+    @classmethod
+    def of(cls, plan: MissionPlan, scanner_finding_count: int, skipped_results: int) -> PlanSummary:
+        """What a report records of ``plan`` and of the scanner's result counts."""
+        summary = {
+            "target_root": str(plan.target_root) if plan.target_root else None,
+            "scanner_mode": "invoke_external" if plan.scan_json is None else "load_saved",
+            "scan_json": str(plan.scan_json) if plan.scan_json else None,
+            "scanner_cmd": plan.scanner_cmd,
+            "batch_size": plan.batch_size,
+            "parallelism": plan.parallelism,
+            "fail_open_enabled": plan.fail_open,
+            "ground_truth": str(plan.ground_truth) if plan.ground_truth else None,
+            "baseline": str(plan.baseline) if plan.baseline else None,
+            "model_id": plan.model,
+            "match_any_cwe": plan.match_any_cwe,
+            "scanner_finding_count": scanner_finding_count,
+            "skipped_results": skipped_results,
+        }
+        # Paths from non-UTF-8 argv keep their lone surrogates so the files still
+        # open; only the report's copy is repaired.
+        return cls(**{k: replace_surrogates(v) if isinstance(v, str) else v for k, v in summary.items()})
+
 
 @dataclass(frozen=True)
 class Report:
-    run_id: str
+    """Everything a mission produced, scored once ground truth is given.
+
+    ``run_id`` is derived: a hash of the plan summary and every finding id.
+    """
+
+    run_id: str = field(init=False)
     plan_summary: PlanSummary
-    retained: tuple[FilteredFinding, ...]
+    retained: tuple[FilteredFinding, ...]  # evidence-verified findings first
     suppressed: tuple[FilteredFinding, ...]
     stats: FilterStats
-    scorecard: CweScorecard | None
-    baseline_deltas: ScorecardComparison | None
+    scorecard: CweScorecard | None = None
+    baseline_deltas: ScorecardComparison | None = None
     started_at: str = ""
     finished_at: str = ""
+
+    def __post_init__(self) -> None:
+        identity = json.dumps(
+            {
+                "plan": dataclasses.asdict(self.plan_summary),
+                "findings": sorted(ff.finding.id for ff in self.retained + self.suppressed),
+            },
+            sort_keys=True,
+        )
+        object.__setattr__(self, "run_id", hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12])
 
 
 def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
@@ -86,67 +125,20 @@ def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
 
 
 def build_report(
-    mission: MissionResult,
+    report: Report,
     gt: GroundTruth | None = None,
     baseline_detections: Collection[Detection] | None = None,
 ) -> Report:
-    """Assemble a Report from a mission, scoring it when ground truth is given."""
-    plan = mission.plan
-    summary = {
-        "target_root": str(plan.target_root) if plan.target_root else None,
-        "scanner_mode": "invoke_external" if plan.scan_json is None else "load_saved",
-        "scan_json": str(plan.scan_json) if plan.scan_json else None,
-        "scanner_cmd": plan.scanner_cmd,
-        "batch_size": plan.batch_size,
-        "parallelism": plan.parallelism,
-        "fail_open_enabled": plan.fail_open,
-        "ground_truth": str(plan.ground_truth) if plan.ground_truth else None,
-        "baseline": str(plan.baseline) if plan.baseline else None,
-        "model_id": plan.model,
-        "match_any_cwe": plan.match_any_cwe,
-        "scanner_finding_count": mission.scanner_finding_count,
-        "skipped_results": mission.skipped_results,
-    }
-    # Paths from non-UTF-8 argv keep their lone surrogates so the files still
-    # open; only the report's copy is repaired.
-    plan_summary = PlanSummary(
-        **{k: replace_surrogates(v) if isinstance(v, str) else v for k, v in summary.items()}
-    )
-
-    scorecard = None
+    """The report scored against ground truth, with F1 deltas when a baseline
+    is given; without ground truth, the report as it is."""
+    if gt is None:
+        return report
+    match_any_cwe = report.plan_summary.match_any_cwe
+    scorecard = score_per_cwe(detections_of(report.retained), gt, match_any_cwe=match_any_cwe)
     deltas = None
-    if gt is not None:
-        scorecard = score_per_cwe(
-            detections_of(mission.retained), gt, match_any_cwe=plan.match_any_cwe
-        )
-        if baseline_detections is not None:
-            baseline_card = score_per_cwe(
-                baseline_detections, gt, match_any_cwe=plan.match_any_cwe
-            )
-            deltas = compare(baseline_card, scorecard)
-
-    identity = json.dumps(
-        {
-            "plan": dataclasses.asdict(plan_summary),
-            "findings": sorted(
-                ff.finding.id for ff in mission.retained + mission.suppressed
-            ),
-        },
-        sort_keys=True,
-    )
-    run_id = hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]
-
-    return Report(
-        run_id=run_id,
-        plan_summary=plan_summary,
-        retained=mission.retained,
-        suppressed=mission.suppressed,
-        stats=mission.stats,
-        scorecard=scorecard,
-        baseline_deltas=deltas,
-        started_at=mission.started_at,
-        finished_at=mission.finished_at,
-    )
+    if baseline_detections is not None:
+        deltas = compare(score_per_cwe(baseline_detections, gt, match_any_cwe=match_any_cwe), scorecard)
+    return dataclasses.replace(report, scorecard=scorecard, baseline_deltas=deltas)
 
 
 # --- JSON codec ------------------------------------------------------------
@@ -219,12 +211,12 @@ def _codec(tp: object) -> tuple[Callable, Callable]:
 
 def _record_codec(cls: type) -> tuple[Callable, Callable]:
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    flat = [name for name in names if hints[name] is CweCategory]
-    codecs = [(name, *_codec(hints[name])) for name in names if name not in flat]
+    fields = dataclasses.fields(cls)
+    flat = [f.name for f in fields if hints[f.name] is CweCategory]
+    codecs = [(f.name, f.init, *_codec(hints[f.name])) for f in fields if f.name not in flat]
 
     def encode(record):
-        doc = {name: encode_field(getattr(record, name)) for name, encode_field, _ in codecs}
+        doc = {name: encode_field(getattr(record, name)) for name, _, encode_field, _ in codecs}
         for name in flat:
             cwe = getattr(record, name)
             doc[f"{name}_code"], doc[f"{name}_name"] = cwe.code, cwe.name
@@ -232,7 +224,8 @@ def _record_codec(cls: type) -> tuple[Callable, Callable]:
 
     def decode(doc):
         _expect(doc, dict)
-        values = {name: decode_field(doc.get(name)) for name, _, decode_field in codecs}
+        # A field the record derives (init=False) is written but not read back.
+        values = {name: decode_field(doc.get(name)) for name, init, _, decode_field in codecs if init}
         for name in flat:
             values[name] = CweCategory(_expect(doc.get(f"{name}_code"), int))
         return cls(**values)

@@ -35,7 +35,6 @@ def assert_renders(filtered) -> None:
     """A report holding these filtered findings renders as JSON and as UTF-8 text."""
     filtered = tuple(filtered)
     report = Report(
-        run_id="r",
         plan_summary=PLAN,
         retained=tuple(ff for ff in filtered if ff.verdict.retained),
         suppressed=tuple(ff for ff in filtered if not ff.verdict.retained),

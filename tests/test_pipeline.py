@@ -286,7 +286,7 @@ def test_mission_with_failing_backend_retains_all_deduped(tmp_path):
     results = benchmark_results(9) + [benchmark_results(1)[0]]  # one duplicate
     plan = plan_mission({"scan_json": saved_scan(tmp_path, results)})
     mission = run_mission(plan, FailingBackend())
-    assert mission.scanner_finding_count == 10
+    assert mission.plan_summary.scanner_finding_count == 10
     assert len(mission.retained) == 9  # duplicate removed by dedupe
     assert mission.suppressed == ()
     assert {ff.verdict.provenance for ff in mission.retained} == {Provenance.FAIL_OPEN}
@@ -341,7 +341,7 @@ def test_mission_keeps_one_of_identical_results_without_a_test_id(tmp_path):
     twin = result_doc("src/util/Helper.java", start=7)
     plan = plan_mission({"scan_json": saved_scan(tmp_path, [twin, dict(twin)])})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    assert mission.scanner_finding_count == 2
+    assert mission.plan_summary.scanner_finding_count == 2
     assert [ff.finding.test_id for ff in mission.retained] == [None]
 
 
@@ -350,9 +350,9 @@ def test_mission_stage_monotonicity(tmp_path):
     results = benchmark_results(8) + benchmark_results(3)  # 3 duplicates
     plan = plan_mission({"scan_json": saved_scan(tmp_path, results)})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    assert mission.scanner_finding_count == 11
+    assert mission.plan_summary.scanner_finding_count == 11
     kept_and_suppressed = len(mission.retained) + len(mission.suppressed)
-    assert kept_and_suppressed <= mission.scanner_finding_count
+    assert kept_and_suppressed <= mission.plan_summary.scanner_finding_count
     assert kept_and_suppressed == 8
 
 

@@ -17,13 +17,9 @@ from sastsieve.model import (
     Severity,
     Verdict,
 )
-from sastsieve.pipeline import (
-    MissionPlan,
-    MissionResult,
-    plan_mission,
-    run_mission,
-)
+from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from sastsieve.report import (
+    PlanSummary,
     Report,
     build_report,
     detections_of,
@@ -57,10 +53,8 @@ def golden_report() -> Report:
     )
     dropped = make_finding(3, cwe=79, test_num=8)
     missing = make_finding(4, cwe=22, test_num=9, start_line=5, end_line=5)
-    mission = MissionResult(
-        plan=MissionPlan(scan_json=Path("scan.json"), model="m-1"),
-        scanner_finding_count=5,
-        skipped_results=1,
+    report = Report(
+        plan_summary=PlanSummary.of(MissionPlan(scan_json=Path("scan.json"), model="m-1"), 5, 1),
         retained=(
             FilteredFinding(verified, Verdict.evidence("trace:42")),
             FilteredFinding(llm_kept, Verdict.llm("true_positive", "reaches the sink"), 0),
@@ -90,7 +84,7 @@ def golden_report() -> Report:
         per_cwe={79: None, 89: Delta(f1_abs=0.25, f1_rel=None)},
         overall=Delta(f1_abs=0.125, f1_rel=0.5),
     )
-    return replace(build_report(mission), scorecard=card, baseline_deltas=deltas)
+    return replace(report, scorecard=card, baseline_deltas=deltas)
 
 
 def test_golden_report_bytes():
@@ -103,7 +97,6 @@ def test_golden_report_bytes():
 
 def empty_report(**overrides) -> Report:
     fields = dict(
-        run_id="deadbeef0000",
         plan_summary=PLAN,
         retained=(),
         suppressed=(),
