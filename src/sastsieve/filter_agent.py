@@ -443,8 +443,8 @@ def filter_findings(
     The union of retained and suppressed is exactly the input; ordering
     follows the original finding order regardless of batch completion
     order. All backend failures are absorbed as fail-open retention unless
-    fail-open is disabled, in which case the first fail-open verdict raises
-    FilterError.
+    fail-open is disabled, in which case no batch is sent after one yields a
+    fail-open verdict, and the first such verdict raises FilterError.
     """
     started = time.perf_counter()
     batches = partition_batches(findings, plan.batch_size)
@@ -453,15 +453,21 @@ def filter_findings(
     # batch is submitted holding one of the slots, and a batch waiting out a
     # retry backoff lends its slot to the next one.
     slots = threading.Semaphore(plan.parallelism)
+    failed = threading.Event()  # set only with fail-open disabled
 
     def review(batch: Batch) -> BatchOutcome:
         with holding_slot(slots):
-            return _review(batch, backend, template, plan)
+            outcome = _review(batch, backend, template, plan)
+            if not plan.fail_open and any(ff.verdict.cause is not None for ff in apply_verdicts(batch, outcome)):
+                failed.set()  # before the slot is given back
+            return outcome
 
     with ThreadPoolExecutor(max_workers=max(1, len(batches))) as pool:
         futures = []
         for batch in batches:
             slots.acquire()
+            if failed.is_set():
+                break  # the batches sent are a prefix holding the failed one
             futures.append(pool.submit(review, batch))
         outcomes = [future.result() for future in futures]
 
