@@ -126,17 +126,18 @@ def check_outputs(inputs: Mapping[str, Path | str | None] = {}, /, **outputs: Pa
     Two paths clash when they name one file: through ``..``, a symbolic
     link or, for a file that exists, a hard link.
     """
-    seen = {_file_key(as_path(key, value)): key for key, value in inputs.items() if value is not None}
+    # Each file's first key and its value as written, to name both in a clash.
+    seen = {_file_key(as_path(key, value)): f"{key}: {value}" for key, value in inputs.items() if value is not None}
     for key, value in outputs.items():
         if value is None:
             continue
         path = as_path(key, value)
         file = _file_key(path)
         if file in seen:
-            raise ConfigError(f"{key}: must differ from {seen[file]}, both are {value}")
+            raise ConfigError(f"{key}: {value} is the same file as {seen[file]}")
         if path.is_dir():
             raise ConfigError(f"{key}: {value} is a directory")
-        seen[file] = key
+        seen[file] = f"{key}: {value}"
 
 
 def plan_mission(config: Mapping[str, object]) -> MissionPlan:
