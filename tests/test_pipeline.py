@@ -20,7 +20,6 @@ from sastsieve.pipeline import (
     run_mission,
     run_scanner,
 )
-from sastsieve.report import build_report
 from tests.conftest import make_finding
 from tests.test_filter_agent import FailingBackend
 from tests.test_ingest import result_doc, scan_doc
@@ -44,8 +43,7 @@ def benchmark_results(count=10, cwe="CWE-89: SQL Injection"):
 
 def scanner_mode(plan):
     """The scanner mode the report records for a run of ``plan``."""
-    mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    return build_report(mission).plan_summary.scanner_mode
+    return run_mission(plan, ScriptedBackend({}, default="true_positive")).plan_summary.scanner_mode
 
 
 def test_plan_defaults(tmp_path):
