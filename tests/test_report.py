@@ -266,6 +266,9 @@ def test_load_report_rejects_bad_documents():
     doc["scorecard"]["overall"]["metrics"]["f1"] = 1e25  # no metric lies outside [-1, 1]
     with pytest.raises(ConfigError):
         load_report(json.dumps(doc))
+    doc["scorecard"]["overall"]["metrics"]["f1"] = 0.5  # metrics follow from the matrix
+    with pytest.raises(ConfigError):
+        load_report(json.dumps(doc))
 
 
 def node_paths(node, path=()):
