@@ -31,6 +31,7 @@ from .scoring import (
     MetricSet,
     ScorecardComparison,
     compare,
+    compute_metrics,
     round_display,
     score_per_cwe,
 )
@@ -148,7 +149,8 @@ def build_report(
 # and Mapping[int, X] as an object keyed by str(code). Two layouts are named
 # exceptions: a CweCategory field is stored flat as <field>_code and
 # <field>_name, and a scorecard's (matrix, metrics) pair is an object with
-# those two keys. Decoding rejects every other shape.
+# those two keys, whose metrics are derived from the matrix and not read back.
+# Decoding rejects every other shape.
 
 _SCORE_PAIR = tuple[ConfusionMatrix, MetricSet]
 
@@ -176,12 +178,10 @@ def _codec(tp: object) -> tuple[Callable, Callable]:
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp == _SCORE_PAIR:
-        (enc_matrix, dec_matrix), (enc_metrics, dec_metrics) = map(_codec, args)
+        (enc_matrix, dec_matrix), (enc_metrics, _) = map(_codec, args)
         return (
             lambda pair: {"matrix": enc_matrix(pair[0]), "metrics": enc_metrics(pair[1])},
-            lambda doc: (
-                dec_matrix(_expect(doc, dict).get("matrix")), dec_metrics(doc.get("metrics"))
-            ),
+            lambda doc: (matrix := dec_matrix(_expect(doc, dict).get("matrix")), compute_metrics(matrix)),
         )
     if origin in (Union, UnionType):  # X | None
         encode, decode = _codec(args[0])
