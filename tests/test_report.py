@@ -271,6 +271,35 @@ def test_load_report_rejects_bad_documents():
         load_report(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value, difference",
+    [
+        (("run_id",), "000000000000", 'run_id: document "000000000000", rendering "0d53b6824c4b"'),
+        (
+            ("retained", 0, "finding", "cwe_name"),
+            "Cross-Site Scripting",
+            'retained[0].finding.cwe_name: document "Cross-Site Scripting", rendering "SQL Injection"',
+        ),
+        (
+            ("scorecard", "overall", "metrics", "f1"),
+            0.5,
+            "scorecard.overall.metrics.f1: document 0.5, rendering 0.6666666666666666",
+        ),
+        (("plan", "extra"), 1, "plan.extra: document 1, rendering nothing"),
+    ],
+    ids=["run_id", "cwe_name", "metrics", "extra_key"],
+)
+def test_a_refused_report_names_its_first_difference(path, value, difference):
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError) as refused:
+        load_report(json.dumps(doc))
+    assert str(refused.value) == f"document differs from the rendering of the report it holds at {difference}"
+
+
 def node_paths(node, path=()):
     """The path of every node below ``node`` in a JSON document."""
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
