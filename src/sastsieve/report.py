@@ -275,7 +275,7 @@ def load_report(payload: bytes | str) -> Report:
     """Parse a JSON report back into an equal Report.
 
     Raises ConfigError for anything render_json could not have written:
-    the report must render back to the document.
+    the report must render back to the document; the first path that differs is named.
     """
     try:
         doc = json.loads(payload)
@@ -290,8 +290,18 @@ def load_report(payload: bytes | str) -> Report:
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed report document: {exc}") from exc
     # A key the codec drops or a value it derives, such as a CWE name, differs here.
-    if rendered != doc:
-        raise ConfigError("document differs from the rendering of the report it holds")
+    path, found, expected, absent = "", doc, rendered, object()
+    while found != expected and isinstance(found, (dict, list)) and type(found) is type(expected):
+        found, expected = (dict(enumerate(v)) if isinstance(v, list) else v for v in (found, expected))
+        key = min(k for k in found.keys() | expected.keys() if found.get(k, absent) != expected.get(k, absent))
+        path += f"[{key}]" if isinstance(key, int) else f".{key}"
+        found, expected = found.get(key, absent), expected.get(key, absent)
+    if path:
+        found, expected = ("nothing" if v is absent else json.dumps(v, ensure_ascii=False) for v in (found, expected))
+        raise ConfigError(
+            f"document differs from the rendering of the report it holds at {path.lstrip('.')}: "
+            f"document {found}, rendering {expected}"
+        )
     return report
 
 
