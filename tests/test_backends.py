@@ -174,6 +174,13 @@ def test_live_backend_bounded_retries(chat_server):
     assert chat_server.hits == 3  # initial call + 2 retries, never more
 
 
+def test_live_backend_refuses_a_body_over_the_cap_without_retrying(chat_server):
+    chat_server.plan = [("ok", "x" * 2**20)]  # a valid completion envelope just over 1 MiB
+    with pytest.raises(BackendError, match="over the 1048576-byte cap"):
+        live_backend(chat_server).complete(request_for())
+    assert chat_server.hits == 1
+
+
 def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server, monkeypatch):
     # One slot: batch 0's 503 must not keep it through the backoff.
     chat_server.plan = [("status", 503)]
