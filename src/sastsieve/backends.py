@@ -36,6 +36,7 @@ MAX_OUTPUT_TOKENS = 4096  # sent as max_tokens; in every request digest, so fixe
 MAX_RETRIES = 2
 BACKOFF_SECONDS = (1.0, 4.0)
 MAX_RETRY_AFTER = 30.0  # seconds; a longer Retry-After ends the batch instead
+MAX_RESPONSE_BYTES = 1 << 20  # an answer capped by max_tokens is tens of KB; a longer body ends the batch
 
 # The model slot the calling thread holds, if any (see holding_slot).
 _slot = threading.local()
@@ -143,9 +144,10 @@ class LiveBackend:
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
     any of the three is missing. Each attempt may take ``timeout`` seconds.
     Transient transport failures (connection errors, 429, 5xx) are retried at
-    most twice after the BACKOFF_SECONDS waits (1s, then 4s); timeouts and
-    malformed output are never retried. A 429 or 503 may ask for a longer
-    wait with Retry-After; one over MAX_RETRY_AFTER fails the call at once.
+    most twice after the BACKOFF_SECONDS waits (1s, then 4s); timeouts, bodies
+    over MAX_RESPONSE_BYTES and malformed output are never retried. A 429 or
+    503 may ask for a longer wait with Retry-After; one over MAX_RETRY_AFTER
+    fails the call at once.
     """
 
     def __init__(
@@ -185,7 +187,7 @@ class LiveBackend:
 
         try:
             with self._opener.open(Request(self._url, data, self._headers), timeout=self.timeout) as answer:
-                return answer.status, answer.headers, answer.read()
+                return answer.status, answer.headers, answer.read(MAX_RESPONSE_BYTES + 1)
         except (OSError, HTTPException) as exc:
             if isinstance(getattr(exc, "reason", exc), TimeoutError):  # a URLError wraps the cause
                 raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
@@ -217,6 +219,8 @@ class LiveBackend:
                 last_error = exc
                 log.warning("attempt %d/%d failed: %s", attempt + 1, MAX_RETRIES + 1, exc)
                 continue
+            if len(payload) > MAX_RESPONSE_BYTES:
+                raise BackendError(f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
             if status == 429 or status >= 500:
                 last_error = BackendError(
                     f"transient HTTP {status}: {payload[:200].decode(errors='replace')}"
