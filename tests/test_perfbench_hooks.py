@@ -33,8 +33,11 @@ assert code == 0, code
 assert probe.run_started > 0, probe.run_started
 assert len(probe.prompt_bytes) == 1, probe.prompt_bytes
 if traced:
-    batches = probe.layer_metrics()["filter_agent.batches"]
-    assert batches == 1, batches
+    layers = probe.layer_metrics()
+    assert layers["filter_agent.batches"] == 1, layers
+    # A probed filter function the program stopped calling would read 0 here.
+    for name in ("prompt_build_s", "parse_s", "apply_s"):
+        assert layers[f"filter_agent.{name}"] > 0, (name, layers)
 """
 
 
