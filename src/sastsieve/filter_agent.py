@@ -22,7 +22,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -84,29 +84,6 @@ class Batch:
             raise ValueError("batch index must be non-negative")
         if not self.findings:
             raise ValueError("a batch holds at least one finding")
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Every verdict reviewing one batch decided, and the fallback for the rest.
-
-    ``records`` maps finding ids to decided verdicts: the model's parsed
-    verdicts, and source_unavailable for findings left out of the prompt.
-    A finding without a record is retained fail-open under ``cause``: the
-    batch's failure, or missing_entry (the default) when the answer parsed,
-    never a per-finding cause such as source_unavailable. ``called``
-    says whether the backend was asked; ``latency`` is that call's time.
-    """
-
-    records: Mapping[str, Verdict]
-    cause: FailOpenCause = FailOpenCause.MISSING_ENTRY
-    called: bool = True
-    latency: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """No batch failure: the answer parsed, or the backend was not called."""
-        return self.cause is FailOpenCause.MISSING_ENTRY
 
 
 @dataclass(frozen=True)
@@ -315,34 +292,33 @@ def _strip_fences(raw: str) -> str:
     return text
 
 
-def parse_llm_response(raw: str, batch: Batch) -> BatchOutcome:
+def parse_llm_response(raw: str, batch: Batch) -> dict[str, Verdict] | None:
     """Validate the backend's raw text against the verdict schema.
 
-    Failure is a value: anything that is not exactly one JSON object of the
-    documented shape yields a malformed_response outcome. Records naming
-    finding ids outside the batch are dropped with a warning. Lone surrogates
-    in a rationale become U+FFFD.
+    Returns the verdicts by finding id, or None for a malformed response:
+    anything that is not exactly one JSON object of the documented shape.
+    Records naming finding ids outside the batch are dropped with a warning.
+    Lone surrogates in a rationale become U+FFFD.
     """
-    malformed = BatchOutcome({}, FailOpenCause.MALFORMED_RESPONSE)
     try:
         document = json.loads(_strip_fences(raw))
     except (ValueError, RecursionError):  # ValueError also covers over-long integers
-        return malformed
+        return None
     if not isinstance(document, dict) or not isinstance(document.get("results"), list):
-        return malformed
+        return None
 
     known_ids = {finding.id for finding in batch.findings}
     records: dict[str, Verdict] = {}
     for item in document["results"]:
         if not isinstance(item, dict) or not isinstance(item.get("finding_id"), str):
-            return malformed
+            return None
         try:
             classification = Classification(item.get("classification"))
         except ValueError:
-            return malformed
+            return None
         rationale = item.get("rationale", "")
         if not isinstance(rationale, str):
-            return malformed
+            return None
         fid = item["finding_id"]
         if fid not in known_ids:
             log.warning("batch %d: dropping verdict for unknown finding id %r", batch.index, fid)
@@ -351,20 +327,21 @@ def parse_llm_response(raw: str, batch: Batch) -> BatchOutcome:
             log.warning("batch %d: duplicate verdict for %r; keeping the first", batch.index, fid)
             continue
         records[fid] = Verdict.llm(classification, replace_surrogates(rationale))
-    return BatchOutcome(records)
+    return records
 
 
-def apply_verdicts(batch: Batch, outcome: BatchOutcome) -> list[FilteredFinding]:
+def apply_verdicts(
+    batch: Batch,
+    verdicts: Mapping[str, Verdict],
+    cause: FailOpenCause = FailOpenCause.MISSING_ENTRY,
+) -> list[FilteredFinding]:
     """Attach verdicts to every finding of the batch, exactly once each.
 
-    A finding takes its decided verdict, or else is retained fail-open under
-    the outcome's fallback cause.
+    A finding takes its verdict by id, or else is retained fail-open under
+    ``cause``: the batch's failure, or missing_entry when the answer parsed.
     """
-    fallback = Verdict.fail_open(outcome.cause)
-    return [
-        FilteredFinding(finding, outcome.records.get(finding.id, fallback), batch.index)
-        for finding in batch.findings
-    ]
+    fallback = Verdict.fail_open(cause)
+    return [FilteredFinding(f, verdicts.get(f.id, fallback), batch.index) for f in batch.findings]
 
 
 def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], dict[str, Verdict]]:
@@ -391,19 +368,21 @@ def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], dict
     return texts, {f.id: verdict for f in batch.findings if f.file_path in unreadable}
 
 
-def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOutcome:
-    """Send the batch's findings with their source context and parse the answer.
+def _review(
+    batch: Batch, backend, template: str, plan: MissionPlan
+) -> tuple[list[FilteredFinding], float | None]:
+    """Every finding of the batch with its verdict, and the backend call's time.
 
     Findings whose source is unavailable are left out of the prompt; when
-    that leaves none, the backend is not called.
+    that leaves none, the backend is not called and the time is None.
     """
     sources, left_out = _read_sources(batch, plan.target_root)
-    sent = tuple(f for f in batch.findings if f.id not in left_out)
-    if not sent:
-        return BatchOutcome(left_out, called=False)
-    batch = Batch(batch.index, sent)
+    kept = tuple(f for f in batch.findings if f.id not in left_out)
+    if not kept:
+        return apply_verdicts(batch, left_out), None
+    sent = Batch(batch.index, kept)
     request = build_prompt(
-        batch,
+        sent,
         template,
         sources=sources,
         context_budget=plan.context_budget,
@@ -412,7 +391,7 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
     started = time.perf_counter()
     try:
         raw = backend.complete(request)
-        cause = None
+        cause = FailOpenCause.MISSING_ENTRY
     except BackendTimeoutError as exc:
         log.warning("batch %d: backend timed out: %s", batch.index, exc)
         cause = FailOpenCause.TIMEOUT
@@ -423,8 +402,10 @@ def _review(batch: Batch, backend, template: str, plan: MissionPlan) -> BatchOut
         log.error("batch %d: unexpected backend error: %s", batch.index, exc)
         cause = FailOpenCause.TRANSPORT_ERROR
     latency = time.perf_counter() - started
-    outcome = BatchOutcome({}, cause) if cause else parse_llm_response(raw, batch)
-    return replace(outcome, records={**outcome.records, **left_out}, latency=latency)
+    verdicts = parse_llm_response(raw, sent) if cause is FailOpenCause.MISSING_ENTRY else {}
+    if verdicts is None:
+        verdicts, cause = {}, FailOpenCause.MALFORMED_RESPONSE
+    return apply_verdicts(batch, {**verdicts, **left_out}, cause), latency
 
 
 def filter_findings(
@@ -455,12 +436,12 @@ def filter_findings(
     slots = threading.Semaphore(plan.parallelism)
     failed = threading.Event()  # set only with fail-open disabled
 
-    def review(batch: Batch) -> BatchOutcome:
+    def review(batch: Batch) -> tuple[list[FilteredFinding], float | None]:
         with holding_slot(slots):
-            outcome = _review(batch, backend, template, plan)
-            if not plan.fail_open and any(ff.verdict.cause is not None for ff in apply_verdicts(batch, outcome)):
+            reviewed = _review(batch, backend, template, plan)
+            if not plan.fail_open and any(ff.verdict.cause is not None for ff in reviewed[0]):
                 failed.set()  # before the slot is given back
-            return outcome
+            return reviewed
 
     with ThreadPoolExecutor(max_workers=max(1, len(batches))) as pool:
         futures = []
@@ -469,15 +450,16 @@ def filter_findings(
             if failed.is_set():
                 break  # the batches sent are a prefix holding the failed one
             futures.append(pool.submit(review, batch))
-        outcomes = [future.result() for future in futures]
+        reviews = [future.result() for future in futures]
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []
     events: list[FailOpenEvent] = []
-    for batch, outcome in zip(batches, outcomes):
-        if not outcome.ok:
-            events.append(FailOpenEvent(batch.index, outcome.cause))
-        for filtered in apply_verdicts(batch, outcome):
+    for batch, (reviewed, _) in zip(batches, reviews):
+        # A failed batch's cause, carried by every finding it sent, is one event.
+        failures = {ff.verdict.cause for ff in reviewed} - {None, *_PER_FINDING_CAUSES}
+        events += [FailOpenEvent(batch.index, cause) for cause in failures]
+        for filtered in reviewed:
             cause = filtered.verdict.cause
             if cause is not None and not plan.fail_open:
                 raise FilterError(
@@ -493,9 +475,9 @@ def filter_findings(
 
     stats = FilterStats(
         batch_count=len(batches),
-        llm_calls=sum(outcome.called for outcome in outcomes),
+        llm_calls=sum(latency is not None for _, latency in reviews),
         fail_open_events=tuple(events),
-        total_latency=sum(o.latency for o in outcomes),
+        total_latency=sum(latency or 0.0 for _, latency in reviews),
         wall_time=time.perf_counter() - started,
     )
     return retained, suppressed, stats

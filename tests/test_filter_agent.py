@@ -21,7 +21,6 @@ from sastsieve.backends import (
 from sastsieve.filter_agent import (
     _TRUNCATION_MARKER,
     Batch,
-    BatchOutcome,
     FailOpenEvent,
     FilterError,
     LlmRequest,
@@ -227,17 +226,13 @@ def test_parse_valid_response():
             ]
         }
     )
-    outcome = parse_llm_response(raw, batch)
-    assert outcome.ok
-    assert outcome.records == {
+    assert parse_llm_response(raw, batch) == {
         finding.id: Verdict.llm(Classification.FALSE_POSITIVE, "input sanitized"),
     }
 
 
 def test_parse_prose_is_malformed():
-    outcome = parse_llm_response("I think it is vulnerable.", batch_of([make_finding(1)]))
-    assert not outcome.ok
-    assert outcome.cause is FailOpenCause.MALFORMED_RESPONSE
+    assert parse_llm_response("I think it is vulnerable.", batch_of([make_finding(1)])) is None
 
 
 def test_parse_invalid_classification_is_malformed():
@@ -245,8 +240,7 @@ def test_parse_invalid_classification_is_malformed():
     raw = json.dumps(
         {"results": [{"finding_id": finding.id, "classification": "maybe", "rationale": "?"}]}
     )
-    outcome = parse_llm_response(raw, batch_of([finding]))
-    assert not outcome.ok and outcome.cause is FailOpenCause.MALFORMED_RESPONSE
+    assert parse_llm_response(raw, batch_of([finding])) is None
 
 
 def test_parse_tolerates_code_fences():
@@ -255,8 +249,7 @@ def test_parse_tolerates_code_fences():
         {"results": [{"finding_id": finding.id, "classification": "true_positive", "rationale": "r"}]}
     )
     for raw in (f"```json\n{inner}\n```", f"```\n{inner}\n```"):
-        outcome = parse_llm_response(raw, batch_of([finding]))
-        assert outcome.ok and len(outcome.records) == 1
+        assert len(parse_llm_response(raw, batch_of([finding]))) == 1
 
 
 def test_parse_drops_unknown_finding_ids():
@@ -269,15 +262,13 @@ def test_parse_drops_unknown_finding_ids():
             ]
         }
     )
-    outcome = parse_llm_response(raw, batch_of([finding]))
-    assert outcome.ok
-    assert list(outcome.records) == [finding.id]
+    assert list(parse_llm_response(raw, batch_of([finding]))) == [finding.id]
 
 
 def test_parse_rejects_non_object_payloads():
     batch = batch_of([make_finding(1)])
     for raw in ("[]", '"text"', '{"verdicts": []}', "{} {}"):
-        assert not parse_llm_response(raw, batch).ok
+        assert parse_llm_response(raw, batch) is None
 
 
 def test_parse_keeps_first_duplicate_record():
@@ -290,10 +281,9 @@ def test_parse_keeps_first_duplicate_record():
             ]
         }
     )
-    outcome = parse_llm_response(raw, batch_of([finding]))
-    assert outcome.ok
-    assert len(outcome.records) == 1
-    assert outcome.records[finding.id].classification is Classification.FALSE_POSITIVE
+    verdicts = parse_llm_response(raw, batch_of([finding]))
+    assert len(verdicts) == 1
+    assert verdicts[finding.id].classification is Classification.FALSE_POSITIVE
 
 
 REVIEW_BATCH = batch_of([make_finding(i) for i in range(3)])
@@ -322,12 +312,12 @@ replies = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(replies)
 def test_parse_never_raises_and_never_suppresses_outside_the_batch(raw):
-    outcome = parse_llm_response(raw, REVIEW_BATCH)
-    if outcome.ok:
-        assert set(outcome.records) <= set(REVIEW_IDS)
+    verdicts = parse_llm_response(raw, REVIEW_BATCH)
+    if verdicts is None:
+        out = apply_verdicts(REVIEW_BATCH, {}, FailOpenCause.MALFORMED_RESPONSE)
     else:
-        assert outcome.cause is FailOpenCause.MALFORMED_RESPONSE
-    out = apply_verdicts(REVIEW_BATCH, outcome)
+        assert set(verdicts) <= set(REVIEW_IDS)
+        out = apply_verdicts(REVIEW_BATCH, verdicts)
     assert [ff.finding for ff in out] == list(REVIEW_BATCH.findings)
     assert_renders(out)
 
@@ -338,7 +328,7 @@ def test_parse_never_raises_and_never_suppresses_outside_the_batch(raw):
 def test_failed_outcome_retains_entire_batch():
     findings = [make_finding(i) for i in range(15)]
     batch = batch_of(findings, index=3)
-    out = apply_verdicts(batch, BatchOutcome({}, FailOpenCause.TIMEOUT))
+    out = apply_verdicts(batch, {}, FailOpenCause.TIMEOUT)
     assert len(out) == 15
     assert all(ff.verdict.provenance is Provenance.FAIL_OPEN for ff in out)
     assert all(ff.verdict.cause is FailOpenCause.TIMEOUT for ff in out)
@@ -354,7 +344,7 @@ def test_mixed_verdicts_suppress_only_named_false_positives():
         )
         for i, f in enumerate(findings)
     }
-    out = apply_verdicts(batch_of(findings), BatchOutcome(records))
+    out = apply_verdicts(batch_of(findings), records)
     retained = [ff for ff in out if ff.verdict.retained]
     assert len(retained) == 9
     assert len(out) == 15
@@ -363,7 +353,7 @@ def test_mixed_verdicts_suppress_only_named_false_positives():
 def test_missing_record_retains_fail_open():
     findings = [make_finding(i) for i in range(15)]
     records = {f.id: Verdict.llm(Classification.TRUE_POSITIVE, "r") for f in findings[:14]}
-    out = apply_verdicts(batch_of(findings), BatchOutcome(records))
+    out = apply_verdicts(batch_of(findings), records)
     missing = [ff for ff in out if ff.verdict.provenance is Provenance.FAIL_OPEN]
     assert len(missing) == 1
     assert missing[0].finding == findings[14]
