@@ -391,7 +391,7 @@ def _review(
     started = time.perf_counter()
     try:
         raw = backend.complete(request)
-        cause = FailOpenCause.MISSING_ENTRY
+        cause = FailOpenCause.MISSING_ENTRY  # for any finding the answer leaves out
     except BackendTimeoutError as exc:
         log.warning("batch %d: backend timed out: %s", batch.index, exc)
         cause = FailOpenCause.TIMEOUT
