@@ -69,6 +69,19 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.wfile.write(b'{"choices": ')
             time.sleep(value)
             return
+        if kind == "drip":  # a whole answer, one byte every `value` seconds
+            body = json.dumps({"choices": [{"message": {"content": json.dumps({"results": []})}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            try:
+                for byte in body:
+                    self.wfile.write(bytes([byte]))
+                    time.sleep(value)
+            except OSError:  # the client gave up
+                pass
+            return
         if kind == "status":
             code, headers = value if isinstance(value, tuple) else (value, {})
             self.send_response(code)
@@ -265,6 +278,17 @@ def test_live_backend_enforces_timeout(chat_server):
 def test_live_backend_times_out_on_a_stalled_body_without_retrying(chat_server):
     chat_server.plan = [("stall", 1.0)]
     backend = live_backend(chat_server, timeout=0.2)
+    started = time.perf_counter()
+    with pytest.raises(BackendTimeoutError):
+        backend.complete(request_for())
+    assert time.perf_counter() - started < 0.9
+    assert chat_server.hits == 1
+
+
+def test_live_backend_times_out_on_a_dripped_body_without_retrying(chat_server):
+    # Each byte comes well inside the timeout; the whole answer takes about 3 s.
+    chat_server.plan = [("drip", 0.05)]
+    backend = live_backend(chat_server, timeout=0.3)
     started = time.perf_counter()
     with pytest.raises(BackendTimeoutError):
         backend.complete(request_for())
