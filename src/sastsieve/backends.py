@@ -142,7 +142,8 @@ class LiveBackend:
 
     Credentials come from the environment (QSC_API_KEY bearer token,
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
-    any of the three is missing. Each attempt may take ``timeout`` seconds.
+    any of the three is missing. An answer whose body is still arriving
+    ``timeout`` seconds after its attempt began times the call out.
     Transient transport failures (connection errors, 429, 5xx) are retried at
     most twice after the BACKOFF_SECONDS waits (1s, then 4s); timeouts, bodies
     over MAX_RESPONSE_BYTES and malformed output are never retried. A 429 or
@@ -181,13 +182,23 @@ class LiveBackend:
             self._opener.add_handler(handler())
 
     def _send(self, data: bytes) -> tuple[int, Mapping[str, str], bytes]:
-        """One attempt's status, headers and body; a timeout anywhere is BackendTimeoutError."""
+        """One attempt's status, headers and body; a timeout anywhere is BackendTimeoutError.
+
+        Each socket operation may wait ``timeout`` seconds, and the body is read
+        in chunks until ``timeout`` seconds after the attempt began.
+        """
         from http.client import HTTPException
         from urllib.request import Request
 
+        deadline = time.monotonic() + self.timeout
         try:
             with self._opener.open(Request(self._url, data, self._headers), timeout=self.timeout) as answer:
-                return answer.status, answer.headers, answer.read(MAX_RESPONSE_BYTES + 1)
+                body = bytearray()  # read1(0), once past the cap, ends the loop
+                while chunk := answer.read1(MAX_RESPONSE_BYTES + 1 - len(body)):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError
+                    body += chunk
+                return answer.status, answer.headers, bytes(body)
         except (OSError, HTTPException) as exc:
             if isinstance(getattr(exc, "reason", exc), TimeoutError):  # a URLError wraps the cause
                 raise BackendTimeoutError(f"request timed out after {self.timeout}s") from exc
