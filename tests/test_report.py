@@ -19,6 +19,7 @@ from sastsieve.model import (
 )
 from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from sastsieve.report import (
+    SCHEMA_VERSION,
     PlanSummary,
     Report,
     build_report,
@@ -298,6 +299,20 @@ def test_a_refused_report_names_its_first_difference(path, value, difference):
     with pytest.raises(ConfigError) as refused:
         load_report(json.dumps(doc))
     assert str(refused.value) == f"document differs from the rendering of the report it holds at {difference}"
+
+
+@pytest.mark.parametrize(
+    "document, found",
+    [('{"schema_version": "1"}', '"1"'), ('{"schema_version": 3}', "3"), ("{}", None), ("[]", None)],
+    ids=["older", "a-number", "missing", "not-an-object"],
+)
+def test_a_refused_schema_names_its_version(document, found):
+    with pytest.raises(ConfigError) as refused:
+        load_report(document)
+    if found is None:
+        assert str(refused.value) == f'report has no schema_version; this version reads "{SCHEMA_VERSION}"'
+    else:
+        assert str(refused.value) == f'report schema_version {found} is not "{SCHEMA_VERSION}"'
 
 
 def node_paths(node, path=()):
