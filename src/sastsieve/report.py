@@ -281,8 +281,11 @@ def load_report(payload: bytes | str) -> Report:
         doc = json.loads(payload)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError("unsupported or missing report schema_version")
+    found = doc.get("schema_version") if isinstance(doc, dict) else None
+    if found is None:
+        raise ConfigError(f'report has no schema_version; this version reads "{SCHEMA_VERSION}"')
+    if found != SCHEMA_VERSION:
+        raise ConfigError(f'report schema_version {json.dumps(found)} is not "{SCHEMA_VERSION}"')
     try:
         report = _codec(Report)[1](_move(doc, {}, _LAYOUT))
         # Fails on a lone surrogate, say from a \ud800 escape: UTF-8 cannot encode one.
