@@ -151,7 +151,6 @@ class Classification(str, Enum):
 class Provenance(str, Enum):
     LLM_DECISION = "llm_decision"
     FAIL_OPEN = "fail_open"
-    EVIDENCE_VERIFIED = "evidence_verified"
 
 
 class FailOpenCause(str, Enum):
@@ -195,36 +194,28 @@ def finding_id(origin: str, file_path: str, start_line: int, cwe_code: int) -> s
 class Verdict:
     """The filter's decision on a finding plus how it was reached.
 
-    Fail-open and evidence-verified verdicts always retain (classification
-    true_positive); construction rejects anything else.
+    Fail-open verdicts always retain (classification true_positive);
+    construction rejects anything else.
     """
 
     classification: Classification
     provenance: Provenance
     rationale: str | None = None
     cause: FailOpenCause | None = None
-    evidence_ref: str | None = None
 
     def __post_init__(self) -> None:
         if self.provenance is Provenance.LLM_DECISION:
             if self.rationale is None:
                 raise ValueError("llm_decision verdict requires a rationale")
-            if self.cause is not None or self.evidence_ref is not None:
+            if self.cause is not None:
                 raise ValueError("llm_decision verdict carries only a rationale")
-        elif self.provenance is Provenance.FAIL_OPEN:
+        else:
             if self.classification is not Classification.TRUE_POSITIVE:
                 raise ValueError("fail-open never suppresses a finding")
             if self.cause is None:
                 raise ValueError("fail_open verdict requires a cause")
-            if self.rationale is not None or self.evidence_ref is not None:
+            if self.rationale is not None:
                 raise ValueError("fail_open verdict carries only a cause")
-        elif self.provenance is Provenance.EVIDENCE_VERIFIED:
-            if self.classification is not Classification.TRUE_POSITIVE:
-                raise ValueError("evidence-verified findings are always retained")
-            if self.evidence_ref is None:
-                raise ValueError("evidence_verified verdict requires an evidence_ref")
-            if self.rationale is not None or self.cause is not None:
-                raise ValueError("evidence_verified verdict carries only a reference")
 
     @classmethod
     def llm(cls, classification: Classification | str, rationale: str) -> "Verdict":
@@ -238,14 +229,6 @@ class Verdict:
             cause=FailOpenCause(cause),
         )
 
-    @classmethod
-    def evidence(cls, evidence_ref: str) -> "Verdict":
-        return cls(
-            Classification.TRUE_POSITIVE,
-            Provenance.EVIDENCE_VERIFIED,
-            evidence_ref=evidence_ref,
-        )
-
     @property
     def retained(self) -> bool:
         return self.classification is Classification.TRUE_POSITIVE
@@ -253,20 +236,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class FilteredFinding:
-    """A finding together with its verdict and, for filtered ones, its batch."""
+    """A finding together with its verdict and the batch that reviewed it."""
 
     finding: Finding
     verdict: Verdict
-    batch_index: int | None = None
+    batch_index: int
 
     def __post_init__(self) -> None:
-        needs_batch = self.verdict.provenance in (
-            Provenance.LLM_DECISION,
-            Provenance.FAIL_OPEN,
-        )
-        if needs_batch and self.batch_index is None:
-            raise ValueError("filtered verdicts must record their batch index")
-        if not needs_batch and self.batch_index is not None:
-            raise ValueError("evidence-verified findings carry no batch index")
-        if self.batch_index is not None and self.batch_index < 0:
+        if self.batch_index < 0:
             raise ValueError("batch_index must be non-negative")

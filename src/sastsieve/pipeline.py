@@ -1,9 +1,9 @@
-"""Mission orchestration: plan a run, obtain scanner output, route findings
-by evidence, filter, and assemble the unscored report.
+"""Mission orchestration: plan a run, obtain scanner output, filter it, and
+assemble the unscored report.
 
-Stages run sequentially (scan, parse, normalize, dedupe, correlate,
-filter); only the filter stage is internally concurrent. Filter-stage
-faults never abort a mission while fail-open is enabled.
+Stages run sequentially (scan, parse, normalize, dedupe, filter); only the
+filter stage is internally concurrent. Filter-stage faults never abort a
+mission while fail-open is enabled.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .backends import DEFAULT_TIMEOUT
 from .filter_agent import DEFAULT_CONTEXT_BUDGET, FINDINGS_PLACEHOLDER, default_template, filter_findings
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 # ConfigError and read_input are imported from here too.
-from .model import ConfigError, FilteredFinding, Finding, Verdict, as_path, read_input, record_lines, replace_surrogates
+from .model import ConfigError, as_path, read_input, record_lines, replace_surrogates
 from .report import PlanSummary, Report
 
 log = logging.getLogger(__name__)
@@ -199,50 +199,17 @@ def run_scanner(plan: MissionPlan) -> bytes:
     return proc.stdout
 
 
-def correlate_evidence(
-    findings: Sequence[Finding],
-    providers: Sequence = (),
-) -> tuple[list[FilteredFinding], list[Finding]]:
-    """Split findings into evidence-verified and unverified.
-
-    A provider is a source of runtime evidence (UI traces, API logs, ...):
-    any object with a ``name`` and a ``query(finding)`` that returns an
-    evidence reference or None, without side effects on the finding set.
-    No provider ships. A finding is verified iff some provider returns
-    evidence for it; provider failures are logged and treated as no
-    evidence. With zero providers everything is unverified.
-    """
-    verified: list[FilteredFinding] = []
-    unverified: list[Finding] = []
-    for finding in findings:
-        evidence_ref = None
-        for provider in providers:
-            try:
-                ref = provider.query(finding)
-            except Exception as exc:
-                log.warning("evidence provider %s failed on %s: %s", provider.name, finding.id, exc)
-                continue
-            if ref:
-                evidence_ref = f"{provider.name}:{ref}"
-                break
-        if evidence_ref is None:
-            unverified.append(finding)
-        else:
-            verified.append(FilteredFinding(finding, Verdict.evidence(evidence_ref)))
-    return verified, unverified
+def correlate_evidence() -> None:
+    """Nothing calls this. perfbench's traced probe binds the name; ROADMAP item 1 deletes it with read_source_context."""
 
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def run_mission(
-    plan: MissionPlan,
-    backend,
-    providers: Sequence = (),
-) -> Report:
-    """Execute scan, parse, normalize, dedupe, correlate and filter, and
-    return the unscored report.
+def run_mission(plan: MissionPlan, backend) -> Report:
+    """Execute scan, parse, normalize, dedupe and filter, and return the
+    unscored report.
 
     The CWE alias table and the prompt template are read before the scan,
     so a bad one raises ConfigError before the scanner runs.
@@ -263,10 +230,7 @@ def run_mission(
     deduped = dedupe_by_testcase(findings)
     log.info("%d findings after per-test-case dedupe", len(deduped))
 
-    verified, unverified = correlate_evidence(deduped, providers)
-    log.info("%d findings verified by evidence, %d sent to the filter", len(verified), len(unverified))
-
-    retained, suppressed, stats = filter_findings(unverified, backend, plan, template)
+    retained, suppressed, stats = filter_findings(deduped, backend, plan, template)
     log.info(
         "filter retained %d and suppressed %d findings over %d batches",
         len(retained),
@@ -275,7 +239,7 @@ def run_mission(
     )
     return Report(
         plan_summary=PlanSummary.of(plan, len(parsed.findings), parsed.skipped),
-        retained=tuple(verified + retained),
+        retained=tuple(retained),
         suppressed=tuple(suppressed),
         stats=stats,
         started_at=started,

@@ -39,7 +39,7 @@ from .scoring import (
 if TYPE_CHECKING:
     from .pipeline import MissionPlan
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 DEFAULT_RETAINED_DISPLAY = 20
 DEFAULT_SUPPRESSED_DISPLAY = 10
@@ -97,7 +97,7 @@ class Report:
 
     run_id: str = field(init=False)
     plan_summary: PlanSummary
-    retained: tuple[FilteredFinding, ...]  # evidence-verified findings first
+    retained: tuple[FilteredFinding, ...]
     suppressed: tuple[FilteredFinding, ...]
     stats: FilterStats
     scorecard: CweScorecard | None = None
@@ -378,8 +378,7 @@ def render_text(
         f"run {report.run_id}",
         "=" * (4 + len(report.run_id)),
         f"retained findings   : {len(report.retained)}"
-        f"  (evidence-verified {by_provenance[Provenance.EVIDENCE_VERIFIED]},"
-        f" llm-decided {by_provenance[Provenance.LLM_DECISION]},"
+        f"  (llm-decided {by_provenance[Provenance.LLM_DECISION]},"
         f" fail-open {by_provenance[Provenance.FAIL_OPEN]})",
         f"suppressed findings : {len(report.suppressed)}",
     ]

@@ -61,7 +61,7 @@ def test_run_happy_path_with_replay(tmp_path, capsys):
     assert code == 0
     assert out_json.exists() and out_text.exists()
     doc = json.loads(out_json.read_bytes())
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert len(doc["retained"]) == 10
     assert "retained 10" in capsys.readouterr().out
 
@@ -1227,7 +1227,7 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
         ("run", "--ground-truth", "ground_truth", b"BenchmarkTest00001,sqli,maybe,89\n", 1),
         ("run", "--baseline", "baseline", b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n", 2),
         ("score", "--detections", "detections", b"BenchmarkTest00001,89\nBenchmarkTest00002,-89\n", 2),
-        ("report", "--in", "report", b'{"schema_version": "2"}\n', None),
+        ("report", "--in", "report", b'{"schema_version": "3"}\n', None),
         ("replay", "--cassette", "cassette", None, None),
         ("replay", "--cassette", "cassette", b'{"not": "an array"}\n', None),
     ],

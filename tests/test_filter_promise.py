@@ -168,7 +168,6 @@ def through_mission(rng, findings, plan, base):
 
     def run(backend):
         mission = run_mission(replace(plan, scan_json=scan), backend)
-        assert Provenance.EVIDENCE_VERIFIED not in {ff.verdict.provenance for ff in mission.retained}
         return list(mission.retained), list(mission.suppressed), mission.stats
 
     return reviewed, run

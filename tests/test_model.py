@@ -109,16 +109,6 @@ def test_verdict_fail_open_never_suppresses():
     assert verdict.retained
 
 
-def test_verdict_evidence_always_retains():
-    with pytest.raises(ValueError):
-        Verdict(
-            Classification.FALSE_POSITIVE,
-            Provenance.EVIDENCE_VERIFIED,
-            evidence_ref="trace:1",
-        )
-    assert Verdict.evidence("trace:1").retained
-
-
 def test_verdict_field_consistency():
     with pytest.raises(ValueError):
         Verdict(Classification.TRUE_POSITIVE, Provenance.LLM_DECISION)  # no rationale
@@ -137,10 +127,8 @@ def test_filtered_finding_batch_index_rules():
     finding = make_finding(7)
     llm = Verdict.llm("false_positive", "sanitized")
     assert FilteredFinding(finding, llm, 0).batch_index == 0
-    with pytest.raises(ValueError):
-        FilteredFinding(finding, llm)  # llm verdicts need a batch
-    with pytest.raises(ValueError):
-        FilteredFinding(finding, Verdict.evidence("e:1"), 0)  # evidence has none
+    with pytest.raises(TypeError):
+        FilteredFinding(finding, llm)  # every verdict comes from a batch
     with pytest.raises(ValueError):
         FilteredFinding(finding, llm, -1)
 
@@ -192,7 +180,7 @@ def test_every_refused_input_or_setting_raises_config_error(monkeypatch):
         lambda: load_ground_truth("BenchmarkTest00001,sqli,maybe,89\n"),
         lambda: load_detections("BenchmarkTest00001 89\n"),
         lambda: CweMappingTable.load("200 => 22\n"),
-        lambda: load_report('{"schema_version": "2"}'),
+        lambda: load_report('{"schema_version": "3"}'),
         lambda: parse_config_file("not a key value line\n"),
         lambda: plan_mission({"batch_size": "0", "scan_json": "s.json"}),
         lambda: ScriptedBackend({"f1": "maybe"}),

@@ -14,13 +14,11 @@ from sastsieve.pipeline import (
     ConfigError,
     MissionPlan,
     ScannerError,
-    correlate_evidence,
     parse_config_file,
     plan_mission,
     run_mission,
     run_scanner,
 )
-from tests.conftest import make_finding
 from tests.test_filter_agent import FailingBackend
 from tests.test_ingest import result_doc, scan_doc
 
@@ -235,48 +233,6 @@ def test_run_scanner_missing_executable(tmp_path):
         run_scanner(plan)
 
 
-# --- correlate_evidence -----------------------------------------------------
-
-
-class MatchingProvider:
-    name = "apilog"
-
-    def __init__(self, matching_ids):
-        self.matching_ids = set(matching_ids)
-
-    def query(self, finding):
-        return "hit-42" if finding.id in self.matching_ids else None
-
-
-class ThrowingProvider:
-    name = "broken"
-
-    def query(self, finding):
-        raise RuntimeError("collector offline")
-
-
-def test_correlate_with_no_providers():
-    findings = [make_finding(i) for i in range(10)]
-    verified, unverified = correlate_evidence(findings, [])
-    assert verified == []
-    assert unverified == findings
-
-
-def test_correlate_matching_provider():
-    findings = [make_finding(i) for i in range(5)]
-    verified, unverified = correlate_evidence(findings, [MatchingProvider([findings[2].id])])
-    assert [ff.finding for ff in verified] == [findings[2]]
-    assert verified[0].verdict.provenance is Provenance.EVIDENCE_VERIFIED
-    assert verified[0].verdict.evidence_ref == "apilog:hit-42"
-    assert unverified == [f for i, f in enumerate(findings) if i != 2]
-
-
-def test_correlate_throwing_provider_is_no_evidence():
-    findings = [make_finding(i) for i in range(5)]
-    verified, unverified = correlate_evidence(findings, [ThrowingProvider()])
-    assert verified == [] and unverified == findings
-
-
 # --- run_mission ------------------------------------------------------------
 
 
@@ -290,39 +246,12 @@ def test_mission_with_failing_backend_retains_all_deduped(tmp_path):
     assert {ff.verdict.provenance for ff in mission.retained} == {Provenance.FAIL_OPEN}
 
 
-def test_mission_scripted_suppress_everything_keeps_verified_only(tmp_path):
+def test_mission_scripted_suppress_everything_suppresses_all_six(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(6))})
-    backend = ScriptedBackend({}, default="false_positive")
-
-    class FirstFindingProvider:
-        name = "trace"
-
-        def query(self, finding):
-            return "seen" if finding.file_path.endswith("BenchmarkTest00001.java") else None
-
-    mission = run_mission(plan, backend, [FirstFindingProvider()])
-    [verified] = mission.retained
-    assert verified.verdict.provenance is Provenance.EVIDENCE_VERIFIED
-    assert verified.verdict.evidence_ref == "trace:seen"
-    assert len(mission.suppressed) == 5
-
-
-def test_mission_lists_evidence_verified_findings_first(tmp_path):
-    plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(3))})
-
-    class LastFindingProvider:
-        name = "trace"
-
-        def query(self, finding):
-            return "seen" if finding.file_path.endswith("BenchmarkTest00003.java") else None
-
-    mission = run_mission(plan, ScriptedBackend({}, default="true_positive"), [LastFindingProvider()])
-    assert [ff.finding.file_path for ff in mission.retained] == [
-        "src/BenchmarkTest00003.java", "src/BenchmarkTest00001.java", "src/BenchmarkTest00002.java"
-    ]
-    assert [ff.verdict.provenance for ff in mission.retained] == [
-        Provenance.EVIDENCE_VERIFIED, Provenance.LLM_DECISION, Provenance.LLM_DECISION
-    ]
+    mission = run_mission(plan, ScriptedBackend({}, default="false_positive"))
+    assert mission.retained == ()
+    assert len(mission.suppressed) == 6
+    assert {ff.verdict.provenance for ff in mission.suppressed} == {Provenance.LLM_DECISION}
 
 
 def test_mission_partitions_deduped_findings(tmp_path):

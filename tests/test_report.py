@@ -48,7 +48,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def golden_report() -> Report:
     """A small fixed report that reaches every part of both layouts."""
-    verified = make_finding(1, cwe=89, test_num=7)
+    llm_confirmed = make_finding(1, cwe=89, test_num=7)
     llm_kept = replace(
         make_finding(2, cwe=0, severity=Severity.INFO), description="naïve → ünïcode message"
     )
@@ -57,7 +57,7 @@ def golden_report() -> Report:
     report = Report(
         plan_summary=PlanSummary.of(MissionPlan(scan_json=Path("scan.json"), model="m-1"), 5, 1),
         retained=(
-            FilteredFinding(verified, Verdict.evidence("trace:42")),
+            FilteredFinding(llm_confirmed, Verdict.llm("true_positive", "query built from the parameter"), 0),
             FilteredFinding(llm_kept, Verdict.llm("true_positive", "reaches the sink"), 0),
             FilteredFinding(missing, Verdict.fail_open(FailOpenCause.MISSING_ENTRY), 1),
         ),
@@ -126,7 +126,7 @@ def mission_report(tmp_path, gt=None, baseline=None, results=None, backend=None)
 def test_empty_run_renders_with_schema_version():
     payload = render_json(empty_report())
     doc = json.loads(payload)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["retained"] == [] and doc["suppressed"] == []
     assert doc["scorecard"] is None
 
@@ -238,8 +238,9 @@ def test_fail_open_events_survive_round_trip(tmp_path):
 
 
 def test_detections_of_uses_kept_findings_with_test_ids():
-    with_id = FilteredFinding(make_finding(1, cwe=89, test_num=7), Verdict.evidence("e:1"))
-    without_id = FilteredFinding(make_finding(2), Verdict.evidence("e:2"))
+    kept = Verdict.llm(Classification.TRUE_POSITIVE, "r")
+    with_id = FilteredFinding(make_finding(1, cwe=89, test_num=7), kept, 0)
+    without_id = FilteredFinding(make_finding(2), kept, 0)
     pairs = detections_of([with_id, without_id])
     assert len(pairs) == 1
     (tid, code), = pairs
@@ -258,7 +259,13 @@ def test_load_report_rejects_bad_documents():
     with pytest.raises(ConfigError):
         load_report(b'{"schema_version": "99"}')
     with pytest.raises(ConfigError):
-        load_report(b'{"schema_version": "2"}')  # missing sections
+        load_report(b'{"schema_version": "3"}')  # missing sections
+    with pytest.raises(ConfigError, match='schema_version "2" is not "3"'):
+        load_report((GOLDEN / "report.json").read_bytes().replace(b'"schema_version": "3"', b'"schema_version": "2"'))
+    doc = json.loads(render_json(golden_report()))
+    doc["retained"][0]["batch_index"] = None  # every finding comes from a batch
+    with pytest.raises(ConfigError, match="expected int, got NoneType"):
+        load_report(json.dumps(doc))
     doc = json.loads(render_json(golden_report()))
     doc["scorecard"]["per_cwe"] = []
     with pytest.raises(ConfigError):
