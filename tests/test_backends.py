@@ -69,6 +69,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.wfile.write(b'{"choices": ')
             time.sleep(value)
             return
+        if kind == "lull":  # the headers, one body byte after `value` seconds, then silence
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            time.sleep(value)
+            self.wfile.write(b"{")
+            time.sleep(1.0)
+            return
         if kind == "drip":  # a whole answer, one byte every `value` seconds
             body = json.dumps({"choices": [{"message": {"content": json.dumps({"results": []})}}]}).encode()
             self.send_response(200)
@@ -293,6 +302,18 @@ def test_live_backend_times_out_on_a_dripped_body_without_retrying(chat_server):
     with pytest.raises(BackendTimeoutError):
         backend.complete(request_for())
     assert time.perf_counter() - started < 0.9
+    assert chat_server.hits == 1
+
+
+def test_live_backend_body_read_waits_only_the_time_left(chat_server):
+    # The one byte comes inside the timeout; the read after it may wait only
+    # what is left of the attempt, not a whole timeout more.
+    chat_server.plan = [("lull", 0.25)]
+    backend = live_backend(chat_server, timeout=0.3)
+    started = time.perf_counter()
+    with pytest.raises(BackendTimeoutError):
+        backend.complete(request_for())
+    assert time.perf_counter() - started < 0.4
     assert chat_server.hits == 1
 
 

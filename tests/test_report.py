@@ -294,8 +294,14 @@ def test_load_report_rejects_bad_documents():
             "scorecard.overall.metrics.f1: document 0.5, rendering 0.6666666666666666",
         ),
         (("plan", "extra"), 1, "plan.extra: document 1, rendering nothing"),
+        (("stats", "llm_calls"), 999, "stats.llm_calls: document 999, rendering 2"),
+        (
+            ("fail_open_events",),
+            [],
+            'fail_open_events[0]: document nothing, rendering {"batch_index": 1, "cause": "missing_entry"}',
+        ),
     ],
-    ids=["run_id", "cwe_name", "metrics", "extra_key"],
+    ids=["run_id", "cwe_name", "metrics", "extra_key", "llm_calls", "fail_open_events"],
 )
 def test_a_refused_report_names_its_first_difference(path, value, difference):
     doc = json.loads((GOLDEN / "report.json").read_bytes())
