@@ -184,8 +184,9 @@ class LiveBackend:
     def _send(self, data: bytes) -> tuple[int, Mapping[str, str], bytes]:
         """One attempt's status, headers and body; a timeout anywhere is BackendTimeoutError.
 
-        Each socket operation may wait ``timeout`` seconds, and the body is read
-        in chunks until ``timeout`` seconds after the attempt began.
+        Connecting, sending and each header read may wait ``timeout`` seconds;
+        the body is read in chunks, each waiting only until ``timeout`` seconds
+        after the attempt began.
         """
         from http.client import HTTPException
         from urllib.request import Request
@@ -193,11 +194,17 @@ class LiveBackend:
         deadline = time.monotonic() + self.timeout
         try:
             with self._opener.open(Request(self._url, data, self._headers), timeout=self.timeout) as answer:
-                body = bytearray()  # read1(0), once past the cap, ends the loop
-                while chunk := answer.read1(MAX_RESPONSE_BYTES + 1 - len(body)):
-                    if time.monotonic() > deadline:
-                        raise TimeoutError
+                # CPython's socket file keeps its socket in _sock; without it, reads wait `timeout` each.
+                sock = getattr(getattr(answer.fp, "raw", None), "_sock", None)
+                body = bytearray()
+                while (left := deadline - time.monotonic()) > 0:
+                    if sock is not None:
+                        sock.settimeout(left)
+                    if not (chunk := answer.read1(MAX_RESPONSE_BYTES + 1 - len(body))):
+                        break  # the end, or read1(0) once past the cap
                     body += chunk
+                else:
+                    raise TimeoutError
                 return answer.status, answer.headers, bytes(body)
         except (OSError, HTTPException) as exc:
             if isinstance(getattr(exc, "reason", exc), TimeoutError):  # a URLError wraps the cause
