@@ -203,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "
-        f"fail-open events {len(report.stats.fail_open_events)}"
+        f"fail-open events {len(report.fail_open_events)}"
     )
     print(f"reports written to {plan.out_json} and {plan.out_text}")
     return EXIT_OK

@@ -20,7 +20,6 @@ import re
 import stat
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -65,9 +64,6 @@ SYSTEM_TEXT = (
 )
 
 
-_PER_FINDING_CAUSES = (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE)
-
-
 class FilterError(RuntimeError):
     """Raised for batch failures only when fail-open is disabled."""
 
@@ -94,19 +90,32 @@ class FailOpenEvent:
     cause: FailOpenCause
 
 
+# The causes that arise per finding; any other is its batch's failure.
+_PER_FINDING_CAUSES = (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE)
+
+
 @dataclass(frozen=True)
 class FilterStats:
-    """Run-level accounting for the filter stage."""
+    """The filter's call accounting, derived from its verdicts by ``of``."""
 
     batch_count: int
     llm_calls: int
-    fail_open_events: tuple[FailOpenEvent, ...]
-    total_latency: float  # summed backend call time over all batches
-    wall_time: float = 0.0  # wall-clock time of the whole filter stage
 
-    @property
-    def fail_open_counts(self) -> dict[str, int]:
-        return dict(Counter(event.cause.value for event in self.fail_open_events))
+    @classmethod
+    def of(cls, reviewed: Sequence[FilteredFinding]) -> FilterStats:
+        """The batches the findings came from, and how many of them called the
+        model: a batch whose every source was unavailable sent nothing."""
+        called = {ff.batch_index for ff in reviewed if ff.verdict.cause is not FailOpenCause.SOURCE_UNAVAILABLE}
+        return cls(len({ff.batch_index for ff in reviewed}), len(called))
+
+
+def fail_open_events(reviewed: Sequence[FilteredFinding]) -> tuple[FailOpenEvent, ...]:
+    """Per batch in order: one event for the batch's failure, which every
+    finding it sent carries, then one per finding with a per-finding cause."""
+    events = [FailOpenEvent(ff.batch_index, ff.verdict.cause) for ff in reviewed if ff.verdict.cause is not None]
+    failures = dict.fromkeys(event for event in events if event.cause not in _PER_FINDING_CAUSES)
+    per_finding = [event for event in events if event.cause in _PER_FINDING_CAUSES]
+    return tuple(sorted([*failures, *per_finding], key=lambda e: (e.batch_index, e.cause in _PER_FINDING_CAUSES)))
 
 
 def default_template() -> str:
@@ -370,16 +379,16 @@ def _read_sources(batch: Batch, root: Path | None) -> tuple[dict[str, str], dict
 
 def _review(
     batch: Batch, backend, template: str, plan: MissionPlan
-) -> tuple[list[FilteredFinding], float | None]:
+) -> tuple[list[FilteredFinding], float]:
     """Every finding of the batch with its verdict, and the backend call's time.
 
     Findings whose source is unavailable are left out of the prompt; when
-    that leaves none, the backend is not called and the time is None.
+    that leaves none, the backend is not called and the time is 0.
     """
     sources, left_out = _read_sources(batch, plan.target_root)
     kept = tuple(f for f in batch.findings if f.id not in left_out)
     if not kept:
-        return apply_verdicts(batch, left_out), None
+        return apply_verdicts(batch, left_out), 0.0
     sent = Batch(batch.index, kept)
     request = build_prompt(
         sent,
@@ -413,8 +422,9 @@ def filter_findings(
     backend,
     plan: MissionPlan,
     template: str,
-) -> tuple[list[FilteredFinding], list[FilteredFinding], FilterStats]:
-    """Review findings in batches and split them into retained and suppressed.
+) -> tuple[list[FilteredFinding], list[FilteredFinding], float]:
+    """Review findings in batches: the retained, the suppressed, and the
+    summed time of the backend calls.
 
     The plan gives the batch size, parallelism, source root, context budget,
     model and fail-open setting; ``template`` is the prompt template's text.
@@ -427,7 +437,6 @@ def filter_findings(
     fail-open is disabled, in which case no batch is sent after one yields a
     fail-open verdict, and the first such verdict raises FilterError.
     """
-    started = time.perf_counter()
     batches = partition_batches(findings, plan.batch_size)
 
     # Parallelism bounds the model requests in flight, not the threads: each
@@ -436,7 +445,7 @@ def filter_findings(
     slots = threading.Semaphore(plan.parallelism)
     failed = threading.Event()  # set only with fail-open disabled
 
-    def review(batch: Batch) -> tuple[list[FilteredFinding], float | None]:
+    def review(batch: Batch) -> tuple[list[FilteredFinding], float]:
         with holding_slot(slots):
             reviewed = _review(batch, backend, template, plan)
             if not plan.fail_open and any(ff.verdict.cause is not None for ff in reviewed[0]):
@@ -454,30 +463,13 @@ def filter_findings(
 
     retained: list[FilteredFinding] = []
     suppressed: list[FilteredFinding] = []
-    events: list[FailOpenEvent] = []
-    for batch, (reviewed, _) in zip(batches, reviews):
-        # A failed batch's cause, carried by every finding it sent, is one event.
-        failures = {ff.verdict.cause for ff in reviewed} - {None, *_PER_FINDING_CAUSES}
-        events += [FailOpenEvent(batch.index, cause) for cause in failures]
+    for reviewed, _ in reviews:
         for filtered in reviewed:
             cause = filtered.verdict.cause
             if cause is not None and not plan.fail_open:
                 raise FilterError(
-                    f"batch {batch.index}: finding {filtered.finding.id} failed "
+                    f"batch {filtered.batch_index}: finding {filtered.finding.id} failed "
                     f"({cause.value}) with fail-open disabled"
                 )
-            if cause in _PER_FINDING_CAUSES:
-                events.append(FailOpenEvent(batch.index, cause))
-            if filtered.verdict.retained:
-                retained.append(filtered)
-            else:
-                suppressed.append(filtered)
-
-    stats = FilterStats(
-        batch_count=len(batches),
-        llm_calls=sum(latency is not None for _, latency in reviews),
-        fail_open_events=tuple(events),
-        total_latency=sum(latency or 0.0 for _, latency in reviews),
-        wall_time=time.perf_counter() - started,
-    )
-    return retained, suppressed, stats
+            (retained if filtered.verdict.retained else suppressed).append(filtered)
+    return retained, suppressed, sum(latency for _, latency in reviews)

@@ -12,6 +12,7 @@ import logging
 import os
 import subprocess
 import threading
+import time
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,7 +24,7 @@ from .filter_agent import DEFAULT_CONTEXT_BUDGET, FINDINGS_PLACEHOLDER, default_
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 # ConfigError and read_input are imported from here too.
 from .model import ConfigError, as_path, read_input, record_lines, replace_surrogates
-from .report import PlanSummary, Report
+from .report import PlanSummary, Report, Timing
 
 log = logging.getLogger(__name__)
 
@@ -230,18 +231,16 @@ def run_mission(plan: MissionPlan, backend) -> Report:
     deduped = dedupe_by_testcase(findings)
     log.info("%d findings after per-test-case dedupe", len(deduped))
 
-    retained, suppressed, stats = filter_findings(deduped, backend, plan, template)
-    log.info(
-        "filter retained %d and suppressed %d findings over %d batches",
-        len(retained),
-        len(suppressed),
-        stats.batch_count,
-    )
-    return Report(
-        plan_summary=PlanSummary.of(plan, len(parsed.findings), parsed.skipped),
+    filter_started = time.perf_counter()
+    retained, suppressed, latency = filter_findings(deduped, backend, plan, template)
+    report = Report(
+        plan=PlanSummary.of(plan, len(parsed.findings), parsed.skipped),
         retained=tuple(retained),
         suppressed=tuple(suppressed),
-        stats=stats,
-        started_at=started,
-        finished_at=_utcnow(),
+        timing=Timing(started, _utcnow(), latency, time.perf_counter() - filter_started),
     )
+    log.info(
+        "filter retained %d and suppressed %d findings over %d batches",
+        len(retained), len(suppressed), report.stats.batch_count,
+    )
+    return report

@@ -14,14 +14,14 @@ import hashlib
 import json
 import math
 import typing
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass, field
 from enum import Enum
 from types import UnionType
 from typing import TYPE_CHECKING, Callable, Collection, Union
 
 from .benchmark import GroundTruth
-from .filter_agent import FilterStats
+from .filter_agent import FailOpenEvent, FilterStats, fail_open_events
 from .model import ConfigError, CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
 from .scoring import (
     ConfusionMatrix,
@@ -89,31 +89,44 @@ class PlanSummary:
 
 
 @dataclass(frozen=True)
-class Report:
-    """Everything a mission produced, scored once ground truth is given.
+class Timing:
+    """When a run started and finished and where its seconds went: the part
+    of a report that differs between equal runs."""
 
-    ``run_id`` is derived: a hash of the plan summary and every finding id.
+    started_at: str = ""
+    finished_at: str = ""
+    total_latency_seconds: float = 0.0  # summed backend call time over all batches
+    filter_wall_seconds: float = 0.0  # wall-clock time of the whole filter stage
+
+
+@dataclass(frozen=True)
+class Report:
+    """Everything a mission produced, scored once ground truth is given;
+    each field is the key of the JSON document it is written under.
+
+    ``run_id`` is derived, a hash of the plan and every finding id, and so
+    are ``stats`` and ``fail_open_events``, from the findings' verdicts.
     """
 
     run_id: str = field(init=False)
-    plan_summary: PlanSummary
+    plan: PlanSummary
     retained: tuple[FilteredFinding, ...]
     suppressed: tuple[FilteredFinding, ...]
-    stats: FilterStats
+    stats: FilterStats = field(init=False)
+    fail_open_events: tuple[FailOpenEvent, ...] = field(init=False)
     scorecard: CweScorecard | None = None
     baseline_deltas: ScorecardComparison | None = None
-    started_at: str = ""
-    finished_at: str = ""
+    timing: Timing = Timing()
 
     def __post_init__(self) -> None:
+        reviewed = self.retained + self.suppressed
         identity = json.dumps(
-            {
-                "plan": dataclasses.asdict(self.plan_summary),
-                "findings": sorted(ff.finding.id for ff in self.retained + self.suppressed),
-            },
+            {"plan": dataclasses.asdict(self.plan), "findings": sorted(ff.finding.id for ff in reviewed)},
             sort_keys=True,
         )
         object.__setattr__(self, "run_id", hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12])
+        object.__setattr__(self, "stats", FilterStats.of(reviewed))
+        object.__setattr__(self, "fail_open_events", fail_open_events(reviewed))
 
 
 def detections_of(kept: Collection[FilteredFinding]) -> set[Detection]:
@@ -134,7 +147,7 @@ def build_report(
     is given; without ground truth, the report as it is."""
     if gt is None:
         return report
-    match_any_cwe = report.plan_summary.match_any_cwe
+    match_any_cwe = report.plan.match_any_cwe
     scorecard = score_per_cwe(detections_of(report.retained), gt, match_any_cwe=match_any_cwe)
     deltas = None
     if baseline_detections is not None:
@@ -233,41 +246,9 @@ def _record_codec(cls: type) -> tuple[Callable, Callable]:
     return encode, decode
 
 
-# Where each Report field sits in the document: (document path, field path).
-_LAYOUT = (
-    (("run_id",), ("run_id",)),
-    (("plan",), ("plan_summary",)),
-    (("stats", "batch_count"), ("stats", "batch_count")),
-    (("stats", "llm_calls"), ("stats", "llm_calls")),
-    (("fail_open_events",), ("stats", "fail_open_events")),
-    (("retained",), ("retained",)),
-    (("suppressed",), ("suppressed",)),
-    (("scorecard",), ("scorecard",)),
-    (("baseline_deltas",), ("baseline_deltas",)),
-    (("timing", "started_at"), ("started_at",)),
-    (("timing", "finished_at"), ("finished_at",)),
-    (("timing", "total_latency_seconds"), ("stats", "total_latency")),
-    (("timing", "filter_wall_seconds"), ("stats", "wall_time")),
-)
-
-
-def _move(source: dict, target: dict, moves: typing.Iterable[tuple[tuple, tuple]]) -> dict:
-    """Copy the value at each source path to its target path; returns target."""
-    for source_path, target_path in moves:
-        value = source
-        for key in source_path:
-            value = value[key]
-        node = target
-        for key in target_path[:-1]:
-            node = node.setdefault(key, {})
-        node[target_path[-1]] = value
-    return target
-
-
 def render_json(report: Report) -> bytes:
     """Canonical JSON rendering: sorted keys, versioned, newline-terminated."""
-    fields = _codec(Report)[0](report)
-    doc = _move(fields, {"schema_version": SCHEMA_VERSION}, ((f, d) for d, f in _LAYOUT))
+    doc = {"schema_version": SCHEMA_VERSION, **_codec(Report)[0](report)}
     return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
@@ -287,12 +268,12 @@ def load_report(payload: bytes | str) -> Report:
     if found != SCHEMA_VERSION:
         raise ConfigError(f'report schema_version {json.dumps(found)} is not "{SCHEMA_VERSION}"')
     try:
-        report = _codec(Report)[1](_move(doc, {}, _LAYOUT))
+        report = _codec(Report)[1](doc)
         # Fails on a lone surrogate, say from a \ud800 escape: UTF-8 cannot encode one.
         rendered = json.loads(render_json(report))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed report document: {exc}") from exc
-    # A key the codec drops or a value it derives, such as a CWE name, differs here.
+    # A key the codec drops or a value it derives, such as a CWE name or a count, differs here.
     path, found, expected, absent = "", doc, rendered, object()
     while found != expected and isinstance(found, (dict, list)) and type(found) is type(expected):
         found, expected = (dict(enumerate(v)) if isinstance(v, list) else v for v in (found, expected))
@@ -372,7 +353,7 @@ def render_text(
     by_provenance = {p: 0 for p in Provenance}
     for ff in report.retained:
         by_provenance[ff.verdict.provenance] += 1
-    cause_counts = report.stats.fail_open_counts
+    cause_counts = Counter(event.cause.value for event in report.fail_open_events)
 
     lines = [
         f"run {report.run_id}",
@@ -382,16 +363,16 @@ def render_text(
         f" fail-open {by_provenance[Provenance.FAIL_OPEN]})",
         f"suppressed findings : {len(report.suppressed)}",
     ]
-    if report.stats.fail_open_events:
+    if report.fail_open_events:
         causes = ", ".join(f"{cause} x{count}" for cause, count in sorted(cause_counts.items()))
-        lines.append(f"fail-open events    : {len(report.stats.fail_open_events)}  ({causes})")
+        lines.append(f"fail-open events    : {len(report.fail_open_events)}  ({causes})")
     else:
         lines.append("fail-open events    : none")
     lines.append(
         f"batches             : {report.stats.batch_count}"
         f"  llm calls: {report.stats.llm_calls}"
-        f"  summed call time: {report.stats.total_latency:.2f}s"
-        f"  filter wall time: {report.stats.wall_time:.2f}s"
+        f"  summed call time: {report.timing.total_latency_seconds:.2f}s"
+        f"  filter wall time: {report.timing.filter_wall_seconds:.2f}s"
     )
 
     if report.scorecard is not None:

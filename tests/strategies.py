@@ -7,7 +7,6 @@ benchmark reads from the processes it starts.
 
 from hypothesis import strategies as st
 
-from sastsieve.filter_agent import FilterStats
 from sastsieve.report import PlanSummary, Report, render_json, render_text
 
 # Any character, lone surrogates (which UTF-8 cannot encode) included. They
@@ -35,10 +34,9 @@ def assert_renders(filtered) -> None:
     """A report holding these filtered findings renders as JSON and as UTF-8 text."""
     filtered = tuple(filtered)
     report = Report(
-        plan_summary=PLAN,
+        plan=PLAN,
         retained=tuple(ff for ff in filtered if ff.verdict.retained),
         suppressed=tuple(ff for ff in filtered if not ff.verdict.retained),
-        stats=FilterStats(batch_count=1, llm_calls=1, fail_open_events=(), total_latency=0.0),
         scorecard=None,
         baseline_deltas=None,
     )

@@ -5,6 +5,7 @@ import re
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,10 +24,12 @@ from sastsieve.filter_agent import (
     Batch,
     FailOpenEvent,
     FilterError,
+    FilterStats,
     LlmRequest,
     apply_verdicts,
     build_prompt,
     default_template,
+    fail_open_events,
     filter_findings,
     parse_llm_response,
     partition_batches,
@@ -371,22 +374,28 @@ def quiet_config(**kwargs):
     return MissionPlan(**{"parallelism": 1, **kwargs})
 
 
+def fail_open_counts(reviewed):
+    """How many fail-open events of each cause the filtered findings derive."""
+    return dict(Counter(event.cause.value for event in fail_open_events(reviewed)))
+
+
 def test_always_failing_backend_is_identity_on_retained():
     findings = [make_finding(i) for i in range(40)]
     backend = FailingBackend()
-    retained, suppressed, stats = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
+    retained, suppressed, _ = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert [ff.finding for ff in retained] == findings
     assert suppressed == []
+    stats = FilterStats.of(retained)
     assert backend.calls == stats.llm_calls == stats.batch_count == 3
-    assert stats.fail_open_counts == {"transport_error": 3}
+    assert fail_open_counts(retained) == {"transport_error": 3}
 
 
 def test_timeout_backend_maps_to_timeout_cause():
     findings = [make_finding(i) for i in range(5)]
     backend = FailingBackend(BackendTimeoutError("too slow"))
-    retained, _, stats = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
+    retained, _, _ = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert all(ff.verdict.cause is FailOpenCause.TIMEOUT for ff in retained)
-    assert stats.fail_open_counts == {"timeout": 1}
+    assert fail_open_counts(retained) == {"timeout": 1}
 
 
 def test_suppress_everything_backend_retains_nothing():
@@ -414,34 +423,34 @@ def test_scripted_verdicts_drive_the_partition():
 
 def test_malformed_response_retains_whole_batch():
     findings = [make_finding(i) for i in range(10)]
-    retained, suppressed, stats = filter_findings(
+    retained, suppressed, _ = filter_findings(
         findings, StaticBackend("garbage"), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 10 and not suppressed
-    assert stats.fail_open_counts == {"malformed_response": 1}
+    assert fail_open_counts(retained) == {"malformed_response": 1}
 
 
 def test_overlong_integer_reply_fails_open_as_malformed():
     # Past the interpreter's 4,300-digit limit json.loads raises a plain
     # ValueError, not JSONDecodeError.
     findings = [make_finding(i) for i in range(3)]
-    retained, suppressed, stats = filter_findings(
+    retained, suppressed, _ = filter_findings(
         findings, StaticBackend("1" * 5000), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 3 and not suppressed
-    assert stats.fail_open_counts == {"malformed_response": 1}
+    assert fail_open_counts(retained) == {"malformed_response": 1}
 
 
 def test_scripted_backend_without_entry_yields_missing_entry():
     findings = [make_finding(i) for i in range(3)]
     verdicts = {findings[0].id: "true_positive", findings[1].id: "false_positive"}
-    retained, suppressed, stats = filter_findings(
+    retained, suppressed, _ = filter_findings(
         findings, ScriptedBackend(verdicts), quiet_config(), BARE_TEMPLATE
     )
     assert len(retained) == 2 and len(suppressed) == 1
     causes = [ff.verdict.cause for ff in retained]
     assert FailOpenCause.MISSING_ENTRY in causes
-    assert stats.fail_open_counts == {"missing_entry": 1}
+    assert fail_open_counts(retained + suppressed) == {"missing_entry": 1}
 
 
 def test_conservation_and_order_with_concurrency():
@@ -456,7 +465,7 @@ def test_conservation_and_order_with_concurrency():
 
     findings = [make_finding(i) for i in range(64)]
     backend = JitterBackend()
-    retained, suppressed, stats = filter_findings(
+    retained, suppressed, _ = filter_findings(
         findings,
         backend,
         MissionPlan(batch_size=5, parallelism=4),
@@ -464,7 +473,7 @@ def test_conservation_and_order_with_concurrency():
     )
     assert [ff.finding for ff in retained] == findings  # original order, all kept
     assert suppressed == []
-    assert stats.batch_count == 13
+    assert FilterStats.of(retained).batch_count == 13
     # Without a backoff, no batch waits on a slot, so no thread beyond the four starts.
     assert len(backend.threads) <= 4
 
@@ -490,14 +499,14 @@ def test_a_strict_run_sends_no_batch_after_its_first_failed_one():
 
 def test_parallelism_larger_than_batch_count():
     findings = [make_finding(i) for i in range(6)]
-    retained, _, stats = filter_findings(
+    retained, _, _ = filter_findings(
         findings,
         ScriptedBackend({}, default="true_positive"),
         MissionPlan(batch_size=2, parallelism=16),
         BARE_TEMPLATE,
     )
     assert [ff.finding for ff in retained] == findings
-    assert stats.batch_count == 3
+    assert FilterStats.of(retained).batch_count == 3
 
 
 def test_filter_conservation_property_randomized():
@@ -569,24 +578,24 @@ def test_missing_source_file_retains_only_its_findings(tmp_path):
     ]
     spy = SpyBackend(ScriptedBackend({}, default="false_positive"))
     plan = quiet_config(target_root=tmp_path)
-    retained, suppressed, stats = filter_findings(findings, spy, plan, BARE_TEMPLATE)
-    assert stats.llm_calls == 1
+    retained, suppressed, _ = filter_findings(findings, spy, plan, BARE_TEMPLATE)
+    assert FilterStats.of(retained + suppressed).llm_calls == 1
     assert [ff.finding for ff in retained] == [findings[1]]
     assert retained[0].verdict.cause is FailOpenCause.SOURCE_UNAVAILABLE
     assert [ff.finding for ff in suppressed] == [findings[0], findings[2]]
     assert findings[1].id not in spy.requests[0].user_text
-    assert stats.fail_open_events == (FailOpenEvent(0, FailOpenCause.SOURCE_UNAVAILABLE),)
+    assert fail_open_events(retained + suppressed) == (FailOpenEvent(0, FailOpenCause.SOURCE_UNAVAILABLE),)
 
 
 def test_batch_without_any_source_skips_the_call(tmp_path):
     findings = [make_finding(i, file_path=f"gone{i}.java") for i in range(4)]
     backend = FailingBackend()
     plan = quiet_config(target_root=tmp_path)
-    retained, _, stats = filter_findings(findings, backend, plan, BARE_TEMPLATE)
-    assert backend.calls == stats.llm_calls == 0
+    retained, _, latency = filter_findings(findings, backend, plan, BARE_TEMPLATE)
+    assert backend.calls == FilterStats.of(retained).llm_calls == latency == 0
     assert [ff.finding for ff in retained] == findings
     assert all(ff.verdict.cause is FailOpenCause.SOURCE_UNAVAILABLE for ff in retained)
-    assert stats.fail_open_counts == {"source_unavailable": 4}
+    assert fail_open_counts(retained) == {"source_unavailable": 4}
 
 
 def test_source_outside_the_root_is_never_read(tmp_path):
@@ -809,9 +818,10 @@ def test_several_findings_per_file_keep_scripted_verdicts_and_replay(tmp_path):
     recorder = CassetteRecorder(ScriptedBackend(verdicts), cassette)
     recorded = filter_findings(findings, recorder, plan, BARE_TEMPLATE)
     recorder.save()
-    retained, suppressed, stats = recorded
+    retained, suppressed, _ = recorded
+    stats = FilterStats.of(retained + suppressed)
     assert stats.batch_count == stats.llm_calls == 2
-    assert stats.fail_open_events == ()
+    assert fail_open_events(retained + suppressed) == ()
     assert {ff.finding.id: ff.verdict.classification.value for ff in retained + suppressed} == verdicts
     for request_text in (r["request_user_text"] for r in json.loads(cassette.read_text())):
         assert request_text.count("Source context:") == 2  # one block per file and batch

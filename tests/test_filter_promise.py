@@ -9,8 +9,10 @@ missing files, an out-of-root symlink and files over the context budget.
 The oracle reads only that log and the tree: a finding is suppressed
 exactly when a well-formed answer for a request that listed it named it a
 false positive first, and every other finding is retained under the cause
-the injector chose. The model attempts in flight, outside a backoff, never
-exceed the plan's parallelism.
+the injector chose. The report's accounting follows from the log too: one
+model call per logged request, and one fail-open event per failed request
+and per finding that an answer left out or that was never sent. The model
+attempts in flight, outside a backoff, never exceed the plan's parallelism.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from sastsieve.backends import BackendError, BackendTimeoutError, backoff
-from sastsieve.filter_agent import default_template, filter_findings
+from sastsieve.filter_agent import FailOpenEvent, default_template, filter_findings
 from sastsieve.ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
 from sastsieve.model import Classification, FailOpenCause, Provenance
 from sastsieve.pipeline import MissionPlan, run_mission
+from sastsieve.report import PlanSummary, Report
 from tests.conftest import make_finding
 from tests.test_ingest import result_doc
 
@@ -147,8 +151,14 @@ def first_classifications(text: str, listed: tuple[str, ...]) -> dict[str, str]:
 
 
 def through_filter(rng, findings, plan, base):
-    """The filter stage alone, over the findings as given."""
-    return findings, lambda backend: filter_findings(findings, backend, plan, default_template())
+    """The filter stage alone, over the findings as given, in a report of its result."""
+
+    def run(backend):
+        retained, suppressed, _ = filter_findings(findings, backend, plan, default_template())
+        summary = PlanSummary.of(plan, len(findings), 0)
+        return Report(plan=summary, retained=tuple(retained), suppressed=tuple(suppressed))
+
+    return findings, run
 
 
 def through_mission(rng, findings, plan, base):
@@ -166,11 +176,7 @@ def through_mission(rng, findings, plan, base):
     raws = parse_scanner_output(scan.read_bytes()).findings
     reviewed = dedupe_by_testcase([normalize(raw, CweMappingTable.default()) for raw in raws])
 
-    def run(backend):
-        mission = run_mission(replace(plan, scan_json=scan), backend)
-        return list(mission.retained), list(mission.suppressed), mission.stats
-
-    return reviewed, run
+    return reviewed, lambda backend: run_mission(replace(plan, scan_json=scan), backend)
 
 
 @pytest.fixture
@@ -203,7 +209,8 @@ def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching
         )
         findings, run = entry(rng, findings, plan, base)
         backend = FaultInjector(seed, [f.id for f in findings])
-        retained, suppressed, stats = run(backend)
+        report = run(backend)
+        retained, suppressed = list(report.retained), list(report.suppressed)
 
         # Retained plus suppressed is the input, each finding once, in input order.
         order = {f.id: i for i, f in enumerate(findings)}
@@ -226,10 +233,10 @@ def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching
                 else:
                     cause = RAISES.get(action, FailOpenCause.MALFORMED_RESPONSE)
                     expected[fid] = ("true_positive", cause)
+        unsent = ("true_positive", FailOpenCause.SOURCE_UNAVAILABLE)
         for ff in retained + suppressed:
             fid, verdict = ff.finding.id, ff.verdict
             assert (fid in expected) == (ff.finding.file_path in readable), (seed, fid)
-            unsent = ("true_positive", FailOpenCause.SOURCE_UNAVAILABLE)
             classification, cause = expected.get(fid, unsent)
             # Suppressed exactly when a well-formed answer named it false_positive first.
             assert verdict.classification.value == classification, (seed, fid)
@@ -238,5 +245,22 @@ def test_filter_keeps_its_promise_under_injected_faults(tmp_path, fast_switching
                 assert verdict.provenance is Provenance.LLM_DECISION, (seed, fid)
                 assert "\ud800" not in verdict.rationale
 
-        assert stats.llm_calls == len(backend.log), seed
+        # One call per logged request; one event per failed request, then per
+        # finding an answer left out or whose source was never sent (the
+        # causes just checked against the log).
+        assert report.stats.llm_calls == len(backend.log), seed
+        batch = {ff.finding.id: ff.batch_index for ff in retained + suppressed}
+        failed = [
+            FailOpenEvent(batch[request.finding_ids[0]], RAISES.get(action, FailOpenCause.MALFORMED_RESPONSE))
+            for request, action, _ in backend.log
+            if action not in WELL_FORMED
+        ]
+        per_finding = [
+            FailOpenEvent(ff.batch_index, ff.verdict.cause)
+            for ff in retained
+            if ff.verdict.cause in (FailOpenCause.MISSING_ENTRY, FailOpenCause.SOURCE_UNAVAILABLE)
+        ]
+        assert Counter(report.fail_open_events) == Counter(failed + per_finding), seed
+        positions = [event.batch_index for event in report.fail_open_events]
+        assert positions == sorted(positions), seed
         assert backend.peak <= plan.parallelism, (seed, backend.peak)

@@ -41,7 +41,7 @@ def benchmark_results(count=10, cwe="CWE-89: SQL Injection"):
 
 def scanner_mode(plan):
     """The scanner mode the report records for a run of ``plan``."""
-    return run_mission(plan, ScriptedBackend({}, default="true_positive")).plan_summary.scanner_mode
+    return run_mission(plan, ScriptedBackend({}, default="true_positive")).plan.scanner_mode
 
 
 def test_plan_defaults(tmp_path):
@@ -240,7 +240,7 @@ def test_mission_with_failing_backend_retains_all_deduped(tmp_path):
     results = benchmark_results(9) + [benchmark_results(1)[0]]  # one duplicate
     plan = plan_mission({"scan_json": saved_scan(tmp_path, results)})
     mission = run_mission(plan, FailingBackend())
-    assert mission.plan_summary.scanner_finding_count == 10
+    assert mission.plan.scanner_finding_count == 10
     assert len(mission.retained) == 9  # duplicate removed by dedupe
     assert mission.suppressed == ()
     assert {ff.verdict.provenance for ff in mission.retained} == {Provenance.FAIL_OPEN}
@@ -268,7 +268,7 @@ def test_mission_keeps_one_of_identical_results_without_a_test_id(tmp_path):
     twin = result_doc("src/util/Helper.java", start=7)
     plan = plan_mission({"scan_json": saved_scan(tmp_path, [twin, dict(twin)])})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    assert mission.plan_summary.scanner_finding_count == 2
+    assert mission.plan.scanner_finding_count == 2
     assert [ff.finding.test_id for ff in mission.retained] == [None]
 
 
@@ -277,16 +277,16 @@ def test_mission_stage_monotonicity(tmp_path):
     results = benchmark_results(8) + benchmark_results(3)  # 3 duplicates
     plan = plan_mission({"scan_json": saved_scan(tmp_path, results)})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    assert mission.plan_summary.scanner_finding_count == 11
+    assert mission.plan.scanner_finding_count == 11
     kept_and_suppressed = len(mission.retained) + len(mission.suppressed)
-    assert kept_and_suppressed <= mission.plan_summary.scanner_finding_count
+    assert kept_and_suppressed <= mission.plan.scanner_finding_count
     assert kept_and_suppressed == 8
 
 
 def test_mission_timestamps_and_stats(tmp_path):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(20))})
     mission = run_mission(plan, ScriptedBackend({}, default="true_positive"))
-    assert mission.started_at and mission.finished_at
+    assert mission.timing.started_at and mission.timing.finished_at
     assert mission.stats.batch_count == 2  # ceil(20 / 15)
     assert mission.stats.llm_calls == 2
 

@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from sastsieve.report import (
     SCHEMA_VERSION,
     PlanSummary,
     Report,
+    Timing,
     build_report,
     detections_of,
     fmt_metric,
@@ -55,7 +56,7 @@ def golden_report() -> Report:
     dropped = make_finding(3, cwe=79, test_num=8)
     missing = make_finding(4, cwe=22, test_num=9, start_line=5, end_line=5)
     report = Report(
-        plan_summary=PlanSummary.of(MissionPlan(scan_json=Path("scan.json"), model="m-1"), 5, 1),
+        plan=PlanSummary.of(MissionPlan(scan_json=Path("scan.json"), model="m-1"), 5, 1),
         retained=(
             FilteredFinding(llm_confirmed, Verdict.llm("true_positive", "query built from the parameter"), 0),
             FilteredFinding(llm_kept, Verdict.llm("true_positive", "reaches the sink"), 0),
@@ -64,15 +65,7 @@ def golden_report() -> Report:
         suppressed=(
             FilteredFinding(dropped, Verdict.llm("false_positive", "input is encoded"), 0),
         ),
-        stats=FilterStats(
-            batch_count=2,
-            llm_calls=2,
-            fail_open_events=(FailOpenEvent(1, FailOpenCause.MISSING_ENTRY),),
-            total_latency=0.75,
-            wall_time=0.5,
-        ),
-        started_at="2026-01-01T00:00:00+00:00",
-        finished_at="2026-01-01T00:00:02+00:00",
+        timing=Timing("2026-01-01T00:00:00+00:00", "2026-01-01T00:00:02+00:00", 0.75, 0.5),
     )
     cm_79 = ConfusionMatrix(tp=0, fp=0, tn=2, fn=0)  # precision, recall, f1 undefined
     cm_89 = ConfusionMatrix(tp=2, fp=1, tn=3, fn=1)
@@ -94,18 +87,26 @@ def test_golden_report_bytes():
     assert payload == (GOLDEN / "report.json").read_bytes()
     assert render_text(report).encode("utf-8") == (GOLDEN / "report.txt").read_bytes()
     assert load_report(payload) == report
+    # Two batches, each called the model; the finding the answer left out is one event.
+    assert report.stats == FilterStats(batch_count=2, llm_calls=2)
+    assert report.fail_open_events == (FailOpenEvent(1, FailOpenCause.MISSING_ENTRY),)
+
+
+def test_report_fields_are_the_document_keys():
+    doc = json.loads(render_json(golden_report()))
+    assert {f.name for f in fields(Report)} == doc.keys() - {"schema_version"}
+    assert {f.name for f in fields(Timing)} == doc["timing"].keys()
+    assert {f.name for f in fields(FilterStats)} == doc["stats"].keys()
 
 
 def empty_report(**overrides) -> Report:
     fields = dict(
-        plan_summary=PLAN,
+        plan=PLAN,
         retained=(),
         suppressed=(),
-        stats=FilterStats(batch_count=0, llm_calls=0, fail_open_events=(), total_latency=0.0),
         scorecard=None,
         baseline_deltas=None,
-        started_at="2026-01-01T00:00:00+00:00",
-        finished_at="2026-01-01T00:00:10+00:00",
+        timing=Timing("2026-01-01T00:00:00+00:00", "2026-01-01T00:00:10+00:00"),
     )
     fields.update(overrides)
     return Report(**fields)
@@ -174,28 +175,20 @@ def test_text_report_zero_suppressed_reads_none():
 
 
 def test_text_report_lists_fail_open_causes():
-    events = (
-        FailOpenEvent(0, FailOpenCause.TIMEOUT),
-        FailOpenEvent(2, FailOpenCause.MALFORMED_RESPONSE),
-        FailOpenEvent(3, FailOpenCause.TIMEOUT),
-    )
-    stats = FilterStats(batch_count=4, llm_calls=4, fail_open_events=events, total_latency=1.0)
-    finding = make_finding(1)
-    retained = tuple(
-        FilteredFinding(finding, Verdict.fail_open(FailOpenCause.TIMEOUT), 0) for _ in range(1)
-    )
-    text = render_text(empty_report(stats=stats, retained=retained))
+    # Batches 0 and 3 timed out, batch 2 got a malformed answer, batch 1 was answered.
+    causes = (FailOpenCause.TIMEOUT, None, FailOpenCause.MALFORMED_RESPONSE, FailOpenCause.TIMEOUT)
+    verdicts = [Verdict.fail_open(cause) if cause else Verdict.llm("true_positive", "r") for cause in causes]
+    retained = tuple(FilteredFinding(make_finding(i), verdict, i) for i, verdict in enumerate(verdicts))
+    text = render_text(empty_report(retained=retained))
     assert "timeout x2" in text
     assert "malformed_response x1" in text
 
 
 def test_text_report_separates_summed_call_time_from_wall_time():
-    stats = FilterStats(
-        batch_count=123, llm_calls=123, fail_open_events=(), total_latency=6.21, wall_time=0.46
-    )
-    text = render_text(empty_report(stats=stats))
+    timing = Timing(total_latency_seconds=6.21, filter_wall_seconds=0.46)
+    text = render_text(empty_report(timing=timing))
     assert "summed call time: 6.21s  filter wall time: 0.46s" in text
-    assert load_report(render_json(empty_report(stats=stats))).stats == stats
+    assert load_report(render_json(empty_report(timing=timing))).timing == timing
 
 
 def test_text_report_caps_lists_with_more_marker():
@@ -233,7 +226,7 @@ def test_fail_open_events_survive_round_trip(tmp_path):
     report = mission_report(tmp_path, backend=FailingBackend())
     doc = json.loads(render_json(report))
     assert doc["fail_open_events"] == [{"batch_index": 0, "cause": "transport_error"}]
-    events = load_report(render_json(report)).stats.fail_open_events
+    events = load_report(render_json(report)).fail_open_events
     assert events == (FailOpenEvent(0, FailOpenCause.TRANSPORT_ERROR),)
 
 
