@@ -33,8 +33,7 @@ ENV_MODEL = "QSC_MODEL"
 
 DEFAULT_TIMEOUT = 60.0
 MAX_OUTPUT_TOKENS = 4096  # sent as max_tokens; in every request digest, so fixed
-MAX_RETRIES = 2
-BACKOFF_SECONDS = (1.0, 4.0)
+RETRY_WAITS = (1.0, 4.0)  # seconds; one retry after each
 MAX_RETRY_AFTER = 30.0  # seconds; a longer Retry-After ends the batch instead
 MAX_RESPONSE_BYTES = 1 << 20  # an answer capped by max_tokens is tens of KB; a longer body ends the batch
 
@@ -144,8 +143,8 @@ class LiveBackend:
     QSC_API_BASE endpoint, QSC_MODEL default model); construction fails when
     any of the three is missing. An answer whose body is still arriving
     ``timeout`` seconds after its attempt began times the call out.
-    Transient transport failures (connection errors, 429, 5xx) are retried at
-    most twice after the BACKOFF_SECONDS waits (1s, then 4s); timeouts, bodies
+    Transient transport failures (connection errors, 429, 5xx) are retried
+    once after each of the RETRY_WAITS (1s, then 4s); timeouts, bodies
     over MAX_RESPONSE_BYTES and malformed output are never retried. A 429 or
     503 may ask for a longer wait with Retry-After; one over MAX_RETRY_AFTER
     fails the call at once.
@@ -222,12 +221,10 @@ class LiveBackend:
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
         data = json.dumps(body).encode("utf-8")
-        last_error: BackendError | None = None
         retry_after = 0.0
-        for attempt in range(MAX_RETRIES + 1):
-            if attempt:
-                scheduled = BACKOFF_SECONDS[min(attempt - 1, len(BACKOFF_SECONDS) - 1)]
-                backoff(max(retry_after, scheduled))
+        for attempt, wait in enumerate((None, *RETRY_WAITS)):
+            if wait is not None:
+                backoff(max(retry_after, wait))
                 retry_after = 0.0
             try:
                 status, headers, payload = self._send(data)
@@ -235,7 +232,7 @@ class LiveBackend:
                 raise
             except BackendError as exc:
                 last_error = exc
-                log.warning("attempt %d/%d failed: %s", attempt + 1, MAX_RETRIES + 1, exc)
+                log.warning("attempt %d/%d failed: %s", attempt + 1, len(RETRY_WAITS) + 1, exc)
                 continue
             if len(payload) > MAX_RESPONSE_BYTES:
                 raise BackendError(f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
@@ -243,7 +240,7 @@ class LiveBackend:
                 last_error = BackendError(
                     f"transient HTTP {status}: {payload[:200].decode(errors='replace')}"
                 )
-                log.warning("attempt %d/%d: %s", attempt + 1, MAX_RETRIES + 1, last_error)
+                log.warning("attempt %d/%d: %s", attempt + 1, len(RETRY_WAITS) + 1, last_error)
                 if status in (429, 503):
                     retry_after = _retry_after(headers.get("Retry-After"))
                     if retry_after > MAX_RETRY_AFTER:
@@ -261,7 +258,7 @@ class LiveBackend:
             if not isinstance(content, str):
                 raise BackendError("unexpected completion envelope: content is not text")
             return replace_surrogates(content)
-        raise last_error if last_error else BackendError("no attempts made")
+        raise last_error  # set by the last attempt, which failed in a way worth retrying
 
 
 class ScriptedBackend:

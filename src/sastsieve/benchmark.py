@@ -17,7 +17,6 @@ from .model import ConfigError, CweCategory, TestCaseId, record_lines
 @dataclass(frozen=True)
 class GroundTruthEntry:
     test_id: TestCaseId
-    category_name: str
     is_vulnerable: bool
     cwe: CweCategory
 
@@ -38,7 +37,7 @@ def load_ground_truth(text: str) -> GroundTruth:
             fields = [part.strip() for part in stripped.split(",")]
             if len(fields) < 4:
                 raise ValueError(f"expected at least 4 comma-separated fields, got {len(fields)}")
-            name, category, flag, code = fields[:4]
+            name, _category, flag, code = fields[:4]
             test_id = TestCaseId(name)
             if flag.lower() not in ("true", "false"):
                 raise ValueError(f"vulnerability flag must be true/false, got {flag!r}")
@@ -49,7 +48,6 @@ def load_ground_truth(text: str) -> GroundTruth:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         entries[test_id] = GroundTruthEntry(
             test_id=test_id,
-            category_name=category,
             is_vulnerable=flag.lower() == "true",
             cwe=cwe,
         )

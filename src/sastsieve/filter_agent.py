@@ -448,8 +448,11 @@ def filter_findings(
     def review(batch: Batch) -> tuple[list[FilteredFinding], float]:
         with holding_slot(slots):
             reviewed = _review(batch, backend, template, plan)
-            if not plan.fail_open and any(ff.verdict.cause is not None for ff in reviewed[0]):
+            failure = next((ff for ff in reviewed[0] if ff.verdict.cause is not None), None)
+            if failure is not None and not plan.fail_open:
                 failed.set()  # before the slot is given back
+                raise FilterError(f"batch {batch.index}: finding {failure.finding.id} failed "
+                                  f"({failure.verdict.cause.value}) with fail-open disabled")
             return reviewed
 
     with ThreadPoolExecutor(max_workers=max(1, len(batches))) as pool:
@@ -459,17 +462,8 @@ def filter_findings(
             if failed.is_set():
                 break  # the batches sent are a prefix holding the failed one
             futures.append(pool.submit(review, batch))
-        reviews = [future.result() for future in futures]
+        reviews = [future.result() for future in futures]  # the first failed batch raises here
 
-    retained: list[FilteredFinding] = []
-    suppressed: list[FilteredFinding] = []
-    for reviewed, _ in reviews:
-        for filtered in reviewed:
-            cause = filtered.verdict.cause
-            if cause is not None and not plan.fail_open:
-                raise FilterError(
-                    f"batch {filtered.batch_index}: finding {filtered.finding.id} failed "
-                    f"({cause.value}) with fail-open disabled"
-                )
-            (retained if filtered.verdict.retained else suppressed).append(filtered)
+    retained = [ff for reviewed, _ in reviews for ff in reviewed if ff.verdict.retained]
+    suppressed = [ff for reviewed, _ in reviews for ff in reviewed if not ff.verdict.retained]
     return retained, suppressed, sum(latency for _, latency in reviews)

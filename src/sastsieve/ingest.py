@@ -23,7 +23,6 @@ from .model import (
     finding_id,
     record_lines,
     replace_surrogates,
-    test_id_from_path,
 )
 
 log = logging.getLogger(__name__)
@@ -62,12 +61,6 @@ class RawFinding:
     severity_label: str
     message: str
     cwe_tags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.start_line < 1 or self.end_line < self.start_line:
-            raise ValueError(
-                f"invalid line range {self.start_line}-{self.end_line} for {self.file_path}"
-            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,6 @@ def normalize(raw: RawFinding, table: CweMappingTable, scanner: str = "semgrep")
     origin = f"{scanner}:{raw.rule_id}"
     return Finding(
         id=finding_id(origin, raw.file_path, raw.start_line, cwe.code),
-        test_id=test_id_from_path(raw.file_path),
         cwe=cwe,
         file_path=raw.file_path,
         start_line=raw.start_line,

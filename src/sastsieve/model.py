@@ -166,7 +166,7 @@ class Finding:
     """One normalized scanner alert."""
 
     id: str
-    test_id: TestCaseId | None
+    test_id: TestCaseId | None = field(init=False)  # from the file path
     cwe: CweCategory
     file_path: str
     start_line: int
@@ -182,6 +182,7 @@ class Finding:
             raise ValueError(
                 f"end_line {self.end_line} precedes start_line {self.start_line}"
             )
+        object.__setattr__(self, "test_id", test_id_from_path(self.file_path))
 
 
 def finding_id(origin: str, file_path: str, start_line: int, cwe_code: int) -> str:
@@ -194,40 +195,33 @@ def finding_id(origin: str, file_path: str, start_line: int, cwe_code: int) -> s
 class Verdict:
     """The filter's decision on a finding plus how it was reached.
 
-    Fail-open verdicts always retain (classification true_positive);
-    construction rejects anything else.
+    The provenance follows from the cause: a verdict without one is the
+    model's decision and carries its rationale; a fail-open verdict carries
+    only its cause and always retains (classification true_positive).
     """
 
     classification: Classification
-    provenance: Provenance
+    provenance: Provenance = field(init=False)
     rationale: str | None = None
     cause: FailOpenCause | None = None
 
     def __post_init__(self) -> None:
-        if self.provenance is Provenance.LLM_DECISION:
+        if self.cause is None:
             if self.rationale is None:
                 raise ValueError("llm_decision verdict requires a rationale")
-            if self.cause is not None:
-                raise ValueError("llm_decision verdict carries only a rationale")
-        else:
-            if self.classification is not Classification.TRUE_POSITIVE:
-                raise ValueError("fail-open never suppresses a finding")
-            if self.cause is None:
-                raise ValueError("fail_open verdict requires a cause")
-            if self.rationale is not None:
-                raise ValueError("fail_open verdict carries only a cause")
+        elif self.classification is not Classification.TRUE_POSITIVE:
+            raise ValueError("fail-open never suppresses a finding")
+        elif self.rationale is not None:
+            raise ValueError("fail_open verdict carries only a cause")
+        object.__setattr__(self, "provenance", Provenance.LLM_DECISION if self.cause is None else Provenance.FAIL_OPEN)
 
     @classmethod
     def llm(cls, classification: Classification | str, rationale: str) -> "Verdict":
-        return cls(Classification(classification), Provenance.LLM_DECISION, rationale=rationale)
+        return cls(Classification(classification), rationale=rationale)
 
     @classmethod
     def fail_open(cls, cause: FailOpenCause | str) -> "Verdict":
-        return cls(
-            Classification.TRUE_POSITIVE,
-            Provenance.FAIL_OPEN,
-            cause=FailOpenCause(cause),
-        )
+        return cls(Classification.TRUE_POSITIVE, cause=FailOpenCause(cause))
 
     @property
     def retained(self) -> bool:

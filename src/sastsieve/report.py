@@ -52,7 +52,7 @@ class PlanSummary:
     """The run parameters and scanner counts a report records, each under its JSON key."""
 
     target_root: str | None
-    scanner_mode: str  # "invoke_external" or "load_saved"
+    scanner_mode: str = field(init=False)  # "load_saved" when there is a scan_json, else "invoke_external"
     scan_json: str | None
     scanner_cmd: str
     batch_size: int
@@ -65,12 +65,14 @@ class PlanSummary:
     scanner_finding_count: int
     skipped_results: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scanner_mode", "invoke_external" if self.scan_json is None else "load_saved")
+
     @classmethod
     def of(cls, plan: MissionPlan, scanner_finding_count: int, skipped_results: int) -> PlanSummary:
         """What a report records of ``plan`` and of the scanner's result counts."""
         summary = {
             "target_root": str(plan.target_root) if plan.target_root else None,
-            "scanner_mode": "invoke_external" if plan.scan_json is None else "load_saved",
             "scan_json": str(plan.scan_json) if plan.scan_json else None,
             "scanner_cmd": plan.scanner_cmd,
             "batch_size": plan.batch_size,
@@ -106,6 +108,8 @@ class Report:
 
     ``run_id`` is derived, a hash of the plan and every finding id, and so
     are ``stats`` and ``fail_open_events``, from the findings' verdicts.
+    Each finding is listed once, under the list its verdict puts it in, and
+    ``baseline_deltas`` covers the scorecard's CWE codes.
     """
 
     run_id: str = field(init=False)
@@ -120,10 +124,17 @@ class Report:
 
     def __post_init__(self) -> None:
         reviewed = self.retained + self.suppressed
-        identity = json.dumps(
-            {"plan": dataclasses.asdict(self.plan), "findings": sorted(ff.finding.id for ff in reviewed)},
-            sort_keys=True,
-        )
+        misplaced = [ff for ff in self.retained if not ff.verdict.retained]
+        misplaced += [ff for ff in self.suppressed if ff.verdict.retained]
+        if misplaced:
+            raise ValueError(f"finding {misplaced[0].finding.id} is listed against its verdict")
+        ids = sorted(ff.finding.id for ff in reviewed)
+        if (twice := next((a for a, b in zip(ids, ids[1:]) if a == b), None)) is not None:
+            raise ValueError(f"finding {twice} is listed twice")
+        deltas, card = self.baseline_deltas, self.scorecard
+        if deltas is not None and (card is None or deltas.per_cwe.keys() != card.per_cwe.keys()):
+            raise ValueError("baseline_deltas must cover exactly the scorecard's CWE codes")
+        identity = json.dumps({"plan": dataclasses.asdict(self.plan), "findings": ids}, sort_keys=True)
         object.__setattr__(self, "run_id", hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12])
         object.__setattr__(self, "stats", FilterStats.of(reviewed))
         object.__setattr__(self, "fail_open_events", fail_open_events(reviewed))

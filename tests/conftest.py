@@ -144,7 +144,6 @@ def make_finding(
             file_path = f"src/helpers/Util{n}.java"
     return Finding(
         id=f"f{n:06d}",
-        test_id=TestCaseId(f"BenchmarkTest{test_num:05d}") if test_num is not None else None,
         cwe=CweCategory(cwe),
         file_path=file_path,
         start_line=start_line,

@@ -24,7 +24,7 @@ json_values = st.recursive(
 
 # The plan summary of a default run over a saved scan.
 PLAN = PlanSummary(
-    target_root=None, scanner_mode="load_saved", scan_json="scan.json", scanner_cmd="semgrep",
+    target_root=None, scan_json="scan.json", scanner_cmd="semgrep",
     batch_size=15, parallelism=4, fail_open_enabled=True, ground_truth=None, baseline=None,
     model_id="", match_any_cwe=False, scanner_finding_count=0, skipped_results=0,
 )

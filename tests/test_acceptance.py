@@ -170,13 +170,12 @@ def _random_ground_truth(rng: random.Random, findings) -> GroundTruth:
             continue
         entries[finding.test_id] = GroundTruthEntry(
             test_id=finding.test_id,
-            category_name="cat",
             is_vulnerable=rng.random() < 0.5,
             cwe=finding.cwe if rng.random() < 0.7 else CweCategory(rng.choice([22, 89])),
         )
     if not entries:
         tid = TestCaseId("BenchmarkTest00001")
-        entries[tid] = GroundTruthEntry(tid, "cat", True, CweCategory(89))
+        entries[tid] = GroundTruthEntry(tid, True, CweCategory(89))
     return entries
 
 
@@ -251,7 +250,7 @@ def test_criterion_7_scoring_oracle_equivalence():
             for n in rng.sample(range(1, 120), rng.randint(1, 50)):
                 tid = TestCaseId(f"BenchmarkTest{n:05d}")
                 entries[tid] = GroundTruthEntry(
-                    tid, "cat", rng.random() < 0.5, CweCategory(rng.choice(codes))
+                    tid, rng.random() < 0.5, CweCategory(rng.choice(codes))
                 )
             gt = entries
             detections = set()

@@ -119,7 +119,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server(monkeypatch):
     # Retries against the test server wait 10 and 20 ms, not 1 and 4 s.
-    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.01, 0.02))
+    monkeypatch.setattr(backends, "RETRY_WAITS", (0.01, 0.02))
     yield from serve_chat()
 
 
@@ -206,7 +206,7 @@ def test_live_backend_refuses_a_body_over_the_cap_without_retrying(chat_server):
 def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server, monkeypatch):
     # One slot: batch 0's 503 must not keep it through the backoff.
     chat_server.plan = [("status", 503)]
-    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.3,))
+    monkeypatch.setattr(backends, "RETRY_WAITS", (0.3,))
     backend = live_backend(chat_server)
     findings = [make_finding(0), make_finding(1)]
     plan = MissionPlan(batch_size=1, parallelism=1)
@@ -237,7 +237,7 @@ def waits(monkeypatch):
 )
 def test_live_backend_waits_out_retry_after(chat_server, waits, monkeypatch, status, retry_after, wait):
     chat_server.plan = [("status", (status, {"Retry-After": retry_after})), ("ok", "fine")]
-    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.5,))
+    monkeypatch.setattr(backends, "RETRY_WAITS", (0.5,))
     backend = live_backend(chat_server)
     assert backend.complete(request_for()) == "fine"
     assert waits == [wait]
@@ -246,7 +246,7 @@ def test_live_backend_waits_out_retry_after(chat_server, waits, monkeypatch, sta
 def test_live_backend_reads_retry_after_as_an_http_date(chat_server, waits, monkeypatch):
     date = email.utils.formatdate(time.time() + 10, usegmt=True)
     chat_server.plan = [("status", (503, {"Retry-After": date})), ("ok", "fine")]
-    monkeypatch.setattr(backends, "BACKOFF_SECONDS", (0.5,))
+    monkeypatch.setattr(backends, "RETRY_WAITS", (0.5,))
     backend = live_backend(chat_server)
     assert backend.complete(request_for()) == "fine"
     [wait] = waits

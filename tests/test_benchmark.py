@@ -12,7 +12,6 @@ def test_load_single_record():
     entry = gt[TestCaseId("BenchmarkTest00001")]
     assert entry.is_vulnerable is True
     assert entry.cwe.code == 22
-    assert entry.category_name == "pathtraver"
 
 
 def test_load_full_distribution(distribution_csv):

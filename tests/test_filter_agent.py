@@ -497,6 +497,21 @@ def test_a_strict_run_sends_no_batch_after_its_first_failed_one():
     assert len(spy.requests) == 1
 
 
+def test_a_strict_run_names_its_first_failed_batch_in_batch_order():
+    class SlowFirstBatch(FailingBackend):
+        def complete(self, request):
+            if "f000000" in request.finding_ids:
+                time.sleep(0.2)  # batch 1 fails first
+            return super().complete(request)
+
+    findings = [make_finding(i) for i in range(4)]
+    backend = SlowFirstBatch()
+    message = r"^batch 0: finding f000000 failed \(transport_error\) with fail-open disabled$"
+    with pytest.raises(FilterError, match=message):
+        filter_findings(findings, backend, quiet_config(batch_size=2, parallelism=2, fail_open=False), BARE_TEMPLATE)
+    assert backend.calls == 2
+
+
 def test_parallelism_larger_than_batch_count():
     findings = [make_finding(i) for i in range(6)]
     retained, _, _ = filter_findings(

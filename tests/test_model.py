@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -99,11 +100,7 @@ def test_finding_id_is_stable_and_sensitive():
 
 def test_verdict_fail_open_never_suppresses():
     with pytest.raises(ValueError):
-        Verdict(
-            Classification.FALSE_POSITIVE,
-            Provenance.FAIL_OPEN,
-            cause=FailOpenCause.TIMEOUT,
-        )
+        Verdict(Classification.FALSE_POSITIVE, cause=FailOpenCause.TIMEOUT)
     verdict = Verdict.fail_open("timeout")
     assert verdict.classification is Classification.TRUE_POSITIVE
     assert verdict.retained
@@ -111,16 +108,24 @@ def test_verdict_fail_open_never_suppresses():
 
 def test_verdict_field_consistency():
     with pytest.raises(ValueError):
-        Verdict(Classification.TRUE_POSITIVE, Provenance.LLM_DECISION)  # no rationale
+        Verdict(Classification.TRUE_POSITIVE)  # neither a rationale nor a cause
     with pytest.raises(ValueError):
-        Verdict(Classification.TRUE_POSITIVE, Provenance.FAIL_OPEN)  # no cause
-    with pytest.raises(ValueError):
-        Verdict(
-            Classification.TRUE_POSITIVE,
-            Provenance.LLM_DECISION,
-            rationale="ok",
-            cause=FailOpenCause.TIMEOUT,
-        )
+        Verdict(Classification.TRUE_POSITIVE, rationale="ok", cause=FailOpenCause.TIMEOUT)
+    with pytest.raises(TypeError):
+        Verdict(Classification.TRUE_POSITIVE, provenance=Provenance.LLM_DECISION, rationale="ok")  # derived
+
+
+def test_verdict_provenance_follows_from_its_cause():
+    assert Verdict(Classification.FALSE_POSITIVE, rationale="ok").provenance is Provenance.LLM_DECISION
+    assert Verdict.llm("true_positive", "ok").provenance is Provenance.LLM_DECISION
+    assert Verdict(Classification.TRUE_POSITIVE, cause=FailOpenCause.TIMEOUT).provenance is Provenance.FAIL_OPEN
+    assert Verdict.fail_open("missing_entry").provenance is Provenance.FAIL_OPEN
+
+
+def test_finding_test_id_follows_from_its_file_path():
+    finding = make_finding(1, file_path="src/BenchmarkTest00042.java")
+    assert finding.test_id == TestCaseId("BenchmarkTest00042")
+    assert replace(finding, file_path="src/Util.java").test_id is None
 
 
 def test_filtered_finding_batch_index_rules():

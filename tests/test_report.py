@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -293,8 +294,26 @@ def test_load_report_rejects_bad_documents():
             [],
             'fail_open_events[0]: document nothing, rendering {"batch_index": 1, "cause": "missing_entry"}',
         ),
+        (
+            ("retained", 0, "verdict", "provenance"),
+            "fail_open",
+            'retained[0].verdict.provenance: document "fail_open", rendering "llm_decision"',
+        ),
+        (
+            ("retained", 0, "finding", "test_id"),
+            "BenchmarkTest09999",
+            'retained[0].finding.test_id: document "BenchmarkTest09999", rendering "BenchmarkTest00007"',
+        ),
+        (
+            ("plan", "scanner_mode"),
+            "invoke_external",
+            'plan.scanner_mode: document "invoke_external", rendering "load_saved"',
+        ),
     ],
-    ids=["run_id", "cwe_name", "metrics", "extra_key", "llm_calls", "fail_open_events"],
+    ids=[
+        "run_id", "cwe_name", "metrics", "extra_key", "llm_calls", "fail_open_events",
+        "provenance", "test_id", "scanner_mode",
+    ],
 )
 def test_a_refused_report_names_its_first_difference(path, value, difference):
     doc = json.loads((GOLDEN / "report.json").read_bytes())
@@ -305,6 +324,36 @@ def test_a_refused_report_names_its_first_difference(path, value, difference):
     with pytest.raises(ConfigError) as refused:
         load_report(json.dumps(doc))
     assert str(refused.value) == f"document differs from the rendering of the report it holds at {difference}"
+
+
+def with_run_id(doc):
+    """``doc`` with the run_id its own plan and findings hash to."""
+    ids = sorted(ff["finding"]["id"] for ff in doc["retained"] + doc["suppressed"])
+    identity = json.dumps({"plan": doc["plan"], "findings": ids}, sort_keys=True)
+    return {**doc, "run_id": hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]}
+
+
+def test_a_finding_in_the_wrong_list_or_listed_twice_is_refused():
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    moved = {**doc, "retained": doc["retained"] + doc["suppressed"], "suppressed": []}
+    with pytest.raises(ConfigError, match=r"^malformed report document: finding \w+ is listed against its verdict$"):
+        load_report(json.dumps(moved))
+    twice = with_run_id({**doc, "retained": doc["retained"] + doc["retained"][:1]})
+    with pytest.raises(ConfigError, match=r"^malformed report document: finding \w+ is listed twice$"):
+        load_report(json.dumps(twice))
+    with pytest.raises(ValueError, match="listed twice"):
+        replace(golden_report(), suppressed=golden_report().suppressed * 2)
+
+
+def test_baseline_deltas_must_match_the_scorecard():
+    doc = json.loads((GOLDEN / "report.json").read_bytes())
+    refusal = "^malformed report document: baseline_deltas must cover exactly the scorecard's CWE codes$"
+    with pytest.raises(ConfigError, match=refusal):
+        load_report(json.dumps({**doc, "scorecard": None}))
+    doc["baseline_deltas"]["per_cwe"]["22"] = None
+    with pytest.raises(ConfigError, match=refusal):
+        load_report(json.dumps(doc))
+    assert load_report(json.dumps({**doc, "baseline_deltas": None})).scorecard is not None
 
 
 @pytest.mark.parametrize(

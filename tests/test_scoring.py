@@ -135,7 +135,6 @@ def _random_gt(rng: random.Random, max_entries: int = 50, codes=(22, 79, 89, 330
         tid = TestCaseId(f"BenchmarkTest{n:05d}")
         entries[tid] = GroundTruthEntry(
             test_id=tid,
-            category_name="cat",
             is_vulnerable=rng.random() < 0.5,
             cwe=CweCategory(rng.choice(codes)),
         )
