@@ -55,8 +55,6 @@ EXIT_SCANNER = 2
 
 # Unusable configuration, input files and output paths: one "error:" line, exit 1.
 _INPUT_ERRORS = (ConfigError, OSError)
-# The config keys only a scoring command (run, replay) takes.
-_SCORING_KEYS = ("ground_truth", "baseline", "match_any_cwe")
 # The config keys that name an input file; no output may name one.
 _PLAN_INPUTS = ("scan_json", "ground_truth", "baseline", "cwe_map", "template")
 
@@ -78,28 +76,26 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, scoring: bool = True) -> None:
-    parser.set_defaults(func=cmd_run, parser=parser, scoring=scoring)
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(func=cmd_run, parser=parser)
     # A flag's dest is the config key it overrides; None leaves the key alone.
     parser.add_argument(
         "--target", dest="target_root", help="source tree to scan (and to read context from)"
     )
     parser.add_argument("--scan-json", help="saved scanner JSON document to load instead of scanning")
     parser.add_argument("--config", help="mission config file (key = value lines)")
-    if scoring:
-        parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
-        parser.add_argument("--baseline", help="baseline detections file for delta reporting")
-        parser.add_argument(
-            "--match-any-cwe", action="store_true", default=None, help="score by file only, ignoring CWE codes"
-        )
-    if backend:
-        parser.add_argument(
-            "--backend",
-            choices=["live", "scripted", "replay"],
-            default="scripted",
-            help="LLM backend (default: scripted)",
-        )
-    parser.add_argument("--cassette", help="cassette file: recorded with live, replayed with replay")
+    parser.add_argument("--ground-truth", help="expected-results CSV for scoring")
+    parser.add_argument("--baseline", help="baseline detections file for delta reporting")
+    parser.add_argument(
+        "--match-any-cwe", action="store_true", default=None, help="score by file only, ignoring CWE codes"
+    )
+    parser.add_argument(
+        "--backend",
+        choices=["live", "scripted", "replay"],
+        default="scripted",
+        help="LLM backend (default: scripted)",
+    )
+    parser.add_argument("--cassette", help="cassette file: written by --backend live, read by --backend replay")
     parser.add_argument("--verdicts", help="scripted backend: JSON file of finding_id -> classification")
     parser.add_argument(
         "--batch-size", type=int, help=f"findings per LLM call (default {MissionPlan.batch_size})"
@@ -125,9 +121,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, backend: bool = True, sco
 
 def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     config: dict[str, object] = read_input("config", args.config, parse_config_file) or {}
-    refused = [key for key in _SCORING_KEYS if key in config]
-    if refused and not args.scoring:
-        raise ConfigError(f"config {args.config}: {', '.join(refused)}: filter does not score; use run")
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
@@ -274,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", help="write scanner JSON here instead of stdout")
     scan.set_defaults(func=cmd_scan)
 
-    filt = sub.add_parser("filter", help="filter saved scanner output without scoring")
-    _add_run_flags(filt, scoring=False)
-
     score_p = sub.add_parser("score", help="score a detections file against ground truth")
     score_p.add_argument("--detections", required=True, help="TestCaseId,CWE lines")
     score_p.add_argument("--ground-truth", required=True, help="expected-results CSV")
@@ -301,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppressed findings shown in text",
     )
     rep.set_defaults(func=cmd_report)
-
-    replay = sub.add_parser("replay", help="rerun a mission from a recorded cassette")
-    _add_run_flags(replay, backend=False)
-    replay.set_defaults(backend="replay")
 
     return parser
 

@@ -196,10 +196,10 @@ def fold_severity(label: str) -> Severity:
     return _SEVERITY_FOLD.get(label.strip().lower(), Severity.WARNING)
 
 
-def normalize(raw: RawFinding, table: CweMappingTable, scanner: str = "semgrep") -> Finding:
+def normalize(raw: RawFinding, table: CweMappingTable) -> Finding:
     """Turn a raw scanner result into a Finding with a stable derived id."""
     cwe = map_cwe(raw.cwe_tags, table)
-    origin = f"{scanner}:{raw.rule_id}"
+    origin = f"semgrep:{raw.rule_id}"
     return Finding(
         id=finding_id(origin, raw.file_path, raw.start_line, cwe.code),
         cwe=cwe,

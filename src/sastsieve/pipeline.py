@@ -52,7 +52,6 @@ class MissionPlan:
     out_json: Path = Path("report.json")
     out_text: Path = Path("report.txt")
     scanner_cmd: str = "semgrep"
-    scanner_name: str = "semgrep"
     cwe_map: Path | None = None
     template: Path | None = None
     model: str = ""
@@ -227,7 +226,7 @@ def run_mission(plan: MissionPlan, backend) -> Report:
     parsed = parse_scanner_output(payload)
     log.info("scanner produced %d results (%d skipped)", len(parsed.findings), parsed.skipped)
 
-    findings = [normalize(raw, table, scanner=plan.scanner_name) for raw in parsed.findings]
+    findings = [normalize(raw, table) for raw in parsed.findings]
     deduped = dedupe_by_testcase(findings)
     log.info("%d findings after per-test-case dedupe", len(deduped))
 

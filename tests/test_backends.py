@@ -557,8 +557,8 @@ def test_commands_without_a_live_backend_never_load_the_http_client(tmp_path):
     commands = [
         ["run", "--backend", "scripted", "--scan-json", scan, "--out-json", out["r.json"],
          "--out-text", out["r.txt"], "--detections-out", out["d.txt"]],
-        ["replay", "--scan-json", scan, "--cassette", str(cassette), "--out-json", out["p.json"],
-         "--out-text", out["p.txt"]],
+        ["run", "--backend", "replay", "--scan-json", scan, "--cassette", str(cassette),
+         "--out-json", out["p.json"], "--out-text", out["p.txt"]],
         ["report", "--in", out["r.json"], "--out-text", out["x.txt"]],
         ["score", "--detections", out["d.txt"], "--ground-truth", str(ground_truth)],
     ]
@@ -615,6 +615,6 @@ def test_live_run_records_the_model_it_took_from_the_environment(
     assert chat_server.last_body["model"] == "env-model"
     assert json.loads(live.read_bytes())["plan"]["model_id"] == "env-model"
     monkeypatch.delenv("QSC_MODEL")
-    assert main(["replay", *common, "--model", "env-model", "--out-json", str(replayed)]) == 0
+    assert main(["run", "--backend", "replay", *common, "--model", "env-model", "--out-json", str(replayed)]) == 0
     assert json.loads(replayed.read_bytes())["fail_open_events"] == []
     assert chat_server.hits == 1

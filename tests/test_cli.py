@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sastsieve.backends import CassetteRecorder, ScriptedBackend
-from sastsieve.cli import main
+from sastsieve.cli import build_parser, main
 from sastsieve.ingest import CweMappingTable, normalize, parse_scanner_output
 from sastsieve.pipeline import plan_mission, run_mission
 from sastsieve.scoring import serialize_detections
@@ -169,7 +169,7 @@ def test_filter_writes_detections_file(tmp_path):
     detections_out = tmp_path / "detections.txt"
     code = main(
         [
-            "filter",
+            "run",
             "--scan-json", scan,
             "--out-json", str(tmp_path / "f.json"),
             "--out-text", str(tmp_path / "f.txt"),
@@ -249,7 +249,8 @@ def test_replay_command_runs_from_cassette(tmp_path):
     record_cassette(tmp_path, scan, cassette, default="false_positive")
     code = main(
         [
-            "replay",
+            "run",
+            "--backend", "replay",
             "--scan-json", scan,
             "--cassette", str(cassette),
             "--out-json", str(tmp_path / "r.json"),
@@ -293,7 +294,9 @@ def test_config_file_sets_the_report_paths(tmp_path):
 
 
 def test_every_command_help_exits_zero(capsys):
-    for command in ("run", "scan", "filter", "score", "report", "replay"):
+    [commands] = (action.choices for action in build_parser()._actions if action.dest == "command")
+    assert set(commands) == {"run", "scan", "score", "report"}
+    for command in commands:
         with pytest.raises(SystemExit) as exc_info:
             main([command, "--help"])
         assert exc_info.value.code == 0
@@ -376,7 +379,8 @@ def test_replay_is_idempotent(tmp_path):
         out_json = tmp_path / f"r{n}.json"
         code = main(
             [
-                "replay",
+                "run",
+                "--backend", "replay",
                 "--scan-json", scan,
                 "--cassette", str(cassette),
                 "--out-json", str(out_json),
@@ -445,7 +449,8 @@ def test_replayed_overlong_integer_reply_fails_open_and_exits_zero(tmp_path):
     out_json = tmp_path / "r.json"
     code = main(
         [
-            "replay",
+            "run",
+            "--backend", "replay",
             "--scan-json", scan,
             "--cassette", str(cassette),
             "--out-json", str(out_json),
@@ -482,10 +487,10 @@ def test_bad_input_file_exits_one_before_the_scan(tmp_path, capsys, flag, conten
     path = tmp_path / "input"
     if content is not None:
         path.write_bytes(content)
-    command = "replay" if flag == "--cassette" else "run"
+    backend = ["--backend", "replay"] if flag == "--cassette" else []
     code = main(
         [
-            command,
+            "run", *backend,
             "--scan-json", str(tmp_path / "absent.json"),
             flag, str(path),
             "--out-json", str(tmp_path / "r.json"),
@@ -540,49 +545,6 @@ def test_output_under_a_regular_file_exits_one_with_one_error_line(tmp_path, cap
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--ground-truth", "--baseline", "--match-any-cwe"])
-def test_filter_offers_no_scoring_flags(tmp_path, capsys, flag):
-    scan = saved_scan(tmp_path, benchmark_results(2))
-    value = [] if flag == "--match-any-cwe" else [str(tmp_path / "absent.csv")]
-    with pytest.raises(SystemExit) as exc_info:
-        main(
-            [
-                "filter",
-                "--scan-json", scan,
-                flag, *value,
-                "--out-json", str(tmp_path / "r.json"),
-                "--out-text", str(tmp_path / "r.txt"),
-            ]
-        )
-    assert exc_info.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["ground_truth", "baseline", "match_any_cwe"])
-def test_filter_refuses_scoring_keys_from_a_config_file(tmp_path, capsys, key):
-    # Every value is usable and the scan file is absent, so reaching the
-    # scanner would exit 2.
-    (tmp_path / "gt.csv").write_text("BenchmarkTest00001,sqli,true,89\n")
-    (tmp_path / "base.txt").write_text("BenchmarkTest00001,89\n")
-    value = {"ground_truth": tmp_path / "gt.csv", "baseline": tmp_path / "base.txt"}.get(key, "true")
-    config = tmp_path / "mission.cfg"
-    config.write_text(f"batch_size = 2\n{key} = {value}\n")
-    code = main(
-        [
-            "filter",
-            "--scan-json", str(tmp_path / "absent.json"),
-            "--config", str(config),
-            "--out-json", str(tmp_path / "r.json"),
-            "--out-text", str(tmp_path / "r.txt"),
-        ]
-    )
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert code == 1, err
-    assert len(errors) == 1 and key in errors[0], err
-    assert not (tmp_path / "r.json").exists()
-
-
 @pytest.mark.parametrize("command", ["run", "score"])
 def test_ground_truth_with_a_bom_and_latin1_bytes_still_loads(tmp_path, capsys, command):
     rows = b"".join(b"BenchmarkTest%05d,sql\xe9,true,89\n" % n for n in range(1, 4))
@@ -623,9 +585,10 @@ def test_an_input_file_starting_with_a_bom_is_read(tmp_path, capsys, flag):
     }[flag]
     path.write_bytes(b"\xef\xbb\xbf" + content.encode())
     out_json = tmp_path / "r.json"
+    backend = ["--backend", "replay"] if flag == "--cassette" else []
     code = main(
         [
-            "replay" if flag == "--cassette" else "run",
+            "run", *backend,
             "--scan-json", scan,
             flag, str(path),  # a second --scan-json replaces the first
             "--out-json", str(out_json),
@@ -809,7 +772,8 @@ def test_replay_with_an_undecodable_model_logs_a_cassette_miss(tmp_path, caplog)
     record_cassette(tmp_path, scan, cassette)
     code = main(
         [
-            "replay",
+            "run",
+            "--backend", "replay",
             "--scan-json", scan,
             "--cassette", str(cassette),
             "--model", f"m{UNDECODABLE}",
@@ -861,7 +825,7 @@ def test_pathological_scanner_output_exits_two_with_one_error_line(
     "command, flag, backend",
     [
         (["run", "--backend", "scripted"], "--cassette", "scripted"),
-        (["replay"], "--verdicts", "replay"),
+        (["run", "--backend", "replay"], "--verdicts", "replay"),
         (["run", "--backend", "live"], "--verdicts", "live"),
     ],
 )
@@ -991,7 +955,7 @@ def error_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
-@pytest.mark.parametrize("command", ["run", "filter", "replay"])
+@pytest.mark.parametrize("command", ["run", "replay"])
 @pytest.mark.parametrize("report_flag, key", [("--out-json", "out_json"), ("--out-text", "out_text")])
 def test_detections_out_on_a_report_path_exits_one_before_the_scan(
     tmp_path, capsys, command, report_flag, key
@@ -1000,13 +964,13 @@ def test_detections_out_on_a_report_path_exits_one_before_the_scan(
     cassette.write_text("[]")
     outputs = {"--out-json": tmp_path / "r.json", "--out-text": tmp_path / "r.txt", report_flag: tmp_path / "b.json"}
     argv = [
-        command,
+        "run",
         "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
         *(str(x) for pair in outputs.items() for x in pair),
         "--detections-out", str(tmp_path / "." / "b.json"),
     ]
     if command == "replay":
-        argv += ["--cassette", str(cassette)]
+        argv += ["--backend", "replay", "--cassette", str(cassette)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1, err
@@ -1031,13 +995,12 @@ def test_report_on_one_path_for_both_outputs_exits_one_before_writing(tmp_path, 
     "argv, key",
     [
         (["run", "--detections-out="], "detections_out"),
-        (["filter", "--detections-out="], "detections_out"),
-        (["replay", "--cassette", "c.json", "--detections-out="], "detections_out"),
+        (["run", "--backend", "replay", "--cassette", "c.json", "--detections-out="], "detections_out"),
         (["report", "--out-json="], "out_json"),
         (["report", "--out-text="], "out_text"),
         (["scan", "--target", ".", "--scanner-cmd", "absent-scanner", "--out="], "out"),
     ],
-    ids=["run", "filter", "replay", "report-out-json", "report-out-text", "scan"],
+    ids=["run", "replay", "report-out-json", "report-out-text", "scan"],
 )
 def test_an_empty_output_path_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
     from tests.test_report import GOLDEN
@@ -1136,15 +1099,15 @@ def test_an_output_on_an_input_of_the_same_command_exits_one_before_any_work(
     else:
         input_key, content = INPUT_FILES[input_flag]
         argv = [
-            "run" if command == "live" else command,
+            "run",
             "--scan-json", "absent.json",  # a scan would exit 2
             "--out-json", "r.json",
             "--out-text", "r.txt",
             input_flag, "shared",
             output_flag, "shared",
         ]
-        if command == "live":
-            argv += ["--backend", "live"]
+        if command != "run":
+            argv += ["--backend", command]
     Path("shared").write_bytes(content)
     code = main(argv)
     out, err = capsys.readouterr()
@@ -1249,11 +1212,13 @@ def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, fl
         argv = ["report"]
     else:
         argv = [
-            command,
+            "run",
             "--scan-json", str(tmp_path / "absent.json"),  # a scan would exit 2
             "--out-json", str(tmp_path / "r.json"),
             "--out-text", str(tmp_path / "r.txt"),
         ]
+        if command == "replay":
+            argv += ["--backend", "replay"]
     code = main([*argv, flag, str(bad)])
     out, err = capsys.readouterr()
     assert code == 1, err
@@ -1271,7 +1236,7 @@ def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, fl
     [
         (["run", "--config="], "config"),
         (["run", "--verdicts="], "verdicts"),
-        (["replay", "--cassette="], "cassette"),
+        (["run", "--backend", "replay", "--cassette="], "cassette"),
         (["run", "--backend", "scripted", "--cassette="], "scripted"),
         (["score", "--detections="], "detections"),
         (["score", "--ground-truth="], "ground_truth"),
@@ -1285,7 +1250,7 @@ def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, fl
 )
 def test_an_empty_input_path_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
     # An empty path would be the working directory. The absent scan file
-    # shows that run and replay stop before the scan, which would exit 2.
+    # shows that run stops before the scan, which would exit 2.
     monkeypatch.chdir(tmp_path)
     Path("gt.csv").write_text("BenchmarkTest00001,sqli,true,89\n")
     Path("d.txt").write_text("BenchmarkTest00001,89\n")

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sastsieve.ingest import (
@@ -151,13 +151,15 @@ scanner_documents = optional_keys(results=st.lists(scanner_results, max_size=5) 
 
 @settings(max_examples=300, deadline=None)
 @given(scanner_documents)
+@example({"results": [{"check_id": None, "path": "00", "start": {"line": 1}}] * 2})  # one id, twice
 def test_parse_raises_only_scanner_output_error_and_normalize_never_raises(document):
     try:
         parsed = parse_scanner_output(json.dumps(document))
     except ScannerOutputError:
         return
     table = CweMappingTable.default()
-    findings = [normalize(raw, table) for raw in parsed.findings]
+    # Deduped as a run dedupes them: identical scanner results share one id.
+    findings = dedupe_by_testcase([normalize(raw, table) for raw in parsed.findings])
     assert_renders(FilteredFinding(f, Verdict.fail_open(FailOpenCause.MISSING_ENTRY), 0) for f in findings)
 
 

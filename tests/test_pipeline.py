@@ -77,7 +77,7 @@ def test_plan_rejects_unknown_keys(tmp_path):
 CONFIG_KEYS = {
     "target_root", "scan_json", "batch_size", "parallelism", "fail_open", "ground_truth",
     "baseline", "out_json", "out_text", "model", "template", "cwe_map", "scanner_cmd",
-    "scanner_name", "timeout", "context_budget", "match_any_cwe",
+    "timeout", "context_budget", "match_any_cwe",
 }
 
 
