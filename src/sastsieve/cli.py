@@ -34,7 +34,6 @@ from .pipeline import (
     plan_mission,
     read_input,
     run_mission,
-    run_scanner,
 )
 from .report import (
     DEFAULT_RETAINED_DISPLAY,
@@ -202,19 +201,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    check_outputs(out=args.out)
-    payload = run_scanner(
-        plan_mission({"target_root": args.target, "scanner_cmd": args.scanner_cmd or None})
-    )
-    if args.out is not None:
-        _write(args.out, payload)
-        print(f"scanner output written to {args.out}")
-    else:
-        sys.stdout.buffer.write(payload)
-    return EXIT_OK
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     detections = read_input("detections", args.detections, load_detections, errors="replace")
     gt = read_input("ground_truth", args.ground_truth, load_ground_truth, errors="replace")
@@ -260,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the full pipeline and write reports")
     _add_run_flags(run)
-
-    scan = sub.add_parser("scan", help="run the external scanner and emit its JSON")
-    scan.add_argument("--target", required=True, help="source tree to scan")
-    scan.add_argument("--scanner-cmd", help=f"scanner executable (default {MissionPlan.scanner_cmd})")
-    scan.add_argument("--out", help="write scanner JSON here instead of stdout")
-    scan.set_defaults(func=cmd_scan)
 
     score_p = sub.add_parser("score", help="score a detections file against ground truth")
     score_p.add_argument("--detections", required=True, help="TestCaseId,CWE lines")

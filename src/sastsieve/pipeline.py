@@ -37,9 +37,8 @@ class ScannerError(RuntimeError):
 class MissionPlan:
     """Fully resolved run parameters; each field name is its config key.
 
-    Every int field is at least 1, every float field is positive and at
-    most ``threading.TIMEOUT_MAX``, the longest wait a request can be given,
-    and out_json and out_text name different files.
+    Every int field is at least 1, and every float field is positive and at
+    most ``threading.TIMEOUT_MAX``, the longest wait a request can be given.
     """
 
     target_root: Path | None = None
@@ -71,7 +70,6 @@ class MissionPlan:
                 raise ConfigError(
                     f"{name}: must be positive and at most {threading.TIMEOUT_MAX:.0f}, got {value}"
                 )
-        check_outputs(out_json=self.out_json, out_text=self.out_text)
 
 
 _FIELD_TYPES = typing.get_type_hints(MissionPlan)
@@ -119,7 +117,7 @@ def _file_key(path: Path) -> object:
     return status.st_dev, status.st_ino
 
 
-def check_outputs(inputs: Mapping[str, Path | str | None] = {}, /, **outputs: Path | str | None) -> None:
+def check_outputs(inputs: Mapping[str, Path | str | None], /, **outputs: Path | str | None) -> None:
     """Refuse an empty path, and an output path that is an existing
     directory, another output of the same command or one of its ``inputs``.
 

@@ -346,12 +346,21 @@ def format_comparison_text(comparison: ScorecardComparison) -> list[str]:
     return lines
 
 
+# C0 and C1 controls, DEL and the Unicode line and paragraph separators, as backslash escapes.
+_ESCAPES = {c: chr(c).encode("unicode_escape").decode() for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
+def _printable(text: str) -> str:
+    """Scanner or model text made unable to end or rewrite a line of the text report."""
+    return text.translate(_ESCAPES)
+
+
 def _finding_line(ff: FilteredFinding) -> str:
     finding = ff.finding
-    location = f"{finding.file_path}:{finding.start_line}"
+    location = f"{_printable(finding.file_path)}:{finding.start_line}"
     if finding.end_line != finding.start_line:
         location += f"-{finding.end_line}"
-    return f"  [{finding.severity.value}] {location} {finding.cwe.label} {finding.cwe.name} ({finding.origin})"
+    return f"  [{finding.severity.value}] {location} {finding.cwe.label} {finding.cwe.name} ({_printable(finding.origin)})"
 
 
 def render_text(
@@ -415,7 +424,7 @@ def render_text(
     if report.suppressed:
         for ff in report.suppressed[:max_suppressed]:
             rationale = ff.verdict.rationale or ""
-            lines.append(_finding_line(ff) + (f" -- {rationale}" if rationale else ""))
+            lines.append(_finding_line(ff) + (f" -- {_printable(rationale)}" if rationale else ""))
         if len(report.suppressed) > max_suppressed:
             lines.append(f"  (+{len(report.suppressed) - max_suppressed} more)")
     else:

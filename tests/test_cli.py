@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -182,24 +183,26 @@ def test_filter_writes_detections_file(tmp_path):
     assert all(line.endswith(",89") for line in lines)
 
 
-def test_scan_command_with_fake_scanner(tmp_path, capsys):
+def test_run_target_reports_the_fake_scanners_findings(tmp_path, capsys):
     from tests.test_pipeline import fake_scanner
 
     cmd = fake_scanner(tmp_path, results=benchmark_results(2))
-    out = tmp_path / "scan-out.json"
-    code = main(["scan", "--target", str(tmp_path), "--scanner-cmd", cmd, "--out", str(out)])
+    out = tmp_path / "r.json"
+    outputs = ["--out-json", str(out), "--out-text", str(tmp_path / "r.txt")]
+    code = main(["run", "--target", str(tmp_path), "--scanner-cmd", cmd, *outputs])
     assert code == 0
-    assert len(json.loads(out.read_text())["results"]) == 2
+    doc = json.loads(out.read_bytes())
+    assert doc["plan"]["scanner_mode"] == "invoke_external"
+    assert len(doc["retained"]) == 2
 
 
-def test_scan_command_scanner_failure_exits_two(tmp_path, capsys):
-    code = main(["scan", "--target", str(tmp_path), "--scanner-cmd", "/no/such/bin"])
-    assert code == 2
-    not_executable = tmp_path / "scanner.sh"
-    not_executable.write_text("#!/bin/sh\n")
-    code = main(["scan", "--target", str(tmp_path), "--scanner-cmd", str(not_executable)])
-    assert code == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("scanner error:")
+def test_run_target_scanner_failure_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("scanner.sh").write_text("#!/bin/sh\n")  # not executable
+    for scanner in ("/no/such/bin", "./scanner.sh"):
+        code = main(["run", "--target", ".", "--scanner-cmd", scanner, "--out-json", "r.json", "--out-text", "r.txt"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("scanner error:")
 
 
 def test_report_command_rerenders(tmp_path, capsys):
@@ -293,14 +296,32 @@ def test_config_file_sets_the_report_paths(tmp_path):
     assert out_json.exists() and out_text.exists()
 
 
-def test_every_command_help_exits_zero(capsys):
+def subcommands() -> dict:
     [commands] = (action.choices for action in build_parser()._actions if action.dest == "command")
-    assert set(commands) == {"run", "scan", "score", "report"}
+    return commands
+
+
+def test_every_command_help_exits_zero(capsys):
+    commands = subcommands()
+    assert set(commands) == {"run", "score", "report"}
     for command in commands:
         with pytest.raises(SystemExit) as exc_info:
             main([command, "--help"])
         assert exc_info.value.code == 0
         assert "--help" in capsys.readouterr().out
+
+
+def test_readme_commands_name_a_subcommand_and_its_flags():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)).replace("\\\n", " ")
+    lines = [shlex.split(line)[1:] for line in blocks.splitlines() if line.startswith("sastsieve ")]
+    assert lines
+    commands = subcommands()
+    for command, *words in lines:
+        assert command in commands, f"unknown command {command}"
+        accepted = commands[command]._option_string_actions
+        unknown = [word for word in words if word.startswith("-") and word.partition("=")[0] not in accepted]
+        assert not unknown, f"{command} does not accept {unknown}"
 
 
 def test_unknown_flag_rejected_with_usage(capsys):
@@ -505,12 +526,7 @@ def test_bad_input_file_exits_one_before_the_scan(tmp_path, capsys, flag, conten
 
 def command_writing(tmp_path, case, out):
     """argv for ``case`` ("command --flag") writing that output to ``out``."""
-    from tests.test_pipeline import fake_scanner
-
     command, flag = case.split()
-    if command == "scan":
-        scanner = fake_scanner(tmp_path, results=benchmark_results(2))
-        return ["scan", "--target", str(tmp_path), "--scanner-cmd", scanner, flag, str(out)]
     scan = saved_scan(tmp_path, benchmark_results(3))
     outputs = {"--out-json": str(tmp_path / "r.json"), "--out-text": str(tmp_path / "r.txt")}
     if command == "report":
@@ -521,7 +537,7 @@ def command_writing(tmp_path, case, out):
 
 
 @pytest.mark.parametrize(
-    "case", ["run --detections-out", "report --out-json", "report --out-text", "scan --out"]
+    "case", ["run --detections-out", "report --out-json", "report --out-text"]
 )
 def test_output_into_a_missing_directory_is_written(tmp_path, capsys, case):
     out = tmp_path / "absent" / "dir" / "out"
@@ -531,7 +547,7 @@ def test_output_into_a_missing_directory_is_written(tmp_path, capsys, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["run --out-json", "run --detections-out", "report --out-json", "report --out-text", "scan --out"],
+    ["run --out-json", "run --detections-out", "report --out-json", "report --out-text"],
 )
 def test_output_under_a_regular_file_exits_one_with_one_error_line(tmp_path, capsys, case):
     blocker = tmp_path / "blocker"
@@ -998,9 +1014,8 @@ def test_report_on_one_path_for_both_outputs_exits_one_before_writing(tmp_path, 
         (["run", "--backend", "replay", "--cassette", "c.json", "--detections-out="], "detections_out"),
         (["report", "--out-json="], "out_json"),
         (["report", "--out-text="], "out_text"),
-        (["scan", "--target", ".", "--scanner-cmd", "absent-scanner", "--out="], "out"),
     ],
-    ids=["run", "replay", "report-out-json", "report-out-text", "scan"],
+    ids=["run", "replay", "report-out-json", "report-out-text"],
 )
 def test_an_empty_output_path_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
     from tests.test_report import GOLDEN
@@ -1009,7 +1024,7 @@ def test_an_empty_output_path_exits_one_before_any_work(tmp_path, monkeypatch, c
     Path("c.json").write_text("[]")
     if argv[0] == "report":
         argv = [*argv, "--in", str(GOLDEN / "report.json")]
-    elif argv[0] != "scan":  # an absent scan file: a scan would exit 2
+    else:  # an absent scan file: a scan would exit 2
         argv = [*argv, "--scan-json", "absent.json", "--out-json", "r.json", "--out-text", "r.txt"]
     code = main(argv)
     out, err = capsys.readouterr()
@@ -1126,15 +1141,14 @@ def test_an_output_on_an_input_of_the_same_command_exits_one_before_any_work(
         (["run", "--out-text", "DIR"], "out_text"),
         (["run", "--detections-out", "DIR"], "detections_out"),
         (["run", "--backend", "live", "--cassette", "DIR"], "cassette"),
-        (["scan", "--target", ".", "--scanner-cmd", "absent-scanner", "--out", "DIR"], "out"),
         (["report", "--in", "absent.json", "--out-json", "DIR"], "out_json"),
         (["report", "--in", "absent.json", "--out-text", "DIR"], "out_text"),
     ],
-    ids=["run-out-json", "run-out-text", "detections-out", "live-cassette", "scan-out", "report-out-json", "report-out-text"],
+    ids=["run-out-json", "run-out-text", "detections-out", "live-cassette", "report-out-json", "report-out-text"],
 )
 def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
-    # Each command would fail later otherwise: an absent scan file or scanner
-    # exits 2, and an absent report exits 1 naming the report.
+    # Each command would fail later otherwise: an absent scan file exits 2,
+    # and an absent report exits 1 naming the report.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QSC_API_KEY", "k")
     monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")

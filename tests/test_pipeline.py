@@ -176,9 +176,10 @@ def test_parse_config_file_format():
         parse_config_file("batch_size = 2\n\x0c\n# note\u2028\nparallelism = 1\nnot a key value line\n")
 
 
-def test_a_plan_built_in_code_refuses_one_path_for_both_reports(tmp_path):
-    with pytest.raises(ConfigError, match="out_text"):
-        MissionPlan(out_json=tmp_path / "r", out_text=tmp_path / "." / "r")
+def test_a_plan_leaves_its_report_paths_to_the_command_that_writes_them(tmp_path):
+    # run_mission writes no file; the CLI refuses these paths before the scan.
+    plan = MissionPlan(out_json=tmp_path, out_text=tmp_path)
+    assert plan.out_json == plan.out_text == tmp_path
 
 
 # --- run_scanner ------------------------------------------------------------

@@ -212,6 +212,36 @@ def test_text_report_orders_retained_by_severity():
     assert text.index("[error]") < text.index("[info]")
 
 
+@pytest.mark.parametrize(
+    "control, escape",
+    [("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t"), ("\x1b[2K", "\\x1b[2K"), ("\x7f", "\\x7f"),
+     ("\x85", "\\x85"), ("\u2028", "\\u2028"), ("\u2029", "\\u2029")],
+    ids=["lf", "cr", "tab", "esc", "del", "nel", "line-separator", "paragraph-separator"],
+)
+def test_scanner_and_model_text_cannot_forge_a_line_of_the_text_report(control, escape):
+    forged = f"{control}retained findings   : 0"
+
+    def report(tail):
+        kept, dropped = (
+            replace(make_finding(n, file_path=f"src/A{n}.java{tail}"), origin=f"semgrep:rule{tail}")
+            for n in range(2)
+        )
+        return empty_report(
+            retained=(FilteredFinding(kept, Verdict.llm("true_positive", "r"), 0),),
+            suppressed=(FilteredFinding(dropped, Verdict.llm("false_positive", f"benign{tail}"), 0),),
+        )
+
+    text = render_text(report(forged))
+    assert len(text.splitlines()) == len(render_text(report("")).splitlines())
+    assert all(char == "\n" or char.isprintable() for char in text)
+    assert [line for line in text.splitlines() if line.startswith("retained findings")] == [
+        "retained findings   : 1  (llm-decided 1, fail-open 0)"
+    ]
+    escaped = f"{escape}retained findings   : 0"
+    for field in ("src/A0.java", "src/A1.java", "semgrep:rule", "benign"):
+        assert f"{field}{escaped}" in text
+
+
 def test_suppressed_findings_keep_their_rationales(tmp_path):
     findings = benchmark_results(3)
     backend = ScriptedBackend({}, default="false_positive")
