@@ -27,10 +27,11 @@ from sastsieve.backends import (
 from sastsieve.cli import main
 from sastsieve.filter_agent import LlmRequest, build_prompt, default_template, filter_findings
 from sastsieve.model import ConfigError
-from sastsieve.pipeline import MissionPlan
+from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from tests.conftest import make_finding
 from tests.test_cli import only_finding_id, record_cassette
-from tests.test_filter_agent import StaticBackend, batch_of
+from tests.test_filter_agent import SpyBackend, StaticBackend, batch_of
+from tests.test_ingest import result_doc
 from tests.test_pipeline import benchmark_results, saved_scan
 
 REPO = Path(__file__).resolve().parent.parent
@@ -409,6 +410,21 @@ def test_request_digest_and_output_cap_are_pinned(chat_server):
     )
     live_backend(chat_server).complete(request)
     assert chat_server.last_body["max_tokens"] == 4096
+
+
+def test_the_default_prompt_digest_is_pinned(tmp_path):
+    # A run without --template prompts through the default template; an edit
+    # to its bytes makes every cassette recorded with it miss on replay.
+    source = tmp_path / "src" / "BenchmarkTest00001.java"
+    source.parent.mkdir()
+    source.write_text("class A {\n  void f(String q) {\n    db.query(q);\n  }\n}\n")
+    scan = saved_scan(tmp_path, [result_doc("src/BenchmarkTest00001.java", start=3, end=3)])
+    spy = SpyBackend(ScriptedBackend({}, default="true_positive"))
+    run_mission(plan_mission({"scan_json": scan, "target_root": str(tmp_path), "model": "m"}), spy)
+    [request] = spy.requests
+    assert request_digest(request) == (
+        "1451e92d852b2290ad8410a84d00bd8627d6ae7ffb0d90cacd8754674eedd58f"
+    )
 
 
 def test_record_then_replay_round_trip(tmp_path):
