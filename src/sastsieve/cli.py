@@ -24,15 +24,13 @@ from .backends import (
 from .benchmark import load_ground_truth
 from .filter_agent import FilterError
 from .ingest import ScannerOutputError
+from .model import ConfigError, check_outputs, read_input
 from .pipeline import (
     CONFIG_KEYS,
-    ConfigError,
     MissionPlan,
     ScannerError,
-    check_outputs,
     parse_config_file,
     plan_mission,
-    read_input,
     run_mission,
 )
 from .report import (

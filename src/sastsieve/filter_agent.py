@@ -22,7 +22,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -61,6 +60,20 @@ SYSTEM_TEXT = (
     '"rationale": "<one short sentence>"}]}\n'
     "The results array must contain exactly one entry for every finding_id "
     "listed in the request, and no others."
+)
+
+# Every request digest covers these bytes: an edit makes each recorded cassette miss.
+DEFAULT_TEMPLATE = (
+    "Each section below describes one static-analysis security finding together\n"
+    "with the source code it points at. For every finding, decide whether it is a\n"
+    "true positive (a really exploitable vulnerability) or a false positive (the\n"
+    "flagged pattern is safe in context, for example because the input is\n"
+    "sanitized, validated, encoded, or handled through a parameterized API before\n"
+    "it reaches the dangerous sink).\n"
+    "\n"
+    "{{findings_block}}\n"
+    "\n"
+    "Classify every finding listed above.\n"
 )
 
 
@@ -116,15 +129,6 @@ def fail_open_events(reviewed: Sequence[FilteredFinding]) -> tuple[FailOpenEvent
     failures = dict.fromkeys(event for event in events if event.cause not in _PER_FINDING_CAUSES)
     per_finding = [event for event in events if event.cause in _PER_FINDING_CAUSES]
     return tuple(sorted([*failures, *per_finding], key=lambda e: (e.batch_index, e.cause in _PER_FINDING_CAUSES)))
-
-
-def default_template() -> str:
-    """The prompt template shipped with the package."""
-    return (
-        resources.files(__package__)
-        .joinpath("templates/review_prompt.txt")
-        .read_text(encoding="utf-8")
-    )
 
 
 def partition_batches(findings: Sequence[Finding], size: int) -> list[Batch]:

@@ -1,18 +1,21 @@
-"""Scanner-independent domain types shared by every stage of the pipeline.
+"""Scanner-independent domain types shared by every stage of the pipeline,
+and the rules for the paths a command reads and writes: ``as_path``,
+``read_input`` and ``check_outputs``.
 
-Everything in here is an immutable value object; instances can be shared
-freely between threads.
+The types are immutable value objects; instances can be shared freely
+between threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 TEST_CASE_PATTERN = re.compile(r"BenchmarkTest\d{5}")
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -89,6 +92,37 @@ def read_input(
         return parse(file.read_text(encoding="utf-8-sig", errors=errors))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{key} {path}: {exc}") from exc
+
+
+def _file_key(path: Path) -> object:
+    """What names one file: its device and inode if it exists, else its resolved path."""
+    real = os.path.realpath(path)
+    try:
+        status = os.stat(real)
+    except OSError:
+        return real
+    return status.st_dev, status.st_ino
+
+
+def check_outputs(inputs: Mapping[str, Path | str | None], /, **outputs: Path | str | None) -> None:
+    """Refuse an empty path, and an output path that is an existing
+    directory, another output of the same command or one of its ``inputs``.
+
+    Two paths clash when they name one file: through ``..``, a symbolic
+    link or, for a file that exists, a hard link.
+    """
+    # Each file's first key and its value as written, to name both in a clash.
+    seen = {_file_key(as_path(key, value)): f"{key}: {value}" for key, value in inputs.items() if value is not None}
+    for key, value in outputs.items():
+        if value is None:
+            continue
+        path = as_path(key, value)
+        file = _file_key(path)
+        if file in seen:
+            raise ConfigError(f"{key}: {value} is the same file as {seen[file]}")
+        if path.is_dir():
+            raise ConfigError(f"{key}: {value} is a directory")
+        seen[file] = f"{key}: {value}"
 
 
 def record_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -9,7 +9,6 @@ mission while fail-open is enabled.
 from __future__ import annotations
 
 import logging
-import os
 import subprocess
 import threading
 import time
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .backends import DEFAULT_TIMEOUT
-from .filter_agent import DEFAULT_CONTEXT_BUDGET, FINDINGS_PLACEHOLDER, default_template, filter_findings
+from .filter_agent import DEFAULT_CONTEXT_BUDGET, DEFAULT_TEMPLATE, FINDINGS_PLACEHOLDER, filter_findings
 from .ingest import CweMappingTable, ScannerOutputError, dedupe_by_testcase, normalize, parse_scanner_output
 # ConfigError and read_input are imported from here too.
 from .model import ConfigError, as_path, read_input, record_lines, replace_surrogates
@@ -107,37 +106,6 @@ def _coerce(key: str, kind: object, value: object) -> object:
     return as_path(key, value)  # Path, or Path | None
 
 
-def _file_key(path: Path) -> object:
-    """What names one file: its device and inode if it exists, else its resolved path."""
-    real = os.path.realpath(path)
-    try:
-        status = os.stat(real)
-    except OSError:
-        return real
-    return status.st_dev, status.st_ino
-
-
-def check_outputs(inputs: Mapping[str, Path | str | None], /, **outputs: Path | str | None) -> None:
-    """Refuse an empty path, and an output path that is an existing
-    directory, another output of the same command or one of its ``inputs``.
-
-    Two paths clash when they name one file: through ``..``, a symbolic
-    link or, for a file that exists, a hard link.
-    """
-    # Each file's first key and its value as written, to name both in a clash.
-    seen = {_file_key(as_path(key, value)): f"{key}: {value}" for key, value in inputs.items() if value is not None}
-    for key, value in outputs.items():
-        if value is None:
-            continue
-        path = as_path(key, value)
-        file = _file_key(path)
-        if file in seen:
-            raise ConfigError(f"{key}: {value} is the same file as {seen[file]}")
-        if path.is_dir():
-            raise ConfigError(f"{key}: {value} is a directory")
-        seen[file] = f"{key}: {value}"
-
-
 def plan_mission(config: Mapping[str, object]) -> MissionPlan:
     """Resolve a config mapping into a MissionPlan with defaults applied.
 
@@ -216,7 +184,7 @@ def run_mission(plan: MissionPlan, backend) -> Report:
     table = read_input("cwe_map", plan.cwe_map, CweMappingTable.load) or CweMappingTable.default()
     template = read_input("template", plan.template, str)
     if template is None:
-        template = default_template()
+        template = DEFAULT_TEMPLATE
     if FINDINGS_PLACEHOLDER not in template:
         log.warning("prompt template lacks %s; appending the findings block", FINDINGS_PLACEHOLDER)
 

@@ -408,12 +408,8 @@ def render_text(
     lines.append("")
     lines.append(f"retained (top {max_retained} by severity):")
     if report.retained:
-        ranked = sorted(
-            enumerate(report.retained),
-            key=lambda pair: (_SEVERITY_RANK[pair[1].finding.severity], pair[0]),
-        )
-        shown = [ff for _, ff in ranked[:max_retained]]
-        lines.extend(_finding_line(ff) for ff in shown)
+        ranked = sorted(report.retained, key=lambda ff: _SEVERITY_RANK[ff.finding.severity])
+        lines.extend(_finding_line(ff) for ff in ranked[:max_retained])
         if len(report.retained) > max_retained:
             lines.append(f"  (+{len(report.retained) - max_retained} more)")
     else:

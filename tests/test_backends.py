@@ -25,7 +25,7 @@ from sastsieve.backends import (
     request_digest,
 )
 from sastsieve.cli import main
-from sastsieve.filter_agent import LlmRequest, build_prompt, default_template, filter_findings
+from sastsieve.filter_agent import DEFAULT_TEMPLATE, LlmRequest, build_prompt, filter_findings
 from sastsieve.model import ConfigError
 from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from tests.conftest import make_finding
@@ -91,6 +91,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
                     time.sleep(value)
             except OSError:  # the client gave up
                 pass
+            return
+        if kind == "drop":  # the connection closes with no response
+            self.close_connection = True
             return
         if kind == "status":
             code, headers = value if isinstance(value, tuple) else (value, {})
@@ -204,6 +207,18 @@ def test_live_backend_refuses_a_body_over_the_cap_without_retrying(chat_server):
     assert chat_server.hits == 1
 
 
+def test_live_backend_answers_a_body_of_exactly_the_cap(chat_server):
+    envelope = json.dumps({"choices": [{"message": {"content": "fits"}}]})
+    chat_server.plan = [("raw", envelope.ljust(backends.MAX_RESPONSE_BYTES))]
+    assert live_backend(chat_server).complete(request_for()) == "fits"
+
+
+def test_live_backend_retries_a_dropped_connection(chat_server):
+    chat_server.plan = [("drop", None), ("ok", "after the drop")]
+    assert live_backend(chat_server).complete(request_for()) == "after the drop"
+    assert chat_server.hits == 2
+
+
 def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server, monkeypatch):
     # One slot: batch 0's 503 must not keep it through the backoff.
     chat_server.plan = [("status", 503)]
@@ -211,7 +226,7 @@ def test_a_backoff_gives_its_model_slot_to_the_next_batch(chat_server, monkeypat
     backend = live_backend(chat_server)
     findings = [make_finding(0), make_finding(1)]
     plan = MissionPlan(batch_size=1, parallelism=1)
-    filter_findings(findings, backend, plan, default_template())
+    filter_findings(findings, backend, plan, DEFAULT_TEMPLATE)
     sent = [re.findall(r"### Finding (\S+)", body["messages"][1]["content"]) for body in chat_server.bodies]
     assert sent == [["f000000"], ["f000001"], ["f000000"]]
 
@@ -366,14 +381,14 @@ def test_live_backend_requires_some_model_id(chat_server, monkeypatch):
 
 def test_request_carries_the_batch_finding_ids():
     findings = [make_finding(i) for i in range(4)]
-    request = build_prompt(batch_of(findings), default_template())
+    request = build_prompt(batch_of(findings), DEFAULT_TEMPLATE)
     assert request.finding_ids == tuple(f.id for f in findings)
     assert request_digest(replace(request, finding_ids=())) == request_digest(request)
 
 
 def test_scripted_backend_answers_only_known_ids():
     findings = [make_finding(i) for i in range(3)]
-    request = build_prompt(batch_of(findings), default_template())
+    request = build_prompt(batch_of(findings), DEFAULT_TEMPLATE)
     backend = ScriptedBackend({findings[0].id: "false_positive"})
     results = json.loads(backend.complete(request))["results"]
     assert [r["finding_id"] for r in results] == [findings[0].id]
@@ -382,7 +397,7 @@ def test_scripted_backend_answers_only_known_ids():
 
 def test_scripted_backend_default_classification():
     findings = [make_finding(i) for i in range(3)]
-    request = build_prompt(batch_of(findings), default_template())
+    request = build_prompt(batch_of(findings), DEFAULT_TEMPLATE)
     backend = ScriptedBackend({}, default="true_positive")
     results = json.loads(backend.complete(request))["results"]
     assert len(results) == 3
@@ -431,7 +446,7 @@ def test_record_then_replay_round_trip(tmp_path):
     cassette = tmp_path / "cassette.json"
     inner = ScriptedBackend({}, default="true_positive")
     findings = [make_finding(i) for i in range(3)]
-    request = build_prompt(batch_of(findings), default_template())
+    request = build_prompt(batch_of(findings), DEFAULT_TEMPLATE)
 
     recorder = CassetteRecorder(inner, cassette)
     recorded_text = recorder.complete(request)
@@ -470,7 +485,7 @@ def test_replay_missing_or_malformed_cassette(tmp_path):
 def test_backends_are_safe_under_concurrent_calls(tmp_path):
     findings = [make_finding(i) for i in range(40)]
     requests = [
-        build_prompt(batch_of([f], index=0), default_template()) for f in findings
+        build_prompt(batch_of([f], index=0), DEFAULT_TEMPLATE) for f in findings
     ]
     scripted = ScriptedBackend({}, default="false_positive")
     cassette = tmp_path / "cassette.json"
@@ -501,6 +516,21 @@ def test_failed_cassette_save_leaves_the_old_cassette(tmp_path):
         recorder.save()
     assert cassette.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+
+
+def test_cassette_save_that_cannot_rename_reraises_and_leaves_no_partial_file(tmp_path):
+    # The records encode, so the temporary file is written; the rename onto
+    # a non-empty directory is what fails.
+    cassette = tmp_path / "cassette.json"
+    cassette.mkdir()
+    (cassette / "kept").write_text("kept")
+    recorder = CassetteRecorder(StaticBackend("ok"), cassette)
+    recorder.complete(request_for())
+    with pytest.raises(OSError):
+        recorder.save()
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+    assert [p.name for p in cassette.iterdir()] == ["kept"]
+    assert (cassette / "kept").read_text() == "kept"
 
 
 def test_live_answer_with_a_lone_surrogate_is_recorded_and_replayed(

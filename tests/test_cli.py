@@ -1174,8 +1174,13 @@ def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, 
         lambda doc: doc["retained"][0]["finding"].update(cwe_name="Bogus"),
         lambda doc: doc["plan"].update(batch_size="fifteen"),
         lambda doc: doc["plan"].update(fail_open_enabled="maybe"),
+        lambda doc: doc["timing"].update(total_latency_seconds=float("nan")),
+        lambda doc: doc["scorecard"]["overall"]["matrix"].update(tp=-1),
     ],
-    ids=["unknown-finding-key", "unknown-plan-key", "wrong-cwe-name", "plan-int-as-text", "plan-bool-as-text"],
+    ids=[
+        "unknown-finding-key", "unknown-plan-key", "wrong-cwe-name", "plan-int-as-text", "plan-bool-as-text",
+        "latency-nan", "matrix-negative-count",
+    ],
 )
 def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, capsys, mutate):
     from tests.test_report import GOLDEN
@@ -1207,11 +1212,12 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
         ("report", "--in", "report", b'{"schema_version": "3"}\n', None),
         ("replay", "--cassette", "cassette", None, None),
         ("replay", "--cassette", "cassette", b'{"not": "an array"}\n', None),
+        ("replay", "--cassette", "cassette", b'[{"request_digest": "d"}]\n', None),
     ],
     ids=[
         "config-missing", "config-record", "verdicts-not-an-object", "template-not-utf8", "cwe-map-record",
         "ground-truth-record", "baseline-record", "detections-negative-code", "report-malformed",
-        "cassette-missing", "cassette-not-an-array",
+        "cassette-missing", "cassette-not-an-array", "cassette-record-without-response",
     ],
 )
 def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, flag, key, content, lineno):

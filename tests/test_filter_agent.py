@@ -22,13 +22,13 @@ from sastsieve.backends import (
 from sastsieve.filter_agent import (
     _TRUNCATION_MARKER,
     Batch,
+    DEFAULT_TEMPLATE,
     FailOpenEvent,
     FilterError,
     FilterStats,
     LlmRequest,
     apply_verdicts,
     build_prompt,
-    default_template,
     fail_open_events,
     filter_findings,
     parse_llm_response,
@@ -178,7 +178,7 @@ def test_prompt_contains_cwe_and_snippet():
     finding = make_finding(1, cwe=89)
     snippet = 'String q = "SELECT * FROM t WHERE id=" + userId;\nstmt.execute(q);\n'
     request = build_prompt(
-        batch_of([finding]), default_template(), sources={finding.file_path: snippet}
+        batch_of([finding]), DEFAULT_TEMPLATE, sources={finding.file_path: snippet}
     )
     assert "CWE-89" in request.user_text
     assert "SQL Injection" in request.user_text
@@ -189,7 +189,7 @@ def test_prompt_contains_cwe_and_snippet():
 
 def test_prompt_lists_all_fifteen_finding_ids():
     findings = [make_finding(i) for i in range(15)]
-    request = build_prompt(batch_of(findings), default_template())
+    request = build_prompt(batch_of(findings), DEFAULT_TEMPLATE)
     for finding in findings:
         assert finding.id in request.user_text
 
@@ -396,6 +396,15 @@ def test_timeout_backend_maps_to_timeout_cause():
     retained, _, _ = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
     assert all(ff.verdict.cause is FailOpenCause.TIMEOUT for ff in retained)
     assert fail_open_counts(retained) == {"timeout": 1}
+
+
+def test_an_unexpected_backend_exception_fails_open_as_transport_error():
+    findings = [make_finding(i) for i in range(5)]
+    backend = FailingBackend(RuntimeError("backend broke its contract"))
+    retained, suppressed, _ = filter_findings(findings, backend, quiet_config(), BARE_TEMPLATE)
+    assert [ff.finding for ff in retained] == findings and suppressed == []
+    assert all(ff.verdict.cause is FailOpenCause.TRANSPORT_ERROR for ff in retained)
+    assert fail_open_counts(retained) == {"transport_error": 1}
 
 
 def test_suppress_everything_backend_retains_nothing():
@@ -814,7 +823,7 @@ def test_prompt_bytes_with_one_finding_per_file_are_pinned(tmp_path):
     ]
     spy = SpyBackend(ScriptedBackend({}, default="true_positive"))
     filter_findings(
-        findings, spy, quiet_config(target_root=tmp_path, context_budget=120), default_template()
+        findings, spy, quiet_config(target_root=tmp_path, context_budget=120), DEFAULT_TEMPLATE
     )
     assert spy.requests[0].user_text == GOLDEN_ONE_FILE_EACH
 

@@ -28,7 +28,7 @@ from dataclasses import replace
 import pytest
 
 from sastsieve.backends import BackendError, BackendTimeoutError, backoff
-from sastsieve.filter_agent import FailOpenEvent, default_template, filter_findings
+from sastsieve.filter_agent import DEFAULT_TEMPLATE, FailOpenEvent, filter_findings
 from sastsieve.ingest import CweMappingTable, dedupe_by_testcase, normalize, parse_scanner_output
 from sastsieve.model import Classification, FailOpenCause, Provenance
 from sastsieve.pipeline import MissionPlan, run_mission
@@ -154,7 +154,7 @@ def through_filter(rng, findings, plan, base):
     """The filter stage alone, over the findings as given, in a report of its result."""
 
     def run(backend):
-        retained, suppressed, _ = filter_findings(findings, backend, plan, default_template())
+        retained, suppressed, _ = filter_findings(findings, backend, plan, DEFAULT_TEMPLATE)
         summary = PlanSummary.of(plan, len(findings), 0)
         return Report(plan=summary, retained=tuple(retained), suppressed=tuple(suppressed))
 
