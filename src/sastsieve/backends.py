@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .model import Classification, ConfigError, read_input, replace_surrogates
+from .model import Classification, ConfigError, read_input, replace_surrogates, write_whole
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +281,9 @@ class ScriptedBackend:
             pair = value if isinstance(value, (tuple, list)) else (value, "scripted verdict")
             try:
                 classification, rationale = pair
-                normalized[fid] = (Classification(classification), str(rationale))
+                if not isinstance(rationale, str):
+                    raise ValueError("the rationale is not text")
+                normalized[fid] = (Classification(classification), rationale)
             except ValueError:
                 raise ConfigError(
                     f"verdict for {fid!r} is not a classification or a "
@@ -378,12 +380,4 @@ class CassetteRecorder:
         with self._lock:
             records = [self._records[k] for k in sorted(self._records)]
         text = json.dumps(records, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        data = text.encode("utf-8")
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        partial = self._path.with_name(f".{self._path.name}.{os.getpid()}.tmp")
-        try:
-            partial.write_bytes(data)
-            os.replace(partial, self._path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        write_whole(self._path, text.encode("utf-8"))

@@ -13,7 +13,6 @@ import json
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .backends import (
     CassetteRecorder,
@@ -24,7 +23,7 @@ from .backends import (
 from .benchmark import load_ground_truth
 from .filter_agent import FilterError
 from .ingest import ScannerOutputError
-from .model import ConfigError, check_outputs, read_input
+from .model import ConfigError, check_outputs, read_input, write_whole
 from .pipeline import (
     CONFIG_KEYS,
     MissionPlan,
@@ -124,12 +123,6 @@ def _mission_config(args: argparse.Namespace) -> dict[str, object]:
     return config
 
 
-def _write(path: Path | str, data: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-
-
 def _build_backend(args: argparse.Namespace, plan: MissionPlan) -> tuple[object, MissionPlan]:
     """The backend the flags select, and the plan with the model it will ask for."""
     if args.verdicts is not None and args.backend != "scripted":
@@ -186,10 +179,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             backend.save()
 
     report = build_report(report, gt, baseline)
-    _write(plan.out_json, render_json(report))
-    _write(plan.out_text, render_text(report).encode("utf-8"))
+    write_whole(plan.out_json, render_json(report))
+    write_whole(plan.out_text, render_text(report).encode("utf-8"))
     if args.detections_out is not None:
-        _write(args.detections_out, serialize_detections(detections_of(report.retained)))
+        write_whole(args.detections_out, serialize_detections(detections_of(report.retained)))
     print(
         f"run {report.run_id}: retained {len(report.retained)}, "
         f"suppressed {len(report.suppressed)}, "
@@ -223,12 +216,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     check_outputs({"report": args.input}, out_json=args.out_json, out_text=args.out_text)
     report = read_input("report", args.input, load_report)
     if args.out_json is not None:
-        _write(args.out_json, render_json(report))
+        write_whole(args.out_json, render_json(report))
     text = render_text(
         report, max_retained=args.max_retained, max_suppressed=args.max_suppressed
     )
     if args.out_text is not None:
-        _write(args.out_text, text.encode("utf-8"))
+        write_whole(args.out_text, text.encode("utf-8"))
     else:
         print(text, end="")
     return EXIT_OK

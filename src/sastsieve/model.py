@@ -1,6 +1,6 @@
 """Scanner-independent domain types shared by every stage of the pipeline,
 and the rules for the paths a command reads and writes: ``as_path``,
-``read_input`` and ``check_outputs``.
+``read_input``, ``check_outputs`` and ``write_whole``.
 
 The types are immutable value objects; instances can be shared freely
 between threads.
@@ -12,6 +12,7 @@ import hashlib
 import io
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -105,8 +106,8 @@ def _file_key(path: Path) -> object:
 
 
 def check_outputs(inputs: Mapping[str, Path | str | None], /, **outputs: Path | str | None) -> None:
-    """Refuse an empty path, and an output path that is an existing
-    directory, another output of the same command or one of its ``inputs``.
+    """Refuse an empty path, and an output path that exists but is not a
+    regular file, another output of the same command or one of its ``inputs``.
 
     Two paths clash when they name one file: through ``..``, a symbolic
     link or, for a file that exists, a hard link.
@@ -122,7 +123,32 @@ def check_outputs(inputs: Mapping[str, Path | str | None], /, **outputs: Path | 
             raise ConfigError(f"{key}: {value} is the same file as {seen[file]}")
         if path.is_dir():
             raise ConfigError(f"{key}: {value} is a directory")
+        # write_whole would rename a file over a device or socket, not write into it.
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"{key}: {value} is not a regular file")
         seen[file] = f"{key}: {value}"
+
+
+def write_whole(path: Path | str, data: bytes) -> None:
+    """Replace the file ``path`` names with ``data``, whole or not at all.
+
+    The one place an output file is written: the bytes go to a temporary
+    file beside the target, which is renamed over it, so a killed run or a
+    full disk leaves the old file and no partial one. A symbolic link stays
+    a link and its target is replaced, keeping its permission bits; missing
+    parent directories are created. Not fsynced: a power cut is not covered.
+    """
+    target = Path(os.path.realpath(path))
+    target.parent.mkdir(parents=True, exist_ok=True)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_bytes(data)
+        if target.exists():  # a new file gets the bits the umask leaves
+            os.chmod(partial, stat.S_IMODE(target.stat().st_mode))
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def record_lines(text: str) -> Iterator[tuple[int, str]]:

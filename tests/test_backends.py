@@ -30,7 +30,7 @@ from sastsieve.model import ConfigError
 from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from tests.conftest import make_finding
 from tests.test_cli import only_finding_id, record_cassette
-from tests.test_filter_agent import SpyBackend, StaticBackend, batch_of
+from tests.test_filter_agent import SpyBackend, batch_of
 from tests.test_ingest import result_doc
 from tests.test_pipeline import benchmark_results, saved_scan
 
@@ -505,34 +505,6 @@ def test_backends_are_safe_under_concurrent_calls(tmp_path):
     assert digests == sorted(digests)  # cassette file order is deterministic
 
 
-def test_failed_cassette_save_leaves_the_old_cassette(tmp_path):
-    cassette = tmp_path / "cassette.json"
-    cassette.write_text('[{"request_digest": "d", "response_text": "t"}]\n')
-    old = cassette.read_bytes()
-    # A lone surrogate cannot be encoded, so writing the records fails.
-    recorder = CassetteRecorder(StaticBackend("ok \ud800"), cassette)
-    recorder.complete(request_for())
-    with pytest.raises(UnicodeEncodeError):
-        recorder.save()
-    assert cassette.read_bytes() == old
-    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
-
-
-def test_cassette_save_that_cannot_rename_reraises_and_leaves_no_partial_file(tmp_path):
-    # The records encode, so the temporary file is written; the rename onto
-    # a non-empty directory is what fails.
-    cassette = tmp_path / "cassette.json"
-    cassette.mkdir()
-    (cassette / "kept").write_text("kept")
-    recorder = CassetteRecorder(StaticBackend("ok"), cassette)
-    recorder.complete(request_for())
-    with pytest.raises(OSError):
-        recorder.save()
-    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
-    assert [p.name for p in cassette.iterdir()] == ["kept"]
-    assert (cassette / "kept").read_text() == "kept"
-
-
 def test_live_answer_with_a_lone_surrogate_is_recorded_and_replayed(
     tmp_path, chat_server, monkeypatch, capsys
 ):
@@ -570,6 +542,29 @@ def test_live_answer_with_a_lone_surrogate_is_recorded_and_replayed(
         [dropped] = json.loads(out_json.read_bytes())["suppressed"]
         assert dropped["verdict"]["rationale"] == "ok \ufffd"
     assert chat_server.hits == 1
+
+
+def test_a_live_run_writes_through_symbolic_links_to_its_cassette_and_report(
+    tmp_path, chat_server, monkeypatch, capsys
+):
+    scan = saved_scan(tmp_path, benchmark_results(1))
+    chat_server.plan = [("ok", json.dumps({"results": []}))]
+    monkeypatch.setenv("QSC_API_KEY", "k")
+    monkeypatch.setenv("QSC_API_BASE", f"http://127.0.0.1:{chat_server.server_address[1]}")
+    monkeypatch.setenv("QSC_MODEL", "m")
+    targets = tmp_path / "targets"
+    targets.mkdir()
+    for name in ("c.json", "r.json"):
+        (targets / name).write_bytes(b"old\n")
+        (tmp_path / name).symlink_to(targets / name)
+    argv = ["--cassette", str(tmp_path / "c.json"), "--out-json", str(tmp_path / "r.json")]
+    code = main(["run", "--scan-json", scan, "--backend", "live", *argv, "--out-text", str(tmp_path / "r.txt")])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "c.json").is_symlink() and (tmp_path / "r.json").is_symlink()
+    [record] = json.loads((targets / "c.json").read_bytes())
+    assert json.loads(record["response_text"]) == {"results": []}
+    assert json.loads((targets / "r.json").read_bytes())["schema_version"] == "3"
+    assert sorted(p.name for p in targets.iterdir()) == ["c.json", "r.json"]
 
 
 # The HTTP client is loaded only when a live backend is built. Other tests

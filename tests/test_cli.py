@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -1134,36 +1136,92 @@ def test_an_output_on_an_input_of_the_same_command_exits_one_before_any_work(
     assert Path("shared").read_bytes() == content
 
 
-@pytest.mark.parametrize(
+# Each command that names an output NODE, and the key its refusal names.
+OUTPUT_ON_NODE = pytest.mark.parametrize(
     "argv, key",
     [
-        (["run", "--out-json", "DIR"], "out_json"),
-        (["run", "--out-text", "DIR"], "out_text"),
-        (["run", "--detections-out", "DIR"], "detections_out"),
-        (["run", "--backend", "live", "--cassette", "DIR"], "cassette"),
-        (["report", "--in", "absent.json", "--out-json", "DIR"], "out_json"),
-        (["report", "--in", "absent.json", "--out-text", "DIR"], "out_text"),
+        (["run", "--out-json", "NODE"], "out_json"),
+        (["run", "--out-text", "NODE"], "out_text"),
+        (["run", "--detections-out", "NODE"], "detections_out"),
+        (["run", "--backend", "live", "--cassette", "NODE"], "cassette"),
+        (["report", "--in", "absent.json", "--out-json", "NODE"], "out_json"),
+        (["report", "--in", "absent.json", "--out-text", "NODE"], "out_text"),
     ],
     ids=["run-out-json", "run-out-text", "detections-out", "live-cassette", "report-out-json", "report-out-text"],
 )
-def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+
+
+def refused_output_line(tmp_path, monkeypatch, capsys, argv, key):
+    """The one error line of ``argv`` run in ``tmp_path``, which must exit 1 having written nothing."""
     # Each command would fail later otherwise: an absent scan file exits 2,
     # and an absent report exits 1 naming the report.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QSC_API_KEY", "k")
     monkeypatch.setenv("QSC_API_BASE", "http://127.0.0.1:9/v1")
     monkeypatch.setenv("QSC_MODEL", "m")
-    (tmp_path / "DIR").mkdir()
     if argv[0] == "run":
         argv = [*argv[:1], "--scan-json", "absent.json", "--out-json", "r.json", "--out-text", "r.txt", *argv[1:]]
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1, err
     [line] = error_lines(err)
-    assert line.startswith(f"error: {key}: ") and "directory" in line, line
+    assert line.startswith(f"error: {key}: "), line
     assert out == ""
-    assert list(tmp_path.iterdir()) == [tmp_path / "DIR"]
-    assert list((tmp_path / "DIR").iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "NODE"]
+    return line
+
+
+@OUTPUT_ON_NODE
+def test_an_output_on_an_existing_directory_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+    (tmp_path / "NODE").mkdir()
+    line = refused_output_line(tmp_path, monkeypatch, capsys, argv, key)
+    assert line.endswith("NODE is a directory"), line
+    assert list((tmp_path / "NODE").iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@OUTPUT_ON_NODE
+def test_an_output_on_a_named_pipe_exits_one_before_any_work(tmp_path, monkeypatch, capsys, argv, key):
+    # Written to, a pipe would block the run until a reader came; renamed
+    # over, it would be gone.
+    os.mkfifo(tmp_path / "NODE")
+    line = refused_output_line(tmp_path, monkeypatch, capsys, argv, key)
+    assert line.endswith("NODE is not a regular file"), line
+    assert stat.S_ISFIFO((tmp_path / "NODE").lstat().st_mode)
+
+
+def test_a_report_that_cannot_be_renamed_into_place_keeps_its_old_bytes(tmp_path, monkeypatch, capsys):
+    scan = saved_scan(tmp_path, benchmark_results(3))
+    out_text = tmp_path / "report.txt"
+    out_text.write_bytes(b"the previous report\n")
+    replace = os.replace
+
+    def refuse_the_text_report(source, target):
+        if Path(target).name == "report.txt":
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", refuse_the_text_report)
+    code = main(["run", "--scan-json", scan, "--out-json", str(tmp_path / "report.json"), "--out-text", str(out_text)])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    [line] = error_lines(err)
+    assert "Invalid cross-device link" in line, line
+    assert "Traceback" not in err
+    assert out_text.read_bytes() == b"the previous report\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize(
+    "case", ["run --out-json", "run --out-text", "run --detections-out", "report --out-json", "report --out-text"]
+)
+def test_an_existing_private_output_stays_private(tmp_path, capsys, case):
+    out = tmp_path / "private"
+    out.write_bytes(b"old\n")
+    out.chmod(0o600)
+    assert main(command_writing(tmp_path, case, out)) == 0
+    assert out.read_bytes() != b"old\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize(
@@ -1199,28 +1257,46 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "command, flag, key, content, lineno",
+    "command, flag, key, content, lineno, what",
     [
-        ("run", "--config", "config", None, None),
-        ("run", "--config", "config", b"batch_size = 2\n# note\nnot a key value line\n", 3),
-        ("run", "--verdicts", "verdicts", b'["f1"]\n', None),
-        ("run", "--template", "template", b"\xff{{findings_block}}\n", None),
-        ("run", "--cwe-map", "cwe_map", b"200 -> 22\n200 => 22\n", 2),
-        ("run", "--ground-truth", "ground_truth", b"BenchmarkTest00001,sqli,maybe,89\n", 1),
-        ("run", "--baseline", "baseline", b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n", 2),
-        ("score", "--detections", "detections", b"BenchmarkTest00001,89\nBenchmarkTest00002,-89\n", 2),
-        ("report", "--in", "report", b'{"schema_version": "3"}\n', None),
-        ("replay", "--cassette", "cassette", None, None),
-        ("replay", "--cassette", "cassette", b'{"not": "an array"}\n', None),
-        ("replay", "--cassette", "cassette", b'[{"request_digest": "d"}]\n', None),
+        ("run", "--config", "config", None, None, "No such file or directory"),
+        ("run", "--config", "config", b"batch_size = 2\n# note\nnot a key value line\n", 3, "expected 'key = value'"),
+        ("run", "--verdicts", "verdicts", b'["f1"]\n', None, "must hold a JSON object"),
+        (
+            "run", "--verdicts", "verdicts", b'{"f1": ["true_positive", null], "f2": "false_positive"}\n', None,
+            "verdict for 'f1' is not a classification or a [classification, rationale] pair",
+        ),
+        (
+            "run", "--verdicts", "verdicts", b'{"f1": ["false_positive", 5]}\n', None,
+            "verdict for 'f1' is not a classification or a [classification, rationale] pair",
+        ),
+        ("run", "--template", "template", b"\xff{{findings_block}}\n", None, "can't decode byte 0xff"),
+        ("run", "--cwe-map", "cwe_map", b"200 -> 22\n200 => 22\n", 2, "expected 'alias -> category'"),
+        (
+            "run", "--ground-truth", "ground_truth", b"BenchmarkTest00001,sqli,maybe,89\n", 1,
+            "vulnerability flag must be true/false",
+        ),
+        (
+            "run", "--baseline", "baseline", b"BenchmarkTest00001,89\nBenchmarkTest00002,eighty\n", 2,
+            "invalid literal for int()",
+        ),
+        (
+            "score", "--detections", "detections", b"BenchmarkTest00001,89\nBenchmarkTest00002,-89\n", 2,
+            "CWE code must be non-negative",
+        ),
+        ("report", "--in", "report", b'{"schema_version": "3"}\n', None, "malformed report document"),
+        ("replay", "--cassette", "cassette", None, None, "No such file or directory"),
+        ("replay", "--cassette", "cassette", b'{"not": "an array"}\n', None, "must be a JSON array of records"),
+        ("replay", "--cassette", "cassette", b'[{"request_digest": "d"}]\n', None, "malformed record"),
     ],
     ids=[
-        "config-missing", "config-record", "verdicts-not-an-object", "template-not-utf8", "cwe-map-record",
-        "ground-truth-record", "baseline-record", "detections-negative-code", "report-malformed",
-        "cassette-missing", "cassette-not-an-array", "cassette-record-without-response",
+        "config-missing", "config-record", "verdicts-not-an-object", "verdicts-null-rationale",
+        "verdicts-number-rationale", "template-not-utf8", "cwe-map-record", "ground-truth-record",
+        "baseline-record", "detections-negative-code", "report-malformed", "cassette-missing",
+        "cassette-not-an-array", "cassette-record-without-response",
     ],
 )
-def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, flag, key, content, lineno):
+def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, flag, key, content, lineno, what):
     bad = tmp_path / "bad.input"
     if content is not None:
         bad.write_bytes(content)
@@ -1244,6 +1320,7 @@ def test_every_input_error_reads_key_path_and_what(tmp_path, capsys, command, fl
     assert code == 1, err
     [line] = error_lines(err)
     assert line.startswith(f"error: {key} {bad}: "), line
+    assert what in line, line
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
     if lineno is not None:

@@ -1,5 +1,11 @@
+import ast
+import errno
+import os
 import random
+import stat
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +23,7 @@ from sastsieve.model import (
     as_path,
     finding_id,
     read_input,
+    write_whole,
 )
 from sastsieve.model import test_id_from_path as id_from_path
 from tests.conftest import make_finding
@@ -194,3 +201,130 @@ def test_every_refused_input_or_setting_raises_config_error(monkeypatch):
     for refusal in refusals:
         with pytest.raises(ConfigError):
             refusal()
+
+
+def test_write_whole_replaces_a_link_target_keeping_its_permission_bits(tmp_path):
+    target = tmp_path / "private" / "report.json"
+    target.parent.mkdir()
+    target.write_bytes(b"old\n")
+    target.chmod(0o600)
+    link = tmp_path / "report.json"
+    link.symlink_to(target)
+    write_whole(link, b"new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["private", "report.json", "report.json"]
+    write_whole(tmp_path / "absent" / "dir" / "out", b"made\n")
+    assert (tmp_path / "absent" / "dir" / "out").read_bytes() == b"made\n"
+
+
+def _unencodable_cassette(path: Path, monkeypatch) -> None:
+    from sastsieve.backends import CassetteRecorder, LlmRequest
+
+    # A lone surrogate cannot be encoded, so the records never reach the disk.
+    recorder = CassetteRecorder(SimpleNamespace(complete=lambda request: "ok \ud800"), path)
+    recorder.complete(LlmRequest("m", "system", "review this"))
+    with pytest.raises(UnicodeEncodeError):
+        recorder.save()
+
+
+def _disk_full(path: Path, monkeypatch) -> None:
+    def write_half(self, data):
+        with open(self, "wb") as partial:
+            partial.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half)
+    with pytest.raises(OSError, match="No space left"):
+        write_whole(path, b"[]\n" * 100)
+
+
+def _onto_a_directory(path: Path, monkeypatch) -> None:
+    # The bytes are written to the temporary file; the rename onto a
+    # non-empty directory is what fails.
+    with pytest.raises(OSError):
+        write_whole(path, b"[]\n")
+
+
+@pytest.mark.parametrize(
+    "old, write",
+    [
+        ("file", _unencodable_cassette),
+        ("file", _disk_full),
+        ("directory", _onto_a_directory),
+    ],
+    ids=["unencodable-cassette", "disk-full", "rename-onto-a-directory"],
+)
+def test_a_failed_write_keeps_the_old_output_and_leaves_no_partial_file(tmp_path, monkeypatch, old, write):
+    path = tmp_path / "cassette.json"
+    if old == "file":
+        path.write_text('[{"request_digest": "d", "response_text": "t"}]\n')
+    else:
+        path.mkdir()
+        (path / "kept").write_text("kept")
+
+    def tree():
+        return sorted((p.relative_to(tmp_path), p.is_file() and p.read_bytes()) for p in tmp_path.rglob("*"))
+
+    before = tree()
+    write(path, monkeypatch)
+    assert tree() == before
+
+
+def file_writes(tree: ast.AST) -> list[ast.Call]:
+    """Every call that writes or renames a file: ``write_bytes``, ``write_text``,
+    ``os.replace``, ``os.rename``, and ``open`` with a literal write mode."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        of_os = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os"
+        if name in ("write_bytes", "write_text") or (of_os and name in ("replace", "rename")):
+            found.append(node)
+        elif name == "open":
+            if of_os:  # os.open(path, flags)
+                writes = any(flag in ast.unparse(node) for flag in ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND"))
+            else:  # open(path, mode) or path.open(mode)
+                modes = node.args[1:] if isinstance(func, ast.Name) else node.args[:1]
+                modes = [*modes, *(k.value for k in node.keywords if k.arg == "mode")]
+                writes = any(
+                    isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+")
+                    for m in modes
+                )
+            if writes:
+                found.append(node)
+    return found
+
+
+def test_write_whole_is_the_only_code_that_writes_a_file():
+    src = Path(__file__).resolve().parents[1] / "src" / "sastsieve"
+    writers = set()
+    for module in sorted(src.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in file_writes(tree):
+            enclosing = [f.name for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+            writers.add((module.name, enclosing[-1] if enclosing else None, ast.unparse(call.func)))
+    assert {(module, function) for module, function, _ in writers} == {("model.py", "write_whole")}, writers
+
+
+def test_file_writes_finds_each_kind_of_write():
+    source = """
+Path(p).write_bytes(b"")
+p.write_text("")
+os.replace(a, b)
+os.rename(a, b)
+open(p, "w")
+open(p, mode="ab")
+p.open("r+")
+os.open(p, os.O_WRONLY | os.O_CREAT)
+open(p)
+open(p, "rb", encoding=None)
+p.open()
+"x".replace("a", "b")
+dataclasses.replace(x)
+"""
+    assert sorted(call.lineno for call in file_writes(ast.parse(source))) == [2, 3, 4, 5, 6, 7, 8, 9]
