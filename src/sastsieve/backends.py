@@ -340,9 +340,9 @@ class ReplayBackend:
             return self._responses[digest]
         except KeyError:
             raise CassetteMissError(
-                f"no recorded response for request {digest[:12]}... under model "
-                f"{request.model_id!r}; a cassette replays only under the model it was "
-                f"recorded with"
+                f"no recorded response for request {digest[:12]}... under model {request.model_id!r}; "
+                f"the digest covers the model, system text, template and source context, so a cassette "
+                f"replays only under the model, template and source tree (--target) it was recorded with"
             ) from None
 
 

@@ -37,8 +37,7 @@ from .report import (
     DEFAULT_SUPPRESSED_DISPLAY,
     build_report,
     detections_of,
-    format_comparison_text,
-    format_scorecard_text,
+    format_scoring_text,
     load_report,
     render_json,
     render_text,
@@ -198,17 +197,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     baseline = read_input("baseline", args.baseline, load_detections, errors="replace")
 
     card = score_per_cwe(detections, gt, match_any_cwe=args.match_any_cwe)
-    print(f"metrics vs ground truth ({card.overall[0].total} test cases):")
-    print("\n".join(format_scorecard_text(card)))
+    baseline_card = deltas = None
     if baseline is not None:
         baseline_card = score_per_cwe(baseline, gt, match_any_cwe=args.match_any_cwe)
-        comparison = compare(baseline_card, card)
-        print()
-        print("baseline metrics:")
-        print("\n".join(format_scorecard_text(baseline_card)))
-        print()
-        print("f1 deltas vs baseline:")
-        print("\n".join(format_comparison_text(comparison)))
+        deltas = compare(baseline_card, card)
+    print("\n".join(format_scoring_text(card, baseline_card, deltas)))
     return EXIT_OK
 
 

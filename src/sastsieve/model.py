@@ -140,7 +140,11 @@ def write_whole(path: Path | str, data: bytes) -> None:
     """
     target = Path(os.path.realpath(path))
     target.parent.mkdir(parents=True, exist_ok=True)
-    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    # A long name is cut, whole characters at a time, to fit NAME_MAX: 255 bytes on Linux and macOS.
+    name, suffix = target.name, f".{os.getpid()}.tmp"
+    while len(os.fsencode(f".{name}{suffix}")) > 255:
+        name = name[:-1]
+    partial = target.with_name(f".{name}{suffix}")
     try:
         partial.write_bytes(data)
         if target.exists():  # a new file gets the bits the umask leaves

@@ -173,6 +173,15 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _prompt_template(text: str) -> str:
+    """A template's text, which holds the findings placeholder at most once."""
+    if (count := text.count(FINDINGS_PLACEHOLDER)) > 1:
+        raise ValueError(f"holds {FINDINGS_PLACEHOLDER} {count} times; every finding would be sent {count} times")
+    if not count:
+        log.warning("prompt template lacks %s; appending the findings block", FINDINGS_PLACEHOLDER)
+    return text
+
+
 def run_mission(plan: MissionPlan, backend) -> Report:
     """Execute scan, parse, normalize, dedupe and filter, and return the
     unscored report.
@@ -182,11 +191,12 @@ def run_mission(plan: MissionPlan, backend) -> Report:
     """
     started = _utcnow()
     table = read_input("cwe_map", plan.cwe_map, CweMappingTable.load) or CweMappingTable.default()
-    template = read_input("template", plan.template, str)
+    template = read_input("template", plan.template, _prompt_template)
     if template is None:
         template = DEFAULT_TEMPLATE
-    if FINDINGS_PLACEHOLDER not in template:
-        log.warning("prompt template lacks %s; appending the findings block", FINDINGS_PLACEHOLDER)
+    if plan.target_root is None:
+        log.warning("target_root is unset: each finding is sent without its source, "
+                    "and a false_positive answer still suppresses it")
 
     payload = run_scanner(plan)
     parsed = parse_scanner_output(payload)

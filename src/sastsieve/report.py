@@ -24,14 +24,10 @@ from .benchmark import GroundTruth
 from .filter_agent import FailOpenEvent, FilterStats, fail_open_events
 from .model import ConfigError, CweCategory, FilteredFinding, Provenance, Severity, TestCaseId, replace_surrogates
 from .scoring import (
-    ConfusionMatrix,
     CweScorecard,
-    Delta,
     Detection,
-    MetricSet,
     ScorecardComparison,
     compare,
-    compute_metrics,
     round_display,
     score_per_cwe,
 )
@@ -170,13 +166,9 @@ def build_report(
 #
 # Records are written field by field from their resolved types: enums and
 # TestCaseId as their value, X | None as the value or null, tuples as lists,
-# and Mapping[int, X] as an object keyed by str(code). Two layouts are named
-# exceptions: a CweCategory field is stored flat as <field>_code and
-# <field>_name, and a scorecard's (matrix, metrics) pair is an object with
-# those two keys, whose metrics are derived from the matrix and not read back.
-# Decoding rejects every other shape.
-
-_SCORE_PAIR = tuple[ConfusionMatrix, MetricSet]
+# and Mapping[int, X] as an object keyed by str(code). One layout is a named
+# exception: a CweCategory field is stored flat as <field>_code and
+# <field>_name. Decoding rejects every other shape.
 
 
 def _same(value: object) -> object:
@@ -201,12 +193,6 @@ def _codec(tp: object) -> tuple[Callable, Callable]:
     more than the encoding itself.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp == _SCORE_PAIR:
-        (enc_matrix, dec_matrix), (enc_metrics, _) = map(_codec, args)
-        return (
-            lambda pair: {"matrix": enc_matrix(pair[0]), "metrics": enc_metrics(pair[1])},
-            lambda doc: (matrix := dec_matrix(_expect(doc, dict).get("matrix")), compute_metrics(matrix)),
-        )
     if origin in (Union, UnionType):  # X | None
         encode, decode = _codec(args[0])
         return (
@@ -307,42 +293,44 @@ def fmt_metric(value: float | None) -> str:
     return "n/a" if value is None else f"{round_display(value):.3f}"
 
 
-def fmt_rel(value: float | None) -> str:
-    return "n/a" if value is None else f"{value * 100:+.1f}%"
+def format_scoring_text(
+    card: CweScorecard, baseline: CweScorecard | None = None, deltas: ScorecardComparison | None = None
+) -> list[str]:
+    """The scoring section of a text report: the scorecard, then the
+    baseline's own scorecard and the F1 deltas, each when given."""
 
+    def scopes(scored: CweScorecard | ScorecardComparison) -> list[tuple[str, typing.Any]]:
+        """The overall scope, then each CWE code in order, with what ``scored`` holds for it."""
+        per_cwe = scored.per_cwe
+        return [("overall", scored.overall), *((f"CWE-{code}", per_cwe[code]) for code in sorted(per_cwe))]
 
-def format_scorecard_text(card: CweScorecard) -> list[str]:
-    lines = [
-        f"  {'scope':<10} {'tp':>5} {'fp':>5} {'tn':>5} {'fn':>5}"
-        f"  {'prec':>6} {'rec':>6} {'f1':>6} {'fpr':>6} {'J':>6}"
-    ]
+    def scorecard(title: str, scored: CweScorecard) -> list[str]:
+        lines = [
+            title,
+            f"  {'scope':<10} {'tp':>5} {'fp':>5} {'tn':>5} {'fn':>5}"
+            f"  {'prec':>6} {'rec':>6} {'f1':>6} {'fpr':>6} {'J':>6}",
+        ]
+        for label, score in scopes(scored):
+            cm, metrics = score.matrix, score.metrics
+            lines.append(
+                f"  {label:<10} {cm.tp:>5} {cm.fp:>5} {cm.tn:>5} {cm.fn:>5}"
+                f"  {fmt_metric(metrics.precision):>6} {fmt_metric(metrics.recall):>6}"
+                f" {fmt_metric(metrics.f1):>6} {fmt_metric(metrics.fpr):>6}"
+                f" {fmt_metric(metrics.youden_j):>6}"
+            )
+        return lines
 
-    def row(label: str, cm: ConfusionMatrix, metrics: MetricSet) -> str:
-        return (
-            f"  {label:<10} {cm.tp:>5} {cm.fp:>5} {cm.tn:>5} {cm.fn:>5}"
-            f"  {fmt_metric(metrics.precision):>6} {fmt_metric(metrics.recall):>6}"
-            f" {fmt_metric(metrics.f1):>6} {fmt_metric(metrics.fpr):>6}"
-            f" {fmt_metric(metrics.youden_j):>6}"
-        )
-
-    lines.append(row("overall", *card.overall))
-    for code in sorted(card.per_cwe):
-        cm, metrics = card.per_cwe[code]
-        lines.append(row(f"CWE-{code}", cm, metrics))
-    return lines
-
-
-def format_comparison_text(comparison: ScorecardComparison) -> list[str]:
-    lines = [f"  {'scope':<10} {'f1 abs':>8} {'f1 rel':>8}"]
-
-    def row(label: str, delta: Delta | None) -> str:
-        if delta is None:
-            return f"  {label:<10} {'n/a':>8} {'n/a':>8}"
-        return f"  {label:<10} {delta.f1_abs:>+8.3f} {fmt_rel(delta.f1_rel):>8}"
-
-    lines.append(row("overall", comparison.overall))
-    for code in sorted(comparison.per_cwe):
-        lines.append(row(f"CWE-{code}", comparison.per_cwe[code]))
+    lines = scorecard(f"metrics vs ground truth ({card.overall.matrix.total} test cases):", card)
+    if baseline is not None:
+        lines += ["", *scorecard("baseline metrics:", baseline)]
+    if deltas is not None:
+        lines += ["", "f1 deltas vs baseline:", f"  {'scope':<10} {'f1 abs':>8} {'f1 rel':>8}"]
+        for label, delta in scopes(deltas):
+            if delta is None:
+                lines.append(f"  {label:<10} {'n/a':>8} {'n/a':>8}")
+            else:
+                rel = "n/a" if delta.f1_rel is None else f"{delta.f1_rel * 100:+.1f}%"
+                lines.append(f"  {label:<10} {delta.f1_abs:>+8.3f} {rel:>8}")
     return lines
 
 
@@ -396,14 +384,7 @@ def render_text(
     )
 
     if report.scorecard is not None:
-        total = report.scorecard.overall[0].total
-        lines.append("")
-        lines.append(f"metrics vs ground truth ({total} test cases):")
-        lines.extend(format_scorecard_text(report.scorecard))
-    if report.baseline_deltas is not None:
-        lines.append("")
-        lines.append("f1 deltas vs baseline:")
-        lines.extend(format_comparison_text(report.baseline_deltas))
+        lines += ["", *format_scoring_text(report.scorecard, deltas=report.baseline_deltas)]
 
     lines.append("")
     lines.append(f"retained (top {max_retained} by severity):")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Collection, Mapping
 
@@ -64,9 +64,20 @@ class MetricSet:
 
 
 @dataclass(frozen=True)
+class Score:
+    """One scope's confusion matrix and the metrics derived from it."""
+
+    matrix: ConfusionMatrix
+    metrics: MetricSet = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metrics", compute_metrics(self.matrix))
+
+
+@dataclass(frozen=True)
 class CweScorecard:
-    per_cwe: Mapping[int, tuple[ConfusionMatrix, MetricSet]]
-    overall: tuple[ConfusionMatrix, MetricSet]
+    per_cwe: Mapping[int, Score]
+    overall: Score
 
 
 @dataclass(frozen=True)
@@ -120,17 +131,17 @@ def score_per_cwe(
         return (entry.test_id, entry.cwe.code) in pairs
 
     counts = Counter((e.cwe.code, e.is_vulnerable, hit(e)) for e in gt.values())
-    per_cwe: dict[int, tuple[ConfusionMatrix, MetricSet]] = {}
-    for code in sorted({code for code, _, _ in counts}):
-        cm = ConfusionMatrix(
+    per_cwe = {
+        code: Score(ConfusionMatrix(
             tp=counts[code, True, True],
             fp=counts[code, False, True],
             tn=counts[code, False, False],
             fn=counts[code, True, False],
-        )
-        per_cwe[code] = (cm, compute_metrics(cm))
-    overall = sum((cm for cm, _ in per_cwe.values()), ConfusionMatrix(0, 0, 0, 0))
-    return CweScorecard(per_cwe=per_cwe, overall=(overall, compute_metrics(overall)))
+        ))
+        for code in sorted({code for code, _, _ in counts})
+    }
+    overall = sum((score.matrix for score in per_cwe.values()), ConfusionMatrix(0, 0, 0, 0))
+    return CweScorecard(per_cwe=per_cwe, overall=Score(overall))
 
 
 def compare(baseline: CweScorecard, candidate: CweScorecard) -> ScorecardComparison:
@@ -154,12 +165,12 @@ def compare(baseline: CweScorecard, candidate: CweScorecard) -> ScorecardCompari
         return Delta(f1_abs=f1_abs, f1_rel=f1_rel)
 
     per_cwe = {
-        code: delta(baseline.per_cwe[code][1], candidate.per_cwe[code][1])
+        code: delta(baseline.per_cwe[code].metrics, candidate.per_cwe[code].metrics)
         for code in sorted(base_codes)
     }
     return ScorecardComparison(
         per_cwe=per_cwe,
-        overall=delta(baseline.overall[1], candidate.overall[1]),
+        overall=delta(baseline.overall.metrics, candidate.overall.metrics),
     )
 
 

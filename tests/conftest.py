@@ -14,6 +14,7 @@ import pytest
 
 from sastsieve.benchmark import GroundTruth, load_ground_truth
 from sastsieve.model import CweCategory, Finding, Severity, TestCaseId
+from sastsieve.scoring import ConfusionMatrix, Score
 
 # (cwe code, csv category name, vulnerable, safe)
 CATEGORY_ROWS = [
@@ -67,6 +68,12 @@ BASELINE_CELLS = {
 
 PIPELINE_OVERALL = (1233, 64, 1261, 182)
 BASELINE_OVERALL = (1273, 560, 765, 142)
+
+
+def score_with_f1(f1: float) -> Score:
+    """A score whose F1 is ``f1`` to three places: 2tp / (2tp + fp) with 2tp + fp = 2000 is tp / 1000."""
+    tp = round(f1 * 1000)
+    return Score(ConfusionMatrix(tp=tp, fp=2000 - 2 * tp, tn=0, fn=0))
 
 
 def category_test_ids() -> dict[int, tuple[list[TestCaseId], list[TestCaseId]]]:

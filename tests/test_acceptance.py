@@ -31,7 +31,6 @@ from sastsieve.pipeline import MissionPlan, plan_mission, run_mission
 from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
-    MetricSet,
     compare,
     compute_metrics,
     round_display,
@@ -41,6 +40,7 @@ from tests.conftest import (
     CATEGORY_ROWS,
     distribution_csv_bytes,
     make_finding,
+    score_with_f1,
 )
 from tests.test_filter_agent import FailingBackend
 from tests.test_pipeline import benchmark_results, saved_scan
@@ -132,14 +132,9 @@ def test_criterion_2_ground_truth_fidelity():
 
 
 def _scorecard_from_f1(column: int) -> CweScorecard:
-    placeholder = ConfusionMatrix(0, 0, 0, 0)
-
-    def entry(f1: float):
-        return (placeholder, MetricSet(None, None, f1, None, None))
-
     return CweScorecard(
-        per_cwe={code: entry(values[column]) for code, values in PUBLISHED_F1.items()},
-        overall=entry(PUBLISHED_OVERALL_F1[column]),
+        per_cwe={code: score_with_f1(values[column]) for code, values in PUBLISHED_F1.items()},
+        overall=score_with_f1(PUBLISHED_OVERALL_F1[column]),
     )
 
 
@@ -197,8 +192,8 @@ def test_criterion_4_fail_open_soundness():
             assert suppressed == []
             assert all(ff.verdict.provenance is Provenance.FAIL_OPEN for ff in retained)
             gt = _random_ground_truth(rng, findings)
-            pipeline_cm = score_per_cwe(_detections([ff.finding for ff in retained]), gt).overall[0]
-            baseline_cm = score_per_cwe(_detections(findings), gt).overall[0]
+            pipeline_cm = score_per_cwe(_detections([ff.finding for ff in retained]), gt).overall.matrix
+            baseline_cm = score_per_cwe(_detections(findings), gt).overall.matrix
             assert pipeline_cm == baseline_cm
 
 
@@ -259,7 +254,7 @@ def test_criterion_7_scoring_oracle_equivalence():
                     code = entry.cwe.code if rng.random() < 0.7 else rng.choice(codes)
                     detections.add((entry.test_id, code))
 
-            cm = score_per_cwe(detections, gt).overall[0]
+            cm = score_per_cwe(detections, gt).overall.matrix
             tp = fp = tn = fn = 0
             for entry in gt.values():
                 detected = (entry.test_id, entry.cwe.code) in detections
@@ -275,9 +270,9 @@ def test_criterion_7_scoring_oracle_equivalence():
 
             card = score_per_cwe(detections, gt)
             summed = ConfusionMatrix(0, 0, 0, 0)
-            for sub_cm, _ in card.per_cwe.values():
-                summed = summed + sub_cm
-            assert summed == card.overall[0]
+            for score in card.per_cwe.values():
+                summed = summed + score.matrix
+            assert summed == card.overall.matrix
 
 
 def test_criterion_8_replay_determinism(tmp_path):

@@ -464,9 +464,11 @@ def test_replay_miss_fails_the_call(tmp_path):
     cassette = tmp_path / "cassette.json"
     cassette.write_text("[]")
     replay = ReplayBackend(cassette)
-    # A cassette replays only under the model it was recorded with; say which was asked for.
-    with pytest.raises(CassetteMissError, match="model 'other-model'"):
+    # A cassette replays only under the model it was recorded with; say which was asked for,
+    # and that the template and the source context are part of the digest too.
+    with pytest.raises(CassetteMissError, match="model 'other-model'") as miss:
         replay.complete(request_for(model="other-model"))
+    assert "template" in str(miss.value) and "source context" in str(miss.value)
 
 
 def test_replay_missing_or_malformed_cassette(tmp_path):

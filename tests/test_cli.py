@@ -1224,6 +1224,16 @@ def test_an_existing_private_output_stays_private(tmp_path, capsys, case):
     assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
 
+@pytest.mark.parametrize("name", ["a" * 250, "é" * 125], ids=["250-ascii", "125-two-byte"])
+def test_an_output_whose_name_nearly_fills_the_name_limit_is_written_whole(tmp_path, capsys, name):
+    # 250 bytes: the name with a dot, the pid and ".tmp" added would pass the 255-byte limit.
+    out = tmp_path / name
+    out.write_bytes(b"old\n")
+    assert main(command_writing(tmp_path, "run --out-text", out)) == 0
+    assert out.read_text(encoding="utf-8").startswith("run ")
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -1271,6 +1281,10 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
             "verdict for 'f1' is not a classification or a [classification, rationale] pair",
         ),
         ("run", "--template", "template", b"\xff{{findings_block}}\n", None, "can't decode byte 0xff"),
+        (
+            "run", "--template", "template", b"{{findings_block}}\n---\n{{findings_block}}\n", None,
+            "holds {{findings_block}} 2 times",
+        ),
         ("run", "--cwe-map", "cwe_map", b"200 -> 22\n200 => 22\n", 2, "expected 'alias -> category'"),
         (
             "run", "--ground-truth", "ground_truth", b"BenchmarkTest00001,sqli,maybe,89\n", 1,
@@ -1291,8 +1305,8 @@ def test_report_refuses_a_document_render_json_could_not_have_written(tmp_path, 
     ],
     ids=[
         "config-missing", "config-record", "verdicts-not-an-object", "verdicts-null-rationale",
-        "verdicts-number-rationale", "template-not-utf8", "cwe-map-record", "ground-truth-record",
-        "baseline-record", "detections-negative-code", "report-malformed", "cassette-missing",
+        "verdicts-number-rationale", "template-not-utf8", "template-placeholder-twice", "cwe-map-record",
+        "ground-truth-record", "baseline-record", "detections-negative-code", "report-malformed", "cassette-missing",
         "cassette-not-an-array", "cassette-record-without-response",
     ],
 )

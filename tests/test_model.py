@@ -328,3 +328,15 @@ p.open()
 dataclasses.replace(x)
 """
     assert sorted(call.lineno for call in file_writes(ast.parse(source))) == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def test_the_package_parses_as_its_declared_python_floor():
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    # The check refuses syntax newer than the floor, such as an except* block (3.11).
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    modules = sorted((root / "src" / "sastsieve").glob("*.py"))
+    assert modules
+    for module in modules:
+        ast.parse(module.read_text(encoding="utf-8"), filename=str(module), feature_version=(3, 10))

@@ -313,6 +313,21 @@ def test_template_without_placeholder_warns_once_per_run(tmp_path, caplog):
     assert len(warnings) == 1
 
 
+@pytest.mark.parametrize("with_target", [False, True], ids=["scan-only", "with-target"])
+def test_a_run_without_a_source_tree_warns_once(tmp_path, caplog, with_target):
+    # Without target_root every finding is reviewed blind; 45 findings are three batches.
+    config = {"scan_json": saved_scan(tmp_path, benchmark_results(45))}
+    if with_target:
+        config["target_root"] = str(tmp_path)
+    with caplog.at_level("WARNING", logger="sastsieve.pipeline"):
+        mission = run_mission(plan_mission(config), ScriptedBackend({}, default="true_positive"))
+    assert mission.stats.batch_count == 3
+    warnings = [r.getMessage() for r in caplog.records if "target_root is unset" in r.getMessage()]
+    assert warnings == ([] if with_target else [
+        "target_root is unset: each finding is sent without its source, and a false_positive answer still suppresses it"
+    ])
+
+
 def test_mission_logs_stage_counts(tmp_path, caplog):
     plan = plan_mission({"scan_json": saved_scan(tmp_path, benchmark_results(5))})
     with caplog.at_level("INFO", logger="sastsieve.pipeline"):

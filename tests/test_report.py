@@ -36,8 +36,8 @@ from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
     Delta,
+    Score,
     ScorecardComparison,
-    compute_metrics,
 )
 from tests.conftest import make_finding
 from tests.strategies import PLAN, json_values
@@ -71,10 +71,7 @@ def golden_report() -> Report:
     cm_79 = ConfusionMatrix(tp=0, fp=0, tn=2, fn=0)  # precision, recall, f1 undefined
     cm_89 = ConfusionMatrix(tp=2, fp=1, tn=3, fn=1)
     overall = cm_79 + cm_89
-    card = CweScorecard(
-        per_cwe={79: (cm_79, compute_metrics(cm_79)), 89: (cm_89, compute_metrics(cm_89))},
-        overall=(overall, compute_metrics(overall)),
-    )
+    card = CweScorecard(per_cwe={79: Score(cm_79), 89: Score(cm_89)}, overall=Score(overall))
     deltas = ScorecardComparison(
         per_cwe={79: None, 89: Delta(f1_abs=0.25, f1_rel=None)},
         overall=Delta(f1_abs=0.125, f1_rel=0.5),
@@ -148,7 +145,7 @@ def test_render_load_render_is_byte_identical(tmp_path):
 
 def test_absent_metrics_encode_as_null():
     cm = ConfusionMatrix(0, 0, 10, 0)
-    card = CweScorecard(per_cwe={89: (cm, compute_metrics(cm))}, overall=(cm, compute_metrics(cm)))
+    card = CweScorecard(per_cwe={89: Score(cm)}, overall=Score(cm))
     payload = render_json(empty_report(scorecard=card))
     doc = json.loads(payload)
     metrics = doc["scorecard"]["per_cwe"]["89"]["metrics"]

@@ -10,6 +10,7 @@ from sastsieve.scoring import (
     ConfusionMatrix,
     CweScorecard,
     MetricSet,
+    Score,
     compare,
     compute_metrics,
     load_detections,
@@ -17,7 +18,7 @@ from sastsieve.scoring import (
     score_per_cwe,
     serialize_detections,
 )
-from tests.conftest import BASELINE_OVERALL, PIPELINE_OVERALL, TOTAL_SAFE, TOTAL_VULNERABLE
+from tests.conftest import BASELINE_OVERALL, PIPELINE_OVERALL, TOTAL_SAFE, TOTAL_VULNERABLE, score_with_f1
 
 
 def approx3(value, expected):
@@ -92,17 +93,17 @@ def test_metric_bounds_on_random_matrices():
 
 
 def test_score_published_pipeline_detections(ground_truth, pipeline_detections):
-    cm = score_per_cwe(pipeline_detections, ground_truth).overall[0]
+    cm = score_per_cwe(pipeline_detections, ground_truth).overall.matrix
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == PIPELINE_OVERALL
 
 
 def test_score_published_baseline_detections(ground_truth, baseline_detections):
-    cm = score_per_cwe(baseline_detections, ground_truth).overall[0]
+    cm = score_per_cwe(baseline_detections, ground_truth).overall.matrix
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == BASELINE_OVERALL
 
 
 def test_score_empty_detections(ground_truth):
-    cm = score_per_cwe(set(), ground_truth).overall[0]
+    cm = score_per_cwe(set(), ground_truth).overall.matrix
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, TOTAL_SAFE, TOTAL_VULNERABLE)
 
 
@@ -112,7 +113,7 @@ def test_score_ignores_pairs_absent_from_ground_truth(caplog):
         (TestCaseId("BenchmarkTest00001"), 89),
         (TestCaseId("BenchmarkTest09999"), 89),
     }
-    cm = score_per_cwe(detections, gt).overall[0]
+    cm = score_per_cwe(detections, gt).overall.matrix
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 0, 0)
     caplog.clear()
     with caplog.at_level("INFO", logger="sastsieve.scoring"):
@@ -125,8 +126,8 @@ def test_score_ignores_pairs_absent_from_ground_truth(caplog):
 def test_score_requires_cwe_match_by_default():
     gt = load_ground_truth("BenchmarkTest00001,sqli,true,89\n")
     wrong_cwe = {(TestCaseId("BenchmarkTest00001"), 79)}
-    assert score_per_cwe(wrong_cwe, gt).overall[0].tp == 0
-    assert score_per_cwe(wrong_cwe, gt, match_any_cwe=True).overall[0].tp == 1
+    assert score_per_cwe(wrong_cwe, gt).overall.matrix.tp == 0
+    assert score_per_cwe(wrong_cwe, gt, match_any_cwe=True).overall.matrix.tp == 1
 
 
 def _random_gt(rng: random.Random, max_entries: int = 50, codes=(22, 79, 89, 330)) -> GroundTruth:
@@ -168,7 +169,7 @@ def test_score_matches_brute_force_oracle():
             if rng.random() < 0.5:
                 code = entry.cwe.code if rng.random() < 0.7 else rng.choice([22, 79, 89, 330])
                 detections.add((entry.test_id, code))
-        cm = score_per_cwe(detections, gt).overall[0]
+        cm = score_per_cwe(detections, gt).overall.matrix
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == _brute_force(detections, gt.values())
         assert cm.total == len(gt)
 
@@ -187,25 +188,25 @@ def test_per_cwe_matrices_match_brute_force_counts(match_any_cwe):
         card = score_per_cwe(detections, gt, match_any_cwe=match_any_cwe)
         entries = list(gt.values())
         assert list(card.per_cwe) == sorted({e.cwe.code for e in entries})
-        for code, (cm, metrics) in card.per_cwe.items():
+        for code, score in card.per_cwe.items():
             in_cwe = [e for e in entries if e.cwe.code == code]
-            assert astuple(cm) == _brute_force(detections, in_cwe, match_any_cwe)
-            assert metrics == compute_metrics(cm)
-        assert astuple(card.overall[0]) == _brute_force(detections, entries, match_any_cwe)
-        assert card.overall[1] == compute_metrics(card.overall[0])
+            assert astuple(score.matrix) == _brute_force(detections, in_cwe, match_any_cwe)
+            assert score.metrics == compute_metrics(score.matrix)
+        assert astuple(card.overall.matrix) == _brute_force(detections, entries, match_any_cwe)
+        assert card.overall.metrics == compute_metrics(card.overall.matrix)
 
 
 def test_per_cwe_matrices_sum_to_overall(ground_truth, pipeline_detections):
     card = score_per_cwe(pipeline_detections, ground_truth)
     summed = ConfusionMatrix(0, 0, 0, 0)
-    for cm, _ in card.per_cwe.values():
-        summed = summed + cm
-    assert summed == card.overall[0]
+    for score in card.per_cwe.values():
+        summed = summed + score.matrix
+    assert summed == card.overall.matrix
 
 
 def test_per_cwe_published_pipeline_sql_injection_row(ground_truth, pipeline_detections):
     card = score_per_cwe(pipeline_detections, ground_truth)
-    _, metrics = card.per_cwe[89]
+    metrics = card.per_cwe[89].metrics
     assert approx3(metrics.precision, 0.951)
     assert approx3(metrics.recall, 0.930)
     assert approx3(metrics.f1, 0.941)
@@ -213,7 +214,7 @@ def test_per_cwe_published_pipeline_sql_injection_row(ground_truth, pipeline_det
 
 def test_per_cwe_published_baseline_path_traversal_row(ground_truth, baseline_detections):
     card = score_per_cwe(baseline_detections, ground_truth)
-    _, metrics = card.per_cwe[22]
+    metrics = card.per_cwe[22].metrics
     assert approx3(metrics.precision, 0.531)
     assert approx3(metrics.recall, 0.902)
     assert approx3(metrics.f1, 0.669)
@@ -223,7 +224,7 @@ def test_per_cwe_single_category_equals_overall():
     gt = load_ground_truth("BenchmarkTest00001,sqli,true,89\nBenchmarkTest00002,sqli,false,89\n")
     card = score_per_cwe({(TestCaseId("BenchmarkTest00001"), 89)}, gt)
     assert list(card.per_cwe) == [89]
-    assert card.per_cwe[89][0] == card.overall[0]
+    assert card.per_cwe[89].matrix == card.overall.matrix
 
 
 def test_score_monotonicity_under_detection_removal():
@@ -233,25 +234,20 @@ def test_score_monotonicity_under_detection_removal():
         detections = {
             (e.test_id, e.cwe.code) for e in gt.values() if rng.random() < 0.6
         }
-        cm = score_per_cwe(detections, gt).overall[0]
+        cm = score_per_cwe(detections, gt).overall.matrix
         if not detections:
             continue
         smaller = set(detections)
         smaller.remove(rng.choice(sorted(smaller)))
-        cm2 = score_per_cwe(smaller, gt).overall[0]
+        cm2 = score_per_cwe(smaller, gt).overall.matrix
         assert cm2.tp <= cm.tp and cm2.fp <= cm.fp
         assert cm2.fn >= cm.fn and cm2.tn >= cm.tn
 
 
 def _fixture_card(f1_by_cwe: dict[int, float], overall_f1: float) -> CweScorecard:
-    placeholder = ConfusionMatrix(0, 0, 0, 0)
-
-    def metrics(f1: float) -> MetricSet:
-        return MetricSet(precision=None, recall=None, f1=f1, fpr=None, youden_j=None)
-
     return CweScorecard(
-        per_cwe={code: (placeholder, metrics(f1)) for code, f1 in f1_by_cwe.items()},
-        overall=(placeholder, metrics(overall_f1)),
+        per_cwe={code: score_with_f1(f1) for code, f1 in f1_by_cwe.items()},
+        overall=score_with_f1(overall_f1),
     )
 
 
@@ -286,9 +282,9 @@ def test_compare_rejects_mismatched_cwe_sets():
 
 
 def test_compare_handles_absent_f1():
-    absent = MetricSet(None, None, None, None, None)
-    placeholder = ConfusionMatrix(0, 0, 0, 0)
-    baseline = CweScorecard(per_cwe={22: (placeholder, absent)}, overall=(placeholder, absent))
+    absent = Score(ConfusionMatrix(0, 0, 0, 0))
+    assert absent.metrics == MetricSet(None, None, None, None, None)
+    baseline = CweScorecard(per_cwe={22: absent}, overall=absent)
     candidate = _fixture_card({22: 0.9}, 0.9)
     comparison = compare(baseline, candidate)
     assert comparison.per_cwe[22] is None and comparison.overall is None
